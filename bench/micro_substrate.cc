@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the deterministic substrate and the
-// analysis hot paths: fiber context switches, instrumented memory access,
-// channel transfer, race-detector event processing, and vector clocks.
+// analysis hot paths: fiber context switches and spawns, instrumented memory
+// access, channel transfer, race-detector event processing, and vector
+// clocks.
 
 #include <benchmark/benchmark.h>
 
@@ -14,8 +15,8 @@ namespace ddr {
 namespace {
 
 void BM_FiberPingPong(benchmark::State& state) {
-  // Measures a full yield round-trip between two fibers (two baton handoffs
-  // + scheduler pick each way).
+  // Measures a full yield round-trip between two fibers (a swapcontext out to
+  // the scheduler, a scheduler pick, and a swapcontext in, each way).
   const uint64_t switches_per_run = 2000;
   uint64_t total = 0;
   for (auto _ : state) {
@@ -38,6 +39,26 @@ void BM_FiberPingPong(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(total));
 }
 BENCHMARK(BM_FiberPingPong)->Unit(benchmark::kMillisecond);
+
+void BM_FiberSpawnJoin(benchmark::State& state) {
+  // Per-fiber lifecycle cost: stack set-up, first switch in, exit, and
+  // release, plus the join's block and wake. One fiber per iteration.
+  const uint64_t fibers_per_run = 1000;
+  uint64_t total = 0;
+  for (auto _ : state) {
+    Environment::Options options;
+    options.scheduling.preempt_probability = 0.0;
+    Environment env(options);
+    env.Run("spawnjoin", [&](Environment& e) {
+      for (uint64_t i = 0; i < fibers_per_run; ++i) {
+        e.Join(e.Spawn("child", [] {}));
+      }
+    });
+    total += fibers_per_run;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(total));
+}
+BENCHMARK(BM_FiberSpawnJoin)->Unit(benchmark::kMillisecond);
 
 void BM_SharedVarAccess(benchmark::State& state) {
   const uint64_t accesses_per_run = 20000;

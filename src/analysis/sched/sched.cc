@@ -671,7 +671,10 @@ class Engine {
       if (h == mu) continue;
       if (!lock_graph_[h].insert(mu).second) continue;  // edge already known
       if (Reaches(mu, h)) {
-        auto key = std::minmax(NameOf(h), NameOf(mu));
+        // minmax returns references into the NameOf temporaries: copy
+        // them out before the full-expression ends.
+        const std::pair<std::string, std::string> key =
+            std::minmax(NameOf(h), NameOf(mu));
         if (!flagged_cycles_.insert(key).second) continue;
         SchedFinding finding;
         finding.kind = FindingKind::kLockOrderCycle;

@@ -77,7 +77,7 @@ Outcome Environment::Run(SimProgram& program) {
   outcome_.trace_fingerprint = fingerprint_sink_.fingerprint();
   outcome_.output_fingerprint = output_fingerprint_.value();
 
-  fibers_.clear();  // joins all backing threads
+  fibers_.clear();  // every fiber has finished and released its stack
   return outcome_;
 }
 
@@ -133,8 +133,7 @@ void Environment::SchedulerLoop() {
     f->set_state(Fiber::State::kRunning);
     current_ = f;
     in_scheduler_context_ = false;
-    f->Resume();
-    sched_baton_.Wait();
+    f->SwitchIn();
     in_scheduler_context_ = true;
     current_ = nullptr;
     last_running_ = next;
@@ -212,8 +211,7 @@ void Environment::ShutdownAllFibers() {
       f->set_state(Fiber::State::kRunning);
       current_ = f;
       in_scheduler_context_ = false;
-      f->Resume();
-      sched_baton_.Wait();
+      f->SwitchIn();
       in_scheduler_context_ = true;
       current_ = nullptr;
     }
@@ -280,7 +278,8 @@ FiberId Environment::SpawnOnNode(NodeId node, const std::string& name,
   Fiber* f = owned.get();
   fiber_object_ids_.push_back(RegisterObject(ObjectKind::kFiber, name, node));
   ++live_fibers_;
-  f->Launch([this, f, fn = std::move(body)] { FiberTrampoline(f, fn); });
+  f->Launch([this, f, fn = std::move(body)] { FiberTrampoline(f, fn); },
+            &scheduler_context_);
   fibers_.push_back(std::move(owned));
   MakeRunnable(id);
   Emit(EventType::kFiberCreate, fiber_object_ids_[id], id, 0, 0);
@@ -316,7 +315,8 @@ void Environment::FiberTrampoline(Fiber* f, const std::function<void()>& body) {
     stop_requested_ = true;
   }
   last_switch_cause_ = SwitchCause::kExit;
-  sched_baton_.Post();
+  // Returning hands control back: the fiber's entry ends with its final
+  // switch to the scheduler.
 }
 
 void Environment::SwitchOut(Fiber::State new_state) {
@@ -326,8 +326,7 @@ void Environment::SwitchOut(Fiber::State new_state) {
   if (new_state == Fiber::State::kRunnable) {
     MakeRunnable(f->id());
   }
-  sched_baton_.Post();
-  f->WaitForResume();
+  f->SwitchToScheduler();
   if (f->kill_requested()) {
     throw FiberKilled{};
   }

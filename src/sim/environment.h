@@ -7,10 +7,11 @@
 // ExecutionDirector can observe and override, and every decision is
 // materialized as an Event fanned out to TraceSinks.
 //
-// Concurrency model: fibers are OS threads scheduled strictly one-at-a-time
-// via baton handoff (see fiber.h), so all Environment state is accessed with
-// mutual exclusion by construction and executions are a pure function of
-// (program, seed, director).
+// Concurrency model: fibers are coroutines that run one at a time on the OS
+// thread that called Run(), switching only to and from the scheduler (see
+// fiber.h). All Environment state is therefore touched by one thread, and
+// executions are a pure function of (program, seed, director). Independent
+// Environments may run concurrently on different OS threads.
 //
 // Lifecycle: construct -> configure (sinks, director, fault plan, spec) ->
 // Run(program) exactly once -> inspect Outcome.
@@ -306,7 +307,9 @@ class Environment {
   std::vector<FiberId> runnable_;
   Fiber* current_ = nullptr;
   FiberId last_running_ = kInvalidFiber;
-  Baton sched_baton_;
+  // The scheduler's saved context while a fiber runs; a fiber's
+  // SwitchToScheduler() resumes it.
+  ucontext_t scheduler_context_;
   size_t live_fibers_ = 0;
 
   // Armed OOM faults: (node, earliest time).

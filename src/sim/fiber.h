@@ -1,20 +1,34 @@
-// Cooperative fibers implemented as strictly hand-off-scheduled OS threads.
+// Cooperative fibers implemented as ucontext coroutines that run on the OS
+// thread that called Environment::Run.
 //
-// Exactly one thread (either the scheduler or a single fiber) runs at any
-// moment; control transfers through Baton handoffs. Because every transfer
-// is explicit and the scheduler picks successors deterministically, an
-// execution is a pure function of (program, seed, director) — the property
-// the whole toolkit rests on.
+// Exactly one context (either the scheduler or a single fiber) runs at any
+// moment; control transfers through explicit swapcontext calls
+// (SwitchIn / SwitchToScheduler). Because every transfer is explicit and the
+// scheduler picks successors deterministically, an execution is a pure
+// function of (program, seed, director) — the property the whole toolkit
+// rests on.
+//
+// Each fiber runs on an mmap'd stack of kStackBytes with a PROT_NONE guard
+// page below it, so an overflow faults loudly instead of corrupting a
+// neighbour. A finished fiber's stack goes back to a small per-OS-thread
+// pool for the next fiber spawned there.
+//
+// Under ASan/TSan every switch is announced to the sanitizer, which would
+// otherwise misreport unwinding or accesses on the fiber stacks. Simulated
+// code must not block or yield inside a catch handler: the C++ runtime's
+// caught-exception stack is per OS thread, not per fiber.
 
 #ifndef SRC_SIM_FIBER_H_
 #define SRC_SIM_FIBER_H_
 
+#include <ucontext.h>
+
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "src/sim/types.h"
-#include "src/util/thread_annotations.h"
 
 namespace ddr {
 
@@ -23,31 +37,6 @@ namespace ddr {
 // std::exception so that application-level catch(std::exception&) blocks do
 // not swallow it. Simulated code must not use catch(...).
 struct FiberKilled {};
-
-// One-shot-at-a-time handoff primitive.
-class Baton {
- public:
-  void Wait() {
-    MutexLock lock(mutex_);
-    while (!posted_) {
-      cv_.Wait(mutex_);
-    }
-    posted_ = false;
-  }
-
-  void Post() {
-    {
-      MutexLock lock(mutex_);
-      posted_ = true;
-    }
-    cv_.NotifyOne();
-  }
-
- private:
-  Mutex mutex_;
-  CondVar cv_;
-  bool posted_ GUARDED_BY(mutex_) = false;
-};
 
 // Why a blocked fiber resumed.
 enum class WakeReason : uint8_t {
@@ -65,19 +54,25 @@ class Fiber {
     kFinished,
   };
 
+  // Usable stack per fiber (the guard page comes on top).
+  static constexpr size_t kStackBytes = 256 * 1024;
+
   Fiber(FiberId id, NodeId node, std::string name);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  // Starts the backing thread; `trampoline` runs after the first Resume().
-  void Launch(std::function<void()> trampoline);
+  // Takes a stack and prepares the context; `entry` runs on the first
+  // SwitchIn(). `scheduler` is where SwitchToScheduler() returns to.
+  void Launch(std::function<void()> entry, ucontext_t* scheduler);
 
-  // Scheduler -> fiber control transfer.
-  void Resume() { resume_baton_.Post(); }
-  // Fiber-side: parks until the scheduler resumes this fiber.
-  void WaitForResume() { resume_baton_.Wait(); }
+  // Scheduler -> fiber: runs the fiber until it switches back. Once `entry`
+  // has returned, the stack is released before this returns. Must be called
+  // on the OS thread that called Launch().
+  void SwitchIn();
+  // Fiber -> scheduler: parks this fiber until the next SwitchIn().
+  void SwitchToScheduler();
 
   FiberId id() const { return id_; }
   NodeId node() const { return node_; }
@@ -111,6 +106,10 @@ class Fiber {
   std::vector<FiberId>& joiners() { return joiners_; }
 
  private:
+  // makecontext entry point; the Fiber* arrives split into two ints.
+  static void Entry(unsigned int self_hi, unsigned int self_lo);
+  void ReleaseStack();
+
   const FiberId id_;
   const NodeId node_;
   const std::string name_;
@@ -124,8 +123,18 @@ class Fiber {
   std::vector<RegionId> region_stack_;
   std::vector<FiberId> joiners_;
 
-  Baton resume_baton_;
-  OsThread thread_;
+  std::function<void()> entry_;
+  bool exited_ = false;  // entry_ returned; the stack is dead
+  void* mapping_ = nullptr;  // guard page + stack, nullptr once released
+  ucontext_t context_;
+  ucontext_t* scheduler_ = nullptr;
+
+  // Sanitizer bookkeeping (unused without ASan/TSan).
+  void* asan_fake_stack_ = nullptr;
+  const void* scheduler_stack_bottom_ = nullptr;
+  size_t scheduler_stack_size_ = 0;
+  void* tsan_fiber_ = nullptr;
+  void* tsan_scheduler_ = nullptr;
 };
 
 }  // namespace ddr

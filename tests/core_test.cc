@@ -1,9 +1,11 @@
 // Tests for src/core: metric formulas, the determinism-model registry, RCSE
-// dial-up/dial-down behavior, and the experiment harness end to end on a
-// small scenario.
+// dial-up/dial-down behavior, the experiment harness end to end on a small
+// scenario, and a golden of the full scenario x model grid.
 
 #include <gtest/gtest.h>
 
+#include "src/apps/scenarios.h"
+#include "src/core/batch_runner.h"
 #include "src/core/determinism_model.h"
 #include "src/core/experiment.h"
 #include "src/core/metrics.h"
@@ -267,6 +269,88 @@ TEST(ExperimentHarnessTest, PerfectModelIsMostExpensive) {
   EXPECT_GT(perfect.overhead_multiplier, failure.overhead_multiplier);
   EXPECT_DOUBLE_EQ(failure.overhead_multiplier, 1.0);
   EXPECT_GT(perfect.log_bytes, failure.log_bytes);
+}
+
+// ------------------------------------------------------------- grid golden
+
+// The 24 grid cells as the thread-backed fiber engine scored them, before
+// fibers became coroutines on the caller's thread. A fiber backend may
+// change how control moves, never a scheduling decision, so every row
+// signature, inference attempt count, and simulated-event count must stay
+// exactly as recorded here. Regenerate only for a deliberate change to
+// scheduling, a scenario, or scoring.
+struct GoldenCell {
+  const char* signature;
+  uint64_t inference_attempts;
+  uint64_t events_simulated;
+};
+
+constexpr GoldenCell kGridGolden[] = {
+    {"sum|sum/perfect|perfect|5.1299999999999999|151|7|1|corrupt-table-entry|0|1",
+     0, 0},
+    {"sum|sum/value|value|3.6833333333333331|111|5|1|corrupt-table-entry|0|1",
+     0, 0},
+    {"sum|sum/output-heavy|output-heavy|2.6000000000000001|108|5|1|corrupt-table-entry|0|1",
+     1, 7},
+    {"sum|sum/output|output|1.3866666666666667|62|1|0|<none>|0|0|0|5",
+     1, 6},
+    {"sum|sum/failure|failure|1|42|0|1|corrupt-table-entry|0|1|2|2",
+     37, 223},
+    {"sum|sum/rcse-code-based|debug (RCSE)|2.9366666666666665|151|7|1|corrupt-table-entry|0|1",
+     0, 0},
+    {"msgdrop|msgdrop/perfect|perfect|6.5345873320537429|23816|1623|1|buffer-race|0|1",
+     0, 0},
+    {"msgdrop|msgdrop/value|value|2.8349200255918108|9883|657|1|buffer-race|0|1",
+     0, 0},
+    {"msgdrop|msgdrop/output-heavy|output-heavy|1.8198848368522074|6582|351|0|<none>|0|0",
+     12, 19758},
+    {"msgdrop|msgdrop/output|output|1.338426103646833|2559|114|0|<none>|0|0",
+     12, 19758},
+    {"msgdrop|msgdrop/failure|failure|1|51|0|1|network-congestion|0|0.5",
+     1, 1719},
+    {"msgdrop|msgdrop/rcse-combined|debug (RCSE)|1.9798848368522073|9809|640|1|buffer-race|0|1",
+     0, 0},
+    {"overflow|overflow/perfect|perfect|5.8218181818181822|253|12|1|unchecked-copy|0|1",
+     0, 0},
+    {"overflow|overflow/value|value|3.5709090909090908|137|6|1|unchecked-copy|0|1",
+     0, 0},
+    {"overflow|overflow/output-heavy|output-heavy|2.8727272727272726|154|7|1|unchecked-copy|0|1",
+     1, 12},
+    {"overflow|overflow/output|output|1.4218181818181819|97|2|1|unchecked-copy|0|1|20|45|49",
+     49, 588},
+    {"overflow|overflow/failure|failure|1|57|0|1|unchecked-copy|0|1",
+     7, 84},
+    {"overflow|overflow/rcse-code-based|debug (RCSE)|1.7163636363636363|124|4|1|unchecked-copy|0|1",
+     0, 0},
+    {"hypertable|hypertable/perfect|perfect|7.0305479825517994|140314|8764|1|migration-race|0|1",
+     0, 0},
+    {"hypertable|hypertable/value|value|3.339664667393675|76462|4609|1|migration-race|0|1",
+     0, 0},
+    {"hypertable|hypertable/output-heavy|output-heavy|1.8368593238822246|36870|2356|1|migration-race|0|1",
+     4, 35090},
+    {"hypertable|hypertable/output|output|1.1254089422028353|80|1|1|migration-race|0|1",
+     4, 35090},
+    {"hypertable|hypertable/failure|failure|1|54|0|1|slave-crash|0|0.33333333333333331",
+     1, 10613},
+    {"hypertable|hypertable/rcse-code-based|debug (RCSE)|1.7841357688113413|48005|2853|1|migration-race|0|1",
+     0, 0},
+};
+
+TEST(GridGoldenTest, EveryCellMatchesTheRecordedEngine) {
+  BatchOptions options;
+  options.threads = 1;
+  auto report = BatchRunner(AllBugScenarios(), options).Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->cells.size(), std::size(kGridGolden));
+  for (size_t i = 0; i < report->cells.size(); ++i) {
+    const BatchCell& cell = report->cells[i];
+    EXPECT_EQ(RowSignature(cell), kGridGolden[i].signature) << "cell " << i;
+    EXPECT_EQ(cell.row.inference.attempts, kGridGolden[i].inference_attempts)
+        << cell.recording_name;
+    EXPECT_EQ(cell.row.inference.total_events_simulated,
+              kGridGolden[i].events_simulated)
+        << cell.recording_name;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // Deeper substrate tests beyond the smoke suite: semaphores, barriers,
 // timeouts, channel backpressure, RMW atomicity, run limits, disks,
-// TryAlloc faults, region nesting, and scheduling-policy determinism.
+// TryAlloc faults, region nesting, scheduling-policy determinism, and the
+// fiber machinery itself (caller-thread execution, stacks, unwinding).
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <thread>
 
 #include "src/sim/channel.h"
 #include "src/sim/disk.h"
@@ -10,6 +14,7 @@
 #include "src/sim/network.h"
 #include "src/sim/shared_var.h"
 #include "src/sim/sync.h"
+#include "src/util/thread_annotations.h"
 
 namespace ddr {
 namespace {
@@ -431,6 +436,134 @@ TEST(SimDeterminismTest, PolicySweepFingerprintsStable) {
       }
     }
   }
+}
+
+// ------------------------------------------------------------------ fibers
+
+TEST(SimFiberTest, BodiesRunOnTheCallersThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> seen;
+  Environment env(Opts(19));
+  Outcome outcome = env.Run("caller-thread", [&](Environment& e) {
+    seen.push_back(std::this_thread::get_id());
+    FiberId child = e.Spawn("child", [&] {
+      e.Yield();
+      seen.push_back(std::this_thread::get_id());
+    });
+    e.Join(child);
+  });
+  EXPECT_FALSE(outcome.Failed());
+  ASSERT_EQ(seen.size(), 2u);
+  for (const std::thread::id id : seen) {
+    EXPECT_EQ(id, caller);
+  }
+}
+
+// A preemptive mutex + channel + RNG workload with an observable output.
+Outcome RunMixedWorkload(uint64_t seed) {
+  Environment env(Opts(seed, /*preempt=*/0.3));
+  return env.Run("mixed", [](Environment& e) {
+    SharedVar<uint64_t> x(e, "x", 0);
+    SimMutex mu(e, "mu");
+    Channel<int> chan(e, "chan");
+    std::vector<FiberId> fibers;
+    for (int f = 0; f < 3; ++f) {
+      fibers.push_back(e.Spawn("p" + std::to_string(f), [&] {
+        for (int i = 0; i < 10; ++i) {
+          SimLock lock(mu);
+          x.Store(x.Load() + 1);
+          chan.Send(static_cast<int>(e.RngDraw(RngPurpose::kAppChoice, 100)));
+        }
+      }));
+    }
+    uint64_t sum = 0;
+    for (int i = 0; i < 30; ++i) {
+      sum = sum * 31 + static_cast<uint64_t>(chan.Recv());
+    }
+    for (FiberId f : fibers) {
+      e.Join(f);
+    }
+    e.EmitOutput(sum ^ x.Load());
+  });
+}
+
+TEST(SimFiberTest, ConcurrentEnvironmentsMatchSequentialRuns) {
+  constexpr int kEnvs = 4;
+  std::vector<Outcome> sequential;
+  for (int i = 0; i < kEnvs; ++i) {
+    sequential.push_back(RunMixedWorkload(100 + i));
+  }
+  std::vector<Outcome> concurrent(kEnvs);
+  std::vector<OsThread> threads;
+  for (int i = 0; i < kEnvs; ++i) {
+    threads.emplace_back([&concurrent, i] { concurrent[i] = RunMixedWorkload(100 + i); });
+  }
+  for (OsThread& thread : threads) {
+    thread.join();
+  }
+  for (int i = 0; i < kEnvs; ++i) {
+    EXPECT_FALSE(sequential[i].Failed()) << i;
+    EXPECT_EQ(concurrent[i].trace_fingerprint, sequential[i].trace_fingerprint) << i;
+    EXPECT_EQ(concurrent[i].output_fingerprint, sequential[i].output_fingerprint) << i;
+  }
+  // Different seeds really do schedule differently.
+  EXPECT_NE(sequential[0].trace_fingerprint, sequential[1].trace_fingerprint);
+}
+
+TEST(SimFiberTest, KillingABlockedFiberRunsItsDestructors) {
+  struct Guard {
+    int* destroyed;
+    ~Guard() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  bool ran_past_wait = false;
+  Environment env(Opts(20));
+  Outcome outcome = env.Run("kill-unwind", [&](Environment& e) {
+    ObjectId never = e.CreateWaitQueue("never-notified");
+    e.Spawn("blocked", [&] {
+      Guard outer{&destroyed};
+      {
+        Guard inner{&destroyed};
+        e.WaitOn(never);  // the root's exit kills this fiber here
+        ran_past_wait = true;
+      }
+    });
+    e.Yield();  // let the child block, then end the run
+  });
+  EXPECT_FALSE(outcome.Failed());
+  EXPECT_FALSE(ran_past_wait);
+  EXPECT_EQ(destroyed, 2);
+}
+
+// Recurses `limit` frames of about 1 KiB each; not a tail call.
+int DeepRecursion(int depth, int limit) {
+  volatile char frame[1024];
+  frame[depth % sizeof(frame)] = static_cast<char>(depth);
+  if (depth == limit) {
+    return depth;
+  }
+  return DeepRecursion(depth + 1, limit) + frame[depth % sizeof(frame)] - static_cast<char>(depth);
+}
+
+TEST(SimFiberTest, SixtyFourKibRecursionFitsOnAFiberStack) {
+  int reached = 0;
+  Environment env(Opts(21));
+  env.Run("deep", [&](Environment& e) {
+    FiberId child = e.Spawn("recurse", [&] { reached = DeepRecursion(0, 64); });
+    e.Join(child);
+  });
+  EXPECT_EQ(reached, 64);
+}
+
+TEST(SimFiberDeathTest, StackOverflowHitsTheGuardPage) {
+  EXPECT_DEATH(
+      {
+        Environment env(Opts(22));
+        env.Run("overflow", [](Environment&) {
+          DeepRecursion(0, std::numeric_limits<int>::max());
+        });
+      },
+      "");
 }
 
 }  // namespace
