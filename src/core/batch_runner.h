@@ -47,19 +47,15 @@ struct BatchOptions {
   // existing bundle, cells already present (matched by stamped scenario +
   // canonical determinism-model name — the deterministic prefix of their
   // RowSignature) are skipped, and only the missing cells record and
-  // append through CorpusWriter::AppendTo. The report then contains
+  // append in place through CorpusWriter::AppendTo (bytes written are
+  // O(new cells), flat in the size of the existing bundle; CompactCorpus
+  // afterwards yields the single-shot layout). The report then contains
   // exactly the cells that ran; with nothing missing, the bundle is not
   // touched at all. A missing file degrades to a normal full build; a
   // corrupt one is an error, never silently rebuilt.
   bool resume = false;
-  // How the missing cells land: the in-place journal append (the
-  // default — bytes written are O(new cells + index), flat in the size
-  // of the existing bundle) or the legacy copy-rewrite (O(file), but the
-  // result is the canonical single-shot layout).
-  CorpusAppendMode resume_mode = CorpusAppendMode::kInPlace;
-  // I/O backend used to read the existing bundle on a resume (the index
-  // probe and any AppendTo copying; nothing decodes, so there is no
-  // cache knob here).
+  // I/O backend used to read the existing bundle's index on a resume
+  // (nothing decodes, so there is no cache knob here).
   RandomAccessFileOptions resume_io;
 };
 
@@ -82,8 +78,8 @@ struct BatchReport {
 
   // Write-side accounting, filled by BatchRunner::Run when a corpus is
   // written: physical bytes pushed to disk — the whole file for a fresh
-  // build or rewrite-mode resume, only the delta for an in-place resume
-  // (the number the O(delta) append guarantee is smoke-tested on).
+  // build, only the delta for a resume (the number the O(delta) append
+  // guarantee is smoke-tested on).
   uint64_t corpus_bytes_written = 0;
 
   // One JSON object per cell (the machine-readable aggregate report).

@@ -120,8 +120,8 @@ struct ServeInfo {
   std::string path;
   uint64_t file_size = 0;
   bool journaled = false;
-  // Corpus header format version (1 single-shot, 2 full-index journal,
-  // 3 delta-index journal).
+  // Corpus header format version (1 single-shot, 3 delta-index journal;
+  // 2 is retired and never served).
   uint32_t format_version = 1;
   uint32_t generation = 1;
   uint64_t dead_bytes = 0;

@@ -70,28 +70,21 @@ Result<std::vector<CorpusEntry>> DecodeCorpusIndex(
 
 // ----------------------------------------------------- journal trailers
 
-// The three wire forms a generation's trailer can take.
-enum class TrailerForm : uint8_t {
-  kV1 = 0,         // 12 bytes, magic "CRDD": v1 body, always generation 1
-  kFullIndex = 1,  // 28 bytes, magic "CRDJ": journal, index lists all entries
-  kDeltaIndex = 2,  // 28 bytes, magic "CRDL": index lists this gen's adds only
-};
-
 // A parsed corpus trailer: the fixed-width record that publishes an index
-// generation. The 28-byte journal layout (index offset, previous
-// trailer's offset, generation, CRC, magic) is shared by the full-index
-// and delta-index forms; only the magic differs.
+// generation. Either the 12-byte v1 trailer (magic "CRDD", the v1 body,
+// always generation 1) or the 28-byte delta trailer (index offset,
+// previous trailer's offset, generation, CRC, magic "CRDL") whose index
+// lists only the entries its own generation added.
 struct CorpusTrailerInfo {
   uint64_t trailer_offset = 0;  // absolute offset where the trailer begins
   uint64_t index_offset = 0;
-  uint64_t prev_trailer_offset = 0;  // journal layout only
+  uint64_t prev_trailer_offset = 0;  // delta form only
   uint32_t generation = 1;
-  TrailerForm form = TrailerForm::kV1;
+  bool delta = false;
 
-  bool journal_layout() const { return form != TrailerForm::kV1; }
   uint64_t end() const {
     return trailer_offset +
-           (journal_layout() ? kCorpusJournalTrailerBytes : kCorpusTrailerBytes);
+           (delta ? kCorpusJournalTrailerBytes : kCorpusTrailerBytes);
   }
 };
 
@@ -129,13 +122,10 @@ bool ParseTrailerBytes(std::span<const uint8_t> bytes, uint64_t trailer_offset,
         !magic.ok()) {
       return false;
     }
-    if (*magic == kCorpusJournalTrailerMagic) {
-      info.form = TrailerForm::kFullIndex;
-    } else if (*magic == kCorpusDeltaTrailerMagic) {
-      info.form = TrailerForm::kDeltaIndex;
-    } else {
+    if (*magic != kCorpusDeltaTrailerMagic) {
       return false;
     }
+    info.delta = true;
     if (*crc != Crc32(bytes.data(), kCorpusJournalTrailerBytes - 8)) {
       return false;
     }
@@ -243,17 +233,16 @@ Result<CorpusTrailerInfo> FindLatestValidTrailer(
         file.Read(lo, static_cast<size_t>(hi - lo), &scan_buf));
     for (uint64_t p = hi - 4;; --p) {
       const uint32_t word = ReadWordLE(window.data() + (p - lo));
-      const bool journal_magic = word == kCorpusJournalTrailerMagic ||
-                                 word == kCorpusDeltaTrailerMagic;
-      if (journal_magic || word == kCorpusTrailerMagic) {
+      const bool delta_magic = word == kCorpusDeltaTrailerMagic;
+      if (delta_magic || word == kCorpusTrailerMagic) {
         const uint64_t size =
-            journal_magic ? kCorpusJournalTrailerBytes : kCorpusTrailerBytes;
+            delta_magic ? kCorpusJournalTrailerBytes : kCorpusTrailerBytes;
         if (p + 4 >= kCorpusHeaderBytes + size) {
           const uint64_t start = p + 4 - size;
           CorpusTrailerInfo info;
           auto bytes = file.Read(start, static_cast<size_t>(size), &scratch);
           if (bytes.ok() &&
-              ParseTrailerBytes(*bytes, start, journal_magic, &info)) {
+              ParseTrailerBytes(*bytes, start, delta_magic, &info)) {
             auto entries = LoadIndexForTrailer(file, info);
             if (entries.ok()) {
               *entries_out = std::move(*entries);
@@ -302,36 +291,30 @@ Result<CorpusTrailerInfo> ReadPrevTrailer(const RandomAccessFile& file,
 }
 
 // Walks the prev-trailer chain from the latest generation down to the v1
-// base, stitching delta indexes and counting dead bytes.
+// body, stitching delta indexes.
 //
 // On entry `entries` holds the latest generation's own index. Delta
-// generations are collected walking down until the first full index (a
-// v2 "CRDJ" generation or the v1 body) — the stitch base — then overlaid
-// on it oldest-first, a newer generation winning any name. Everything in
-// the stitch range is live; dead bytes are the torn tail plus the index
-// section + trailer of every generation strictly below the base (the
-// walk continues to generation 1 for validation either way).
+// generations are collected walking down to the v1 body — the stitch
+// base — then overlaid on it oldest-first, a newer generation winning
+// any name. Every index in the chain is live.
 Status StitchJournalChain(const RandomAccessFile& file, uint64_t file_size,
                           const CorpusTrailerInfo& latest,
-                          std::vector<CorpusEntry>* entries,
-                          uint64_t* dead_bytes) {
+                          std::vector<CorpusEntry>* entries) {
   std::vector<uint8_t> scratch;
-  uint64_t dead = file_size - latest.end();
   CorpusTrailerInfo current = latest;
   std::vector<CorpusEntry> current_entries = std::move(*entries);
   // Delta generations' entry lists, newest first.
   std::vector<std::vector<CorpusEntry>> deltas;
-  while (current.form == TrailerForm::kDeltaIndex) {
+  while (current.delta) {
     deltas.push_back(std::move(current_entries));
     ASSIGN_OR_RETURN(CorpusTrailerInfo prev,
                      ReadPrevTrailer(file, file_size, current, &scratch));
     ASSIGN_OR_RETURN(current_entries, LoadIndexForTrailer(file, prev));
     current = prev;
   }
-  // `current` publishes the stitch base's full index; overlay the deltas
-  // oldest-first so the final order matches the equivalent full-index
-  // bundle (add order), with a newer generation replacing a name in
-  // place.
+  // `current` publishes the v1 body's full index; overlay the deltas
+  // oldest-first so the final order is add order, with a newer
+  // generation replacing a name in place.
   std::vector<CorpusEntry> stitched = std::move(current_entries);
   for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
     for (CorpusEntry& entry : *it) {
@@ -345,20 +328,11 @@ Status StitchJournalChain(const RandomAccessFile& file, uint64_t file_size,
       }
     }
   }
-  // Generations below the stitch base are superseded: validate the rest
-  // of the chain and account their index + trailer bytes as dead.
-  while (current.journal_layout()) {
-    ASSIGN_OR_RETURN(CorpusTrailerInfo prev,
-                     ReadPrevTrailer(file, file_size, current, &scratch));
-    dead += prev.end() - prev.index_offset;
-    current = prev;
-  }
   if (current.generation != 1) {
     return InvalidArgumentError(
         "corpus journal chain does not reach generation 1");
   }
   *entries = std::move(stitched);
-  *dead_bytes = dead;
   return OkStatus();
 }
 
@@ -383,7 +357,7 @@ class CorpusJournalSink {
   // under the writer lock so an append prepared against a since-mutated
   // file fails instead of writing over published bytes. When the
   // observed header version predates the delta-index layout the header
-  // is flipped to version 3 (fsync'd before any tail byte lands).
+  // (v1) is flipped to version 3 (fsync'd before any tail byte lands).
   static Result<std::unique_ptr<CorpusJournalSink>> Open(
       const std::string& path, uint64_t tail_offset, uint64_t expected_size,
       uint64_t trailer_offset, uint32_t observed_version);
@@ -667,7 +641,6 @@ Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
   CorpusReaderOptions read_options;
   read_options.io = options.io;
   read_options.cache_bytes = 0;
-  uint64_t tail = 0;
   uint64_t observed_size = 0;
   uint32_t observed_version = kCorpusFormatVersion;
   {
@@ -677,69 +650,25 @@ Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
       return InvalidArgumentError("corpus index offset inside header: " +
                                   path_);
     }
-
-    if (options.mode == CorpusAppendMode::kInPlace) {
-      // Journal append: no existing byte is copied. Seed the entry set,
-      // remember the trailer being superseded, and release the reader's
-      // handle (scope end) before the sink starts mutating the file.
-      prev_trailer_offset_ = existing.trailer_offset();
-      generation_ = existing.generation() + 1;
-      tail = existing.tail_offset();
-      observed_size = existing.file_size();
-      observed_version = existing.format_version();
-      begun_ = true;
-      offset_ = tail;
-      entries_ = existing.entries();
-      base_entry_count_ = entries_.size();
-      for (const CorpusEntry& entry : entries_) {
-        names_.insert(entry.name);
-      }
-    } else {
-      atomic_ = std::make_unique<AtomicFileSink>(path_);
-      if (existing.journaled()) {
-        // Rewriting a journaled bundle canonicalizes it: fresh v1
-        // header, every live image copied in index order — superseded
-        // index generations and any torn tail are left behind, exactly
-        // like CompactCorpus with an empty drop set.
-        RETURN_IF_ERROR(Begin());
-        for (const CorpusEntry& entry : existing.entries()) {
-          RETURN_IF_ERROR(AddImageWindow(entry, existing));
-        }
-        return OkStatus();
-      }
-      // Canonical v1 bundle: copy header + every embedded image —
-      // [0, index_offset) — into the temp sink in bounded chunks; the
-      // old index and trailer are dropped (Finish() writes merged
-      // replacements). The copy reads through the reader's own handle,
-      // so index and bytes can never disagree even if the path is
-      // atomically replaced mid-append.
-      begun_ = true;
-      std::vector<uint8_t> scratch;
-      constexpr uint64_t kCopyChunkBytes = 1 << 20;
-      const RandomAccessFile& file = *existing.file_;
-      for (uint64_t copied = 0; copied < existing.index_offset();) {
-        const uint64_t want =
-            std::min(kCopyChunkBytes, existing.index_offset() - copied);
-        ASSIGN_OR_RETURN(
-            std::span<const uint8_t> bytes,
-            file.Read(copied, static_cast<size_t>(want), &scratch));
-        status_ = WriteBytes(bytes.data(), bytes.size());
-        if (!status_.ok()) {
-          return status_;
-        }
-        copied += want;
-      }
-      offset_ = existing.index_offset();
-      entries_ = existing.entries();
-      for (const CorpusEntry& entry : entries_) {
-        names_.insert(entry.name);
-      }
-      return OkStatus();
+    // No existing byte is copied. Seed the entry set, remember the
+    // trailer being superseded, and release the reader's handle (scope
+    // end) before the sink starts mutating the file.
+    prev_trailer_offset_ = existing.trailer_offset();
+    generation_ = existing.generation() + 1;
+    offset_ = existing.tail_offset();
+    observed_size = existing.file_size();
+    observed_version = existing.format_version();
+    entries_ = existing.entries();
+    base_entry_count_ = entries_.size();
+    for (const CorpusEntry& entry : entries_) {
+      names_.insert(entry.name);
     }
   }
-  ASSIGN_OR_RETURN(journal_, CorpusJournalSink::Open(path_, tail, observed_size,
-                                                     prev_trailer_offset_,
-                                                     observed_version));
+  begun_ = true;
+  ASSIGN_OR_RETURN(journal_,
+                   CorpusJournalSink::Open(path_, offset_, observed_size,
+                                           prev_trailer_offset_,
+                                           observed_version));
   return OkStatus();
 }
 
@@ -1006,7 +935,6 @@ Result<CorpusReader> CorpusReader::OpenImpl(const std::string& path,
     }
     ASSIGN_OR_RETURN(version, decoder.GetFixed32());
     if (version != kCorpusFormatVersion &&
-        version != kCorpusFormatVersionJournal &&
         version != kCorpusFormatVersionDelta) {
       return InvalidArgumentError(
           StrPrintf("unsupported corpus format version %u", version));
@@ -1034,14 +962,13 @@ Result<CorpusReader> CorpusReader::OpenImpl(const std::string& path,
     reader.tail_offset_ = trailer.end();
     reader.journaled_ = false;
     reader.generation_ = 1;
-    reader.dead_bytes_ = 0;
     return reader;
   }
 
-  // Journaled layout (v2 or v3): chain-load the latest valid trailer,
-  // scanning back past a torn tail if a crashed append left one, then
-  // stitch the index chain (a no-op overlay when the latest trailer
-  // already publishes a full index).
+  // Journaled layout (v3): chain-load the latest valid trailer, scanning
+  // back past a torn tail if a crashed append left one, then stitch the
+  // index chain (a no-op overlay when the latest trailer is still the v1
+  // body's, i.e. a crash landed right after the header flip).
   ASSIGN_OR_RETURN(CorpusTrailerInfo trailer,
                    FindLatestValidTrailer(*reader.file_, reader.file_size_,
                                           &reader.entries_));
@@ -1049,9 +976,10 @@ Result<CorpusReader> CorpusReader::OpenImpl(const std::string& path,
   reader.trailer_offset_ = trailer.trailer_offset;
   reader.tail_offset_ = trailer.end();
   reader.journaled_ = true;
-  reader.generation_ = trailer.journal_layout() ? trailer.generation : 1;
+  reader.generation_ = trailer.generation;
+  reader.dead_bytes_ = reader.file_size_ - trailer.end();
   RETURN_IF_ERROR(StitchJournalChain(*reader.file_, reader.file_size_, trailer,
-                                     &reader.entries_, &reader.dead_bytes_));
+                                     &reader.entries_));
   return reader;
 }
 
@@ -1238,7 +1166,8 @@ Result<CorpusMutationStats> CompactCorpus(
   // Every requested drop must name a real entry — a typo'd compact that
   // silently "succeeds" would be indistinguishable from the intended one.
   // (An empty drop set is the journal-squash case: rewrite the live
-  // entries into canonical v1 form, reclaiming dead index generations.)
+  // entries into canonical v1 form, folding the delta chain and dropping
+  // any torn tail.)
   std::set<std::string> drop(drop_names.begin(), drop_names.end());
   for (const std::string& name : drop) {
     if (reader.Find(name) == nullptr) {

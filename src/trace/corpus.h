@@ -16,7 +16,7 @@
 // opens an entry through a (offset, length) window, partial reads touch
 // only covering chunks, and Verify runs every CRC. The reader side is
 // built for concurrent serving: one CorpusReader owns one
-// RandomAccessFile handle (stream/pread/mmap) plus one shared
+// RandomAccessFile handle (pread/mmap) plus one shared
 // decoded-chunk cache, and OpenTrace hands out cheap per-entry windows
 // over both — N threads replaying one bundle pay one file open and share
 // every decoded hot chunk. Fresh builds go through AtomicFileSink, so an
@@ -31,58 +31,37 @@
 //   ASSIGN_OR_RETURN(CorpusReader corpus, CorpusReader::Open("eval.ddrc"));
 //   ASSIGN_OR_RETURN(TraceReader trace, corpus.OpenTrace("sum/perfect"));
 //
-// ---------------------------------------------------------- journal (v2)
+// ------------------------------------------------- delta journal (v3)
 //
 // Bundles are mutable after the fact. The copying mutations (merge,
-// compact, rewrite-mode append) go through the atomic temp + rename
-// discipline, but copying the whole bundle to add one entry makes append
-// cost O(file) — fatal for a resume loop extending a multi-GB grid. The
-// in-place append instead grows the bundle as an *index journal* (header
-// version 2):
+// compact) go through the atomic temp + rename discipline; an in-place
+// append instead grows the bundle as an *index journal* (header
+// version 3) and never copies an existing byte:
 //
-//   [header 12B: "DDRC" v2]
-//   [image]* [index g1] [trailer g1]          <- generation 1 (was the v1 body)
-//   [image]* [index g2] [trailer g2]          <- appended generation
+//   [header 12B: "DDRC" v3]
+//   [image]* [index g1] [trailer g1 12B]      <- generation 1 (the v1 body)
+//   [image]* [delta g2] [trailer g2 28B]      <- appended generation
 //   ...
-//   [image]* [index gN] [trailer gN 28B]      <- latest generation
+//   [image]* [delta gN] [trailer gN 28B]      <- latest generation
 //
-// A v2 generation's index re-lists *every* live entry, so readers only
-// ever load the latest one; superseded index sections and trailers stay
-// in the file as dead bytes (reported by `dead_bytes()` / `corpus info`,
-// reclaimed by CompactCorpus). An append writes only the new images, one
-// fresh index, and a 28-byte journal trailer — O(new entries + index),
-// never O(file) — and mutates nothing a pre-append reader can see: old
-// images, old index, and old trailer all keep their bytes, so concurrent
-// readers of the same inode are undisturbed.
-//
-// ---------------------------------------------------- delta indexes (v3)
-//
-// Re-listing every live entry still makes each append generation's index
-// O(total entries) — quadratic bytes across a long resume loop. Header
-// version 3 shrinks the journal record to a true delta: an in-place
-// append writes an index section listing only the entries *its own
-// generation added*, published by a 28-byte trailer with the distinct
-// magic "CRDL" (same layout as the v2 "CRDJ" trailer: index offset, prev
-// trailer offset, generation, CRC, magic). Appends are O(new entries) in
-// bytes written, independent of how many entries the bundle already
-// holds.
+// Each appended generation writes its new images, an index section
+// listing only the entries *it* added, and a 28-byte trailer (index
+// offset, prev trailer offset, generation, CRC, magic "CRDL"). Appends
+// are O(new entries) in bytes written, independent of how many entries
+// the bundle already holds, and mutate nothing a pre-append reader can
+// see, so concurrent readers of the same inode are undisturbed.
 //
 // Readers stitch: CorpusReader::Open walks the prev-trailer chain from
-// the newest valid trailer down to the newest *full* index (a v2 "CRDJ"
-// generation or the generation-1 v1 body), then overlays each delta on
-// top, oldest first, newest generation winning a name. Every index
-// section in that stitch range is live — dead bytes are only the torn
-// tail plus index+trailer bytes of generations strictly below the stitch
-// base. The first delta append flips the header to version 3 (fsync'd
-// first, exactly like the 1 -> 2 flip), so v1/v2 readers fail with a
-// clean "unsupported corpus format version 3" instead of serving a
-// partial entry set; v2 full-index bundles keep reading forever, and
-// CompactCorpus / rewrite-mode appends still squash any chain back to
-// canonical v1.
+// the newest valid trailer down to the v1 body, then overlays each delta
+// on top, oldest first, newest generation winning a name. Every index in
+// the chain is live; the only dead bytes are a torn tail (reported by
+// `dead_bytes()` / `corpus info`, reclaimed by CompactCorpus). Header
+// version 2 (a retired full-index journal) is rejected, and the number
+// is never reused.
 //
 // Crash durability is by write ordering, not rename:
 //
-//   1. (first append only) the header version flips 1 -> 2, fsync'd,
+//   1. (first append only) the header version flips 1 -> 3, fsync'd,
 //      before any byte lands past the old trailer — from here on readers
 //      take the journal recovery path;
 //   2. new images + the new index are written past the old trailer and
@@ -91,32 +70,29 @@
 //      and the previous trailer's offset) appended and fsync'd.
 //
 // A crash at any point leaves the previous generation's trailer intact
-// and reachable: CorpusReader::Open on a v2 bundle first tries the
+// and reachable: CorpusReader::Open on a v3 bundle first tries the
 // trailer at end-of-file and otherwise scans backward past the torn tail
 // for the latest trailer whose CRC *and* index section validate, then
-// chain-loads the prev-trailer offsets to count generations and dead
-// bytes. The next in-place append writes the new generation over the
-// torn region (never truncating — the file must not shrink under
-// concurrent readers). A v1-only reader sees version 2 and fails with a
-// clean "unsupported corpus format version", never a garbage decode.
+// chain-loads the prev-trailer offsets. The next in-place append writes
+// the new generation over the torn region (never truncating — the file
+// must not shrink under concurrent readers). A v1-only reader sees
+// version 3 and fails with a clean "unsupported corpus format version",
+// never a garbage decode.
 //
-//   append   CorpusWriter::AppendTo re-opens an existing bundle. In the
-//            default kInPlace mode it journals as above; in kRewrite
-//            mode it rebuilds the canonical v1 single-shot form through
-//            a temp + rename (byte-identical to a fresh build of the
-//            same entries).
+//   append   CorpusWriter::AppendTo re-opens an existing bundle and
+//            journals as above.
 //   merge    MergeCorpora copies embedded images byte-for-byte through
 //            RandomAccessFile windows (zero decode, bounded memory) and
 //            rebuilds one canonical index, resolving name collisions by
 //            policy. `output` may equal one of the inputs: every input
 //            is read through a handle opened before the output's
 //            temp-file rename, and an open handle keeps serving the
-//            replaced inode's bytes on every backend (mmap mapping,
-//            pread fd, buffered stream alike).
+//            replaced inode's bytes (mmap mapping and pread fd alike).
 //   compact  CompactCorpus drops named entries (the drop set may be
 //            empty) and rewrites the survivors' images, byte-identical,
 //            into a canonical v1 bundle at the same path — the explicit
-//            "squash the journal" step.
+//            "squash the journal" step. Append then compact yields the
+//            bytes of a single-shot build of the same entries.
 
 #ifndef SRC_TRACE_CORPUS_H_
 #define SRC_TRACE_CORPUS_H_
@@ -135,23 +111,16 @@ namespace ddr {
 
 inline constexpr uint32_t kCorpusFileMagic = 0x43524444u;     // "DDRC"
 inline constexpr uint32_t kCorpusTrailerMagic = 0x44445243u;  // "CRDD"
-// Journal trailers end with their own magic so a backward scan can tell
-// them from v1 trailers (and from image bytes) before validating.
-inline constexpr uint32_t kCorpusJournalTrailerMagic = 0x4A445243u;  // "CRDJ"
-// Delta-index trailers (v3): same 28-byte layout as the journal form,
-// but the index section it points at lists only the entries its own
-// generation added — readers stitch the chain down to the newest full
-// index. The distinct magic is what keeps a v2 full-index reader from
-// silently serving a partial entry set.
+// Delta-index trailers (v3) end with their own magic so a backward scan
+// can tell them from v1 trailers (and from image bytes) before
+// validating; the index section each points at lists only the entries
+// its own generation added.
 inline constexpr uint32_t kCorpusDeltaTrailerMagic = 0x4C445243u;  // "CRDL"
 inline constexpr uint32_t kCorpusFormatVersion = 1;
 // Stamped in the header the moment a bundle gains a second index
 // generation, so single-trailer (v1-only) readers fail with a clean
-// unsupported-version error instead of misparsing the journal tail.
-inline constexpr uint32_t kCorpusFormatVersionJournal = 2;
-// Stamped when a generation is published through a delta index: v2
-// readers (which would load only the latest full index) must fail with a
-// clean unsupported-version error, not drop every delta-appended entry.
+// unsupported-version error instead of dropping every appended entry.
+// (Version 2 was a retired full-index journal; it is rejected.)
 inline constexpr uint32_t kCorpusFormatVersionDelta = 3;
 inline constexpr size_t kCorpusHeaderBytes = 12;   // magic + version + flags
 inline constexpr size_t kCorpusTrailerBytes = 12;  // index offset + magic
@@ -174,22 +143,8 @@ struct CorpusEntry {
 class CorpusReader;
 class CorpusJournalSink;
 
-// How CorpusWriter::AppendTo grows an existing bundle.
-enum class CorpusAppendMode : uint8_t {
-  // Journal the new entries in place: O(new entries + index) bytes
-  // written, crash-safe by write ordering, leaves (small) dead index
-  // bytes behind. The default — the only mode whose cost is flat in the
-  // size of the existing bundle.
-  kInPlace = 0,
-  // Rewrite the whole bundle to canonical v1 form through a temp +
-  // rename: O(file) bytes written, byte-identical to a single-shot
-  // build of the same entries.
-  kRewrite = 1,
-};
-
 struct CorpusAppendOptions {
-  CorpusAppendMode mode = CorpusAppendMode::kInPlace;
-  // Backend used to read the existing bundle (index probe + any copying).
+  // Backend used to read the existing bundle's index.
   RandomAccessFileOptions io;
 };
 
@@ -204,32 +159,26 @@ class CorpusWriter {
   // Re-opens the existing bundle at `path` for appending: the returned
   // writer carries the old entries (so duplicate-name detection spans
   // old + new) and accepts Add/AddImage/BeginRecording exactly like a
-  // writer after Begin(). Nothing is published until Finish():
+  // writer after Begin(). Nothing is published until Finish(), which
+  // appends a delta index generation and fsync-ordered journal trailer
+  // after the existing bytes; no existing byte is copied, so
+  // bytes_written() is O(new entries). Abandoning the writer before
+  // Finish is crash-equivalent: nothing is published (the previous
+  // trailer stays the latest valid one) and the staged bytes remain as
+  // an unpublished torn tail — the file is never truncated, because a
+  // shrink could SIGBUS concurrent mmap readers scanning the tail. Torn
+  // bytes, whether from a crash or an abandoned append, are overwritten
+  // by the next append and accounted as dead_bytes until then.
   //
-  //  - kInPlace (default): Finish() appends a new index generation and
-  //    fsync-ordered journal trailer after the existing bytes; no
-  //    existing byte is copied, so bytes_written() is O(new entries +
-  //    index). Abandoning the writer before Finish is crash-equivalent:
-  //    nothing is published (the previous trailer stays the latest
-  //    valid one) and the staged bytes remain as an unpublished torn
-  //    tail — the file is never truncated, because a shrink could
-  //    SIGBUS concurrent mmap readers scanning the tail. Torn bytes,
-  //    whether from a crash or an abandoned append, are overwritten by
-  //    the next append and accounted as dead_bytes until then.
-  //    In-place appends are single-writer: the writer holds an exclusive
-  //    advisory lock (flock) on the bundle until Finish or destruction,
-  //    and a second concurrent in-place appender fails loudly with
-  //    Unavailable — unlike the rename-based paths, racing in-place
-  //    writers would corrupt the file, not just lose an update. The
-  //    bundle is also re-validated under the lock, so an append prepared
-  //    against a since-mutated file fails with FailedPrecondition
-  //    instead of truncating published bytes.
-  //  - kRewrite: the canonical single-shot file is rebuilt in a temp
-  //    file and atomically renamed in; until then the original bundle is
-  //    untouched.
-  //
-  // Readers holding an open handle keep serving the old index either way
-  // (in-place appends never mutate bytes a published index points at).
+  // Appends are single-writer: the writer holds an exclusive advisory
+  // lock (flock) on the bundle until Finish or destruction, and a second
+  // concurrent appender fails loudly with Unavailable — unlike the
+  // rename-based paths, racing in-place writers would corrupt the file,
+  // not just lose an update. The bundle is also re-validated under the
+  // lock, so an append prepared against a since-mutated file fails with
+  // FailedPrecondition instead of truncating published bytes. Readers
+  // holding an open handle keep serving the old index (appends never
+  // mutate bytes a published index points at).
   [[nodiscard]] static Result<std::unique_ptr<CorpusWriter>> AppendTo(
       const std::string& path, const CorpusAppendOptions& options = {});
 
@@ -265,16 +214,16 @@ class CorpusWriter {
                                                TraceWriteOptions options = {});
   Status FinishRecording(const TraceFinishInfo& info);
 
-  // Writes the index + trailer and publishes the bundle (rename for
-  // build/rewrite, ordered fsyncs for in-place append).
+  // Writes the index + trailer and publishes the bundle (rename for a
+  // build, ordered fsyncs for an append).
   [[nodiscard]] Status Finish();
 
   const std::vector<CorpusEntry>& entries() const { return entries_; }
 
   // Physical bytes this writer has pushed to disk so far: the whole file
-  // for a build or rewrite-mode append, only the delta (new images +
-  // index + trailer + the 4-byte header flip) for an in-place append —
-  // the number the O(delta) append guarantee is asserted on.
+  // for a build, only the delta (new images + index + trailer + the
+  // 4-byte header flip) for an append — the number the O(delta) append
+  // guarantee is asserted on.
   uint64_t bytes_written() const;
 
  private:
@@ -285,8 +234,7 @@ class CorpusWriter {
 
   Status CheckOpenForNewEntry(const std::string& name);
   // AppendTo's instance half: seeds entries_/names_/offset_ from the
-  // existing bundle and arranges the journal sink (kInPlace) or the
-  // canonical copy into a temp sink (kRewrite).
+  // existing bundle and opens the journal sink.
   Status BeginAppend(const CorpusAppendOptions& options);
   // Routes bytes to whichever sink this writer runs on.
   Status WriteBytes(const uint8_t* data, size_t size);
@@ -295,8 +243,8 @@ class CorpusWriter {
   }
 
   std::string path_;
-  std::unique_ptr<AtomicFileSink> atomic_;      // build / rewrite path
-  std::unique_ptr<CorpusJournalSink> journal_;  // in-place append path
+  std::unique_ptr<AtomicFileSink> atomic_;      // build path
+  std::unique_ptr<CorpusJournalSink> journal_;  // append path
   bool begun_ = false;
   bool finished_ = false;
   Status status_;  // first error, sticky
@@ -352,19 +300,18 @@ class CorpusReader {
   uint64_t file_size() const { return file_size_; }
   // Absolute file offset of the (latest) index section.
   uint64_t index_offset() const { return index_offset_; }
-  // True when the header carries a journal version (2 or 3): the bundle
-  // has (or had) more than one index generation.
+  // True when the header carries the journal version (3): the bundle has
+  // (or is gaining) more than one index generation.
   bool journaled() const { return journaled_; }
-  // The header's format version: 1 canonical single-shot, 2 full-index
-  // journal, 3 delta-index journal.
+  // The header's format version: 1 canonical single-shot, 3 delta-index
+  // journal.
   uint32_t format_version() const { return format_version_; }
   // Number of index generations in the journal chain (1 for a canonical
   // single-shot bundle).
   uint32_t generation() const { return generation_; }
-  // Bytes no live read can reach: index sections + trailers of
-  // generations below the stitch base (delta-chain indexes above it are
-  // live — Open needs them to stitch), plus any torn tail past the
-  // latest valid trailer. CompactCorpus reclaims them.
+  // Bytes no live read can reach: the torn tail past the latest valid
+  // trailer (every index in the chain is live). CompactCorpus reclaims
+  // them.
   uint64_t dead_bytes() const { return dead_bytes_; }
   // Absolute offset of the latest valid trailer, and of its end (the
   // logical tail — equal to file_size() unless a torn tail was scanned
@@ -409,7 +356,7 @@ class CorpusReader {
   void AdviseReadahead(ReadaheadMode mode) const;
 
  private:
-  friend class CorpusWriter;  // AppendTo copies bytes through file_
+  friend class CorpusWriter;  // AddImageWindow copies bytes through file_
 
   CorpusReader() = default;
 

@@ -7,8 +7,7 @@
 // given access pattern cost.
 //
 // All reads go through a RandomAccessFile (src/util/random_access_file.h):
-// buffered stream, positional pread, or zero-copy mmap, chosen per open or
-// process-wide via DDR_IO_BACKEND. Every read method is const and safe to
+// positional pread or zero-copy mmap, chosen per open. Every read method is const and safe to
 // call from many threads at once, and a reader window can share its handle
 // with other windows (OpenShared — how CorpusReader serves N concurrent
 // replays of one bundle through a single file open).

@@ -33,8 +33,7 @@
 namespace ddr {
 namespace {
 
-const IoBackend kAllBackends[] = {IoBackend::kStream, IoBackend::kPread,
-                                  IoBackend::kMmap};
+const IoBackend kAllBackends[] = {IoBackend::kPread, IoBackend::kMmap};
 
 CorpusReaderOptions WithBackend(IoBackend backend, uint64_t cache_bytes) {
   CorpusReaderOptions options;
@@ -223,7 +222,7 @@ TEST(CorpusTest, AtomicWriteLeavesNoPartialFile) {
 
 // Every backend must fail identically on damaged bundles: corruption and
 // truncation always surface as a Status, never as garbage events — under
-// mmap just as under the buffered stream path.
+// zero-copy mmap just as under pread.
 TEST(CorpusTest, DetectsCorruptionAndTruncationOnEveryBackend) {
   ScopedPath path("corrupt");
   {
@@ -270,7 +269,7 @@ TEST(CorpusTest, DetectsCorruptionAndTruncationOnEveryBackend) {
   }
 }
 
-// All three I/O backends decode the same DDRC bundle to bit-identical
+// Both I/O backends decode the same DDRC bundle to bit-identical
 // event logs, with VerifyAll green everywhere — zero-copy mmap reads are
 // not allowed to change a single decoded byte.
 TEST(CorpusTest, BackendsDecodeBitIdentically) {
@@ -305,9 +304,8 @@ TEST(CorpusTest, BackendsDecodeBitIdentically) {
     }
     logs_by_backend.push_back(std::move(combined));
   }
-  ASSERT_EQ(logs_by_backend.size(), 3u);
+  ASSERT_EQ(logs_by_backend.size(), 2u);
   EXPECT_EQ(logs_by_backend[0], logs_by_backend[1]);
-  EXPECT_EQ(logs_by_backend[0], logs_by_backend[2]);
 }
 
 // The cache-counter truthfulness property: a warm re-read of a chunk
@@ -519,21 +517,15 @@ std::vector<uint8_t> SliceImage(const std::vector<uint8_t>& file,
       file.begin() + static_cast<ptrdiff_t>(entry.offset + entry.length));
 }
 
-CorpusAppendOptions RewriteMode() {
-  CorpusAppendOptions options;
-  options.mode = CorpusAppendMode::kRewrite;
-  return options;
-}
-
 uint64_t FileSizeBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   EXPECT_TRUE(in.good()) << path;
   return static_cast<uint64_t>(in.tellg());
 }
 
-// Rewrite-mode appends: appending N entries to an M-entry bundle
-// produces the byte-identical file a single (M+N)-entry build would —
-// same image placement, same merged index, same trailer.
+// Appending N entries to an M-entry bundle and then compacting produces
+// the byte-identical file a single (M+N)-entry build would — same image
+// placement, same merged index, same trailer.
 TEST(CorpusLifecycleTest, AppendToMatchesSingleShotBitForBit) {
   const RecordedExecution r1 = MakeSyntheticRecording(400, 1);
   const RecordedExecution r2 = MakeSyntheticRecording(500, 2);
@@ -559,17 +551,19 @@ TEST(CorpusLifecycleTest, AppendToMatchesSingleShotBitForBit) {
     ASSERT_TRUE(writer.Finish().ok());
   }
   {
-    auto writer = CorpusWriter::AppendTo(grown.get(), RewriteMode());
+    auto writer = CorpusWriter::AppendTo(grown.get());
     ASSERT_TRUE(writer.ok()) << writer.status();
     ASSERT_TRUE((*writer)->Add("b", r2, options).ok());
     ASSERT_TRUE((*writer)->Finish().ok());
   }
   {
-    auto writer = CorpusWriter::AppendTo(grown.get(), RewriteMode());
+    auto writer = CorpusWriter::AppendTo(grown.get());
     ASSERT_TRUE(writer.ok()) << writer.status();
     ASSERT_TRUE((*writer)->Add("c", r3, options).ok());
     ASSERT_TRUE((*writer)->Finish().ok());
   }
+  EXPECT_NE(ReadFileBytes(single.get()), ReadFileBytes(grown.get()));
+  ASSERT_TRUE(CompactCorpus(grown.get(), {}).ok());
 
   EXPECT_EQ(ReadFileBytes(single.get()), ReadFileBytes(grown.get()));
 
@@ -608,77 +602,48 @@ TEST(CorpusLifecycleTest, AppendToMissingOrCorruptBundleFails) {
 }
 
 // An interrupted append (writer destroyed before Finish) must never
-// publish the partial entries. The rewrite mode leaves the original
-// byte-identical (its temp file never renames in); the in-place mode is
-// deliberately crash-equivalent — nothing is truncated (the file must
-// not shrink under concurrent readers), so the staged bytes remain as an
-// unpublished torn tail the recovery path scans past.
+// publish the partial entries. It is deliberately crash-equivalent —
+// nothing is truncated (the file must not shrink under concurrent
+// readers), so the staged bytes remain as an unpublished torn tail the
+// recovery path scans past and accounts dead until the next append
+// overwrites it.
 TEST(CorpusLifecycleTest, InterruptedAppendLeavesOriginalIntact) {
-  // Rewrite mode: byte-identical rollback.
+  ScopedPath path("appendinterruptip");
   {
-    ScopedPath path("appendinterruptrw");
-    {
-      CorpusWriter writer(path.get());
-      ASSERT_TRUE(writer.Begin().ok());
-      ASSERT_TRUE(writer.Add("keep", MakeSyntheticRecording(200)).ok());
-      ASSERT_TRUE(writer.Finish().ok());
-    }
-    const std::vector<uint8_t> before = ReadFileBytes(path.get());
-    {
-      auto writer = CorpusWriter::AppendTo(path.get(), RewriteMode());
-      ASSERT_TRUE(writer.ok()) << writer.status();
-      ASSERT_TRUE((*writer)->Add("lost", MakeSyntheticRecording(300)).ok());
-      // No Finish: destructor discards the temp file.
-    }
-    EXPECT_EQ(ReadFileBytes(path.get()), before);
-    auto corpus = CorpusReader::Open(path.get());
-    ASSERT_TRUE(corpus.ok()) << corpus.status();
-    ASSERT_EQ(corpus->entries().size(), 1u);
-    EXPECT_FALSE(corpus->journaled());
-    EXPECT_TRUE(corpus->VerifyAll().ok());
+    CorpusWriter writer(path.get());
+    ASSERT_TRUE(writer.Begin().ok());
+    ASSERT_TRUE(writer.Add("keep", MakeSyntheticRecording(200)).ok());
+    ASSERT_TRUE(writer.Finish().ok());
   }
-
-  // In-place mode: crash-equivalent — the staged generation is never
-  // published, the original entries stay fully readable, and the torn
-  // bytes are accounted dead until the next append overwrites them.
+  const uint64_t before_size = FileSizeBytes(path.get());
   {
-    ScopedPath path("appendinterruptip");
-    {
-      CorpusWriter writer(path.get());
-      ASSERT_TRUE(writer.Begin().ok());
-      ASSERT_TRUE(writer.Add("keep", MakeSyntheticRecording(200)).ok());
-      ASSERT_TRUE(writer.Finish().ok());
-    }
-    const uint64_t before_size = FileSizeBytes(path.get());
-    {
-      auto writer = CorpusWriter::AppendTo(path.get());
-      ASSERT_TRUE(writer.ok()) << writer.status();
-      ASSERT_TRUE((*writer)->Add("lost", MakeSyntheticRecording(300)).ok());
-      // No Finish: no trailer was written, so nothing is published.
-    }
-    EXPECT_GE(FileSizeBytes(path.get()), before_size);  // never shrinks
-    auto corpus = CorpusReader::Open(path.get());
-    ASSERT_TRUE(corpus.ok()) << corpus.status();
-    ASSERT_EQ(corpus->entries().size(), 1u);
-    EXPECT_EQ(corpus->Find("lost"), nullptr);
-    EXPECT_EQ(corpus->generation(), 1u);
-    EXPECT_GT(corpus->dead_bytes(), 0u);  // the torn staged bytes
-    EXPECT_TRUE(corpus->VerifyAll().ok());
-
-    // A later append overwrites the torn bytes and publishes normally.
-    {
-      auto writer = CorpusWriter::AppendTo(path.get());
-      ASSERT_TRUE(writer.ok()) << writer.status();
-      ASSERT_TRUE((*writer)->Add("next", MakeSyntheticRecording(100)).ok());
-      ASSERT_TRUE((*writer)->Finish().ok());
-    }
-    ASSERT_TRUE(corpus->Reopen().ok());
-    ASSERT_EQ(corpus->entries().size(), 2u);
-    EXPECT_EQ(corpus->generation(), 2u);
-    EXPECT_NE(corpus->Find("next"), nullptr);
-    EXPECT_EQ(corpus->Find("lost"), nullptr);
-    EXPECT_TRUE(corpus->VerifyAll().ok());
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Add("lost", MakeSyntheticRecording(300)).ok());
+    // No Finish: no trailer was written, so nothing is published.
   }
+  EXPECT_GE(FileSizeBytes(path.get()), before_size);  // never shrinks
+  auto corpus = CorpusReader::Open(path.get());
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  ASSERT_EQ(corpus->entries().size(), 1u);
+  EXPECT_EQ(corpus->Find("lost"), nullptr);
+  EXPECT_EQ(corpus->generation(), 1u);
+  EXPECT_GT(corpus->dead_bytes(), 0u);  // the torn staged bytes
+  EXPECT_TRUE(corpus->VerifyAll().ok());
+
+  // A later append overwrites the torn bytes and publishes normally.
+  {
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Add("next", MakeSyntheticRecording(100)).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  ASSERT_TRUE(corpus->Reopen().ok());
+  ASSERT_EQ(corpus->entries().size(), 2u);
+  EXPECT_EQ(corpus->generation(), 2u);
+  EXPECT_NE(corpus->Find("next"), nullptr);
+  EXPECT_EQ(corpus->Find("lost"), nullptr);
+  EXPECT_TRUE(corpus->VerifyAll().ok());
 }
 
 // ------------------------------------------- In-place journal appends
@@ -892,9 +857,9 @@ TEST(CorpusJournalTest, TornTailRecoversPreviousGeneration) {
 }
 
 // A crash after the header version flip but before any appended byte
-// leaves a journal-version header (2 or 3) over a v1 body: the journal
-// recovery path serves it (generation 1, zero dead bytes) and the next
-// append chains normally.
+// leaves a version-3 header over a v1 body: the journal recovery path
+// serves it (generation 1, zero dead bytes) and the next append chains
+// normally.
 TEST(CorpusJournalTest, HeaderFlipAloneStaysReadable) {
   ScopedPath path("journalflip");
   {
@@ -904,18 +869,16 @@ TEST(CorpusJournalTest, HeaderFlipAloneStaysReadable) {
     ASSERT_TRUE(writer.Finish().ok());
   }
   std::vector<uint8_t> bytes = ReadFileBytes(path.get());
-  for (uint8_t version : {uint8_t{2}, uint8_t{3}}) {
-    bytes[4] = version;  // the little-endian version field
-    WriteFileBytes(path.get(), bytes);
-    for (IoBackend backend : kAllBackends) {
-      auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
-      ASSERT_TRUE(corpus.ok()) << corpus.status();
-      EXPECT_TRUE(corpus->journaled());
-      EXPECT_EQ(corpus->format_version(), version);
-      EXPECT_EQ(corpus->generation(), 1u);
-      EXPECT_EQ(corpus->dead_bytes(), 0u);
-      EXPECT_TRUE(corpus->VerifyAll().ok()) << IoBackendName(backend);
-    }
+  bytes[4] = kCorpusFormatVersionDelta;  // the little-endian version field
+  WriteFileBytes(path.get(), bytes);
+  for (IoBackend backend : kAllBackends) {
+    auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    EXPECT_TRUE(corpus->journaled());
+    EXPECT_EQ(corpus->format_version(), kCorpusFormatVersionDelta);
+    EXPECT_EQ(corpus->generation(), 1u);
+    EXPECT_EQ(corpus->dead_bytes(), 0u);
+    EXPECT_TRUE(corpus->VerifyAll().ok()) << IoBackendName(backend);
   }
   {
     auto writer = CorpusWriter::AppendTo(path.get());
@@ -1010,27 +973,6 @@ TEST(CorpusJournalTest, V1SingleTrailerLogicRejectsJournaledBundles) {
   EXPECT_NE(rejected.message().find("version 3"), std::string::npos)
       << rejected.message();
 
-  // The PR-5 era sequence — full-index journal logic that accepts
-  // versions 1 and 2 — must reject a delta-chained bundle the same way:
-  // loading only the newest (delta) index would silently drop every
-  // entry older than the last append.
-  const auto open_v2_strict = [&]() -> Status {
-    Decoder header(bytes.data(), kCorpusHeaderBytes);
-    EXPECT_TRUE(header.GetFixed32().ok());
-    auto version = header.GetFixed32();
-    EXPECT_TRUE(version.ok());
-    if (*version != kCorpusFormatVersion &&
-        *version != kCorpusFormatVersionJournal) {
-      return InvalidArgumentError(
-          StrPrintf("unsupported corpus format version %u", *version));
-    }
-    return OkStatus();
-  };
-  const Status v2_rejected = open_v2_strict();
-  EXPECT_EQ(v2_rejected.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(v2_rejected.message().find("version 3"), std::string::npos)
-      << v2_rejected.message();
-
   // A version-ignoring v1 reader would parse the last 12 bytes as
   // [index offset | magic]: the magic mismatch stops it before the bogus
   // offset is ever used.
@@ -1053,8 +995,7 @@ TEST(CorpusJournalTest, V1SingleTrailerLogicRejectsJournaledBundles) {
 
 // CompactCorpus is the explicit journal squash: compacting a journaled
 // bundle with an empty drop set produces the bit-identical file a
-// single-shot build of the same entries would — and rewrite-mode
-// AppendTo canonicalizes the same way while appending.
+// single-shot build of the same entries would.
 TEST(CorpusJournalTest, CompactSquashesJournalToSingleShotBytes) {
   const RecordedExecution r1 = MakeSyntheticRecording(400, 1);
   const RecordedExecution r2 = MakeSyntheticRecording(500, 2);
@@ -1072,23 +1013,18 @@ TEST(CorpusJournalTest, CompactSquashesJournalToSingleShotBytes) {
     ASSERT_TRUE(writer.Finish().ok());
   }
 
-  const auto build_journaled = [&](const std::string& path) {
-    CorpusWriter writer(path);
+  ScopedPath journaled("squashjournal");
+  {
+    CorpusWriter writer(journaled.get());
     ASSERT_TRUE(writer.Begin().ok());
     ASSERT_TRUE(writer.Add("a", r1, options).ok());
     ASSERT_TRUE(writer.Finish().ok());
-    auto append = CorpusWriter::AppendTo(path);
-    ASSERT_TRUE(append.ok()) << append.status();
-    ASSERT_TRUE((*append)->Add("b", r2, options).ok());
-    ASSERT_TRUE((*append)->Finish().ok());
-  };
-
-  ScopedPath journaled("squashjournal");
-  build_journaled(journaled.get());
-  {
+  }
+  for (const auto& [name, recording] :
+       {std::pair{"b", &r2}, std::pair{"c", &r3}}) {
     auto writer = CorpusWriter::AppendTo(journaled.get());
     ASSERT_TRUE(writer.ok()) << writer.status();
-    ASSERT_TRUE((*writer)->Add("c", r3, options).ok());
+    ASSERT_TRUE((*writer)->Add(name, *recording, options).ok());
     ASSERT_TRUE((*writer)->Finish().ok());
   }
   EXPECT_NE(ReadFileBytes(single.get()), ReadFileBytes(journaled.get()));
@@ -1103,17 +1039,6 @@ TEST(CorpusJournalTest, CompactSquashesJournalToSingleShotBytes) {
   EXPECT_FALSE(corpus->journaled());
   EXPECT_EQ(corpus->dead_bytes(), 0u);
   EXPECT_TRUE(corpus->VerifyAll().ok());
-
-  // Rewrite-mode append onto a journaled bundle canonicalizes too.
-  ScopedPath rewritten("squashrewrite");
-  build_journaled(rewritten.get());
-  {
-    auto writer = CorpusWriter::AppendTo(rewritten.get(), RewriteMode());
-    ASSERT_TRUE(writer.ok()) << writer.status();
-    ASSERT_TRUE((*writer)->Add("c", r3, options).ok());
-    ASSERT_TRUE((*writer)->Finish().ok());
-  }
-  EXPECT_EQ(ReadFileBytes(single.get()), ReadFileBytes(rewritten.get()));
 }
 
 // A delta-chained bundle is observationally identical to the single-shot
@@ -1200,13 +1125,14 @@ TEST(CorpusJournalTest, DeltaChainMatchesFullIndexEquivalent) {
   EXPECT_EQ(ReadFileBytes(chained.get()), single_bytes);
 }
 
-// Backward compatibility: a v2 bundle — full-index journal generations
-// ("CRDJ" trailers) — keeps reading under the v3 code, with the v2 dead
-// bytes accounting (every superseded full index is dead). A v3 delta
-// append chains directly on top of it, using the v2 generation as its
-// stitch base.
-TEST(CorpusJournalTest, FullIndexV2BundleStillReadsAndUpgrades) {
-  ScopedPath path("journalv2compat");
+// Header version 2 (the retired full-index journal, whose generations
+// end in "CRDJ" trailers re-listing every entry) is rejected loudly by
+// both the reader and the appender, which leave the file untouched. A
+// v3 chain whose link is a "CRDJ" trailer is a broken chain, never
+// stitched. The bundles are hand-rolled: no writer emits either form.
+TEST(CorpusJournalTest, RetiredV2JournalsAreRejected) {
+  constexpr uint32_t kRetiredFullIndexMagic = 0x4A445243u;  // "CRDJ"
+  ScopedPath path("journalv2");
   TraceWriteOptions options;
   options.events_per_chunk = 64;
   {
@@ -1216,75 +1142,93 @@ TEST(CorpusJournalTest, FullIndexV2BundleStillReadsAndUpgrades) {
     ASSERT_TRUE(writer.Add("b", MakeSyntheticRecording(400, 2), options).ok());
     ASSERT_TRUE(writer.Finish().ok());
   }
-
-  // Hand-roll the v2 append the PR-5 era writer produced: header flipped
-  // to version 2, then a generation-2 *full* index re-listing every
-  // entry, published by a CRC'd "CRDJ" trailer chained to the v1
-  // trailer. (The current writer only emits v3 delta generations, so the
-  // old layout is reconstructed here byte-for-byte from its spec.)
   std::vector<CorpusEntry> base_entries;
   {
     auto corpus = CorpusReader::Open(path.get());
     ASSERT_TRUE(corpus.ok()) << corpus.status();
     base_entries = corpus->entries();
   }
-  std::vector<uint8_t> bytes = ReadFileBytes(path.get());
-  const uint64_t v1_trailer_offset = bytes.size() - kCorpusTrailerBytes;
-  bytes[4] = 2;
-  Encoder index;
-  index.PutVarint64(base_entries.size());
-  for (const CorpusEntry& entry : base_entries) {
-    index.PutString(entry.name);
-    index.PutVarint64(entry.offset);
-    index.PutVarint64(entry.length);
-    index.PutString(entry.model);
-    index.PutString(entry.scenario);
-    index.PutVarint64(entry.event_count);
-    index.PutDouble(entry.original_wall_seconds);
-  }
-  const uint64_t index_offset = bytes.size();
-  const std::vector<uint8_t> section = EncodeTraceSection(
-      TraceSection::kCorpusIndex, index.buffer(), /*allow_compress=*/true);
-  bytes.insert(bytes.end(), section.begin(), section.end());
-  Encoder trailer;
-  trailer.PutFixed64(index_offset);
-  trailer.PutFixed64(v1_trailer_offset);
-  trailer.PutFixed32(2);  // generation
-  trailer.PutFixed32(Crc32(trailer.buffer().data(), trailer.size()));
-  trailer.PutFixed32(kCorpusJournalTrailerMagic);
-  bytes.insert(bytes.end(), trailer.buffer().begin(), trailer.buffer().end());
-  WriteFileBytes(path.get(), bytes);
+  const std::vector<uint8_t> v1_bytes = ReadFileBytes(path.get());
+  const uint64_t v1_trailer_offset = v1_bytes.size() - kCorpusTrailerBytes;
 
-  // The superseded generation-1 index + v1 trailer are dead under v2
-  // accounting (the full generation-2 index replaces them).
-  uint64_t v2_dead = 0;
-  for (IoBackend backend : kAllBackends) {
-    auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
-    ASSERT_TRUE(corpus.ok()) << corpus.status();
-    EXPECT_EQ(corpus->format_version(), kCorpusFormatVersionJournal);
-    EXPECT_EQ(corpus->generation(), 2u);
-    ASSERT_EQ(corpus->entries().size(), 2u);
-    EXPECT_GT(corpus->dead_bytes(), 0u);
-    v2_dead = corpus->dead_bytes();
-    EXPECT_TRUE(corpus->VerifyAll().ok()) << IoBackendName(backend);
-  }
-
-  // A delta append upgrades the header to v3 and stitches against the
-  // v2 full index; the dead accounting is unchanged by the new (live)
-  // generation.
-  {
+  // Appends one generation (index section listing `entries` + a CRC'd
+  // 28-byte trailer ending in `magic`); returns the trailer's offset.
+  const auto append_generation = [](std::vector<uint8_t>* bytes,
+                                    const std::vector<CorpusEntry>& entries,
+                                    uint64_t prev_trailer_offset,
+                                    uint32_t generation, uint32_t magic) {
+    Encoder index;
+    index.PutVarint64(entries.size());
+    for (const CorpusEntry& entry : entries) {
+      index.PutString(entry.name);
+      index.PutVarint64(entry.offset);
+      index.PutVarint64(entry.length);
+      index.PutString(entry.model);
+      index.PutString(entry.scenario);
+      index.PutVarint64(entry.event_count);
+      index.PutDouble(entry.original_wall_seconds);
+    }
+    const uint64_t index_offset = bytes->size();
+    const std::vector<uint8_t> section = EncodeTraceSection(
+        TraceSection::kCorpusIndex, index.buffer(), /*allow_compress=*/true);
+    bytes->insert(bytes->end(), section.begin(), section.end());
+    Encoder trailer;
+    trailer.PutFixed64(index_offset);
+    trailer.PutFixed64(prev_trailer_offset);
+    trailer.PutFixed32(generation);
+    trailer.PutFixed32(Crc32(trailer.buffer().data(), trailer.size()));
+    trailer.PutFixed32(magic);
+    const uint64_t trailer_offset = bytes->size();
+    bytes->insert(bytes->end(), trailer.buffer().begin(),
+                  trailer.buffer().end());
+    return trailer_offset;
+  };
+  // Opening and appending must both fail with `want` in the message,
+  // and neither may change a byte of the file.
+  const auto expect_rejected = [&](const std::vector<uint8_t>& bytes,
+                                   const std::string& want) {
+    WriteFileBytes(path.get(), bytes);
+    for (IoBackend backend : kAllBackends) {
+      auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
+      ASSERT_FALSE(corpus.ok()) << IoBackendName(backend);
+      EXPECT_EQ(corpus.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(corpus.status().message().find(want), std::string::npos)
+          << corpus.status().message();
+    }
     auto writer = CorpusWriter::AppendTo(path.get());
-    ASSERT_TRUE(writer.ok()) << writer.status();
-    ASSERT_TRUE((*writer)->Add("c", MakeSyntheticRecording(150, 3), options).ok());
-    ASSERT_TRUE((*writer)->Finish().ok());
-  }
+    ASSERT_FALSE(writer.ok());
+    EXPECT_NE(writer.status().message().find(want), std::string::npos)
+        << writer.status().message();
+    EXPECT_EQ(ReadFileBytes(path.get()), bytes);
+  };
+
+  // Case 1: a v2 bundle as the retired writer produced it — header 2, a
+  // generation-2 full index published by a "CRDJ" trailer.
+  std::vector<uint8_t> v2 = v1_bytes;
+  v2[4] = 2;
+  append_generation(&v2, base_entries, v1_trailer_offset, 2,
+                    kRetiredFullIndexMagic);
+  expect_rejected(v2, "unsupported corpus format version 2");
+
+  // Case 2: a v3 header whose newest (valid) delta trailer chains onto a
+  // "CRDJ" generation.
+  const auto v3_chain_via = [&](uint32_t link_magic) {
+    std::vector<uint8_t> bytes = v1_bytes;
+    bytes[4] = kCorpusFormatVersionDelta;
+    const uint64_t link = append_generation(&bytes, base_entries,
+                                            v1_trailer_offset, 2, link_magic);
+    append_generation(&bytes, {}, link, 3, kCorpusDeltaTrailerMagic);
+    return bytes;
+  };
+  expect_rejected(v3_chain_via(kRetiredFullIndexMagic),
+                  "chain broken below generation 3");
+
+  // Control: the same hand-rolled chain with a delta link stitches.
+  WriteFileBytes(path.get(), v3_chain_via(kCorpusDeltaTrailerMagic));
   auto corpus = CorpusReader::Open(path.get());
   ASSERT_TRUE(corpus.ok()) << corpus.status();
-  EXPECT_EQ(corpus->format_version(), kCorpusFormatVersionDelta);
   EXPECT_EQ(corpus->generation(), 3u);
-  ASSERT_EQ(corpus->entries().size(), 3u);
-  EXPECT_EQ(corpus->entries().back().name, "c");
-  EXPECT_EQ(corpus->dead_bytes(), v2_dead);
+  EXPECT_EQ(corpus->entries().size(), 2u);
   EXPECT_TRUE(corpus->VerifyAll().ok());
 }
 
@@ -1416,7 +1360,7 @@ TEST(CorpusLifecycleTest, MergeCollisionPolicies) {
 
 // `output` may equal one of the inputs on every backend: each input is
 // read through a handle opened before the output's temp-file rename, and
-// an open handle (mmap mapping, pread fd, buffered stream alike) keeps
+// an open handle (mmap mapping and pread fd alike) keeps
 // serving the replaced inode's bytes, so a self-merge is an ordinary
 // atomic rewrite.
 TEST(CorpusLifecycleTest, MergeOutputMayEqualAnInput) {
@@ -1896,7 +1840,7 @@ TEST(BatchRunnerTest, CorpusReplayMatchesInMemoryRows) {
 
 // The serve path at full concurrency: 8 workers sharing one CorpusReader
 // handle and one decoded-chunk cache produce the same deterministic row
-// signatures as a single worker on the cold stream backend — for every
+// signatures as a single worker on the cold pread backend — for every
 // I/O backend.
 TEST(BatchRunnerTest, SharedReaderParallelReplayMatchesAcrossBackends) {
   ScopedPath corpus_path("sharedreplay");
@@ -1909,14 +1853,14 @@ TEST(BatchRunnerTest, SharedReaderParallelReplayMatchesAcrossBackends) {
   auto built = BatchRunner(FastScenarios(), options).Run();
   ASSERT_TRUE(built.ok()) << built.status();
 
-  // Baseline: sequential, buffered stream, no cache.
+  // Baseline: sequential, pread, no cache.
   ReplayCorpusOptions baseline;
   baseline.threads = 1;
-  baseline.reader = WithBackend(IoBackend::kStream, 0);
+  baseline.reader = WithBackend(IoBackend::kPread, 0);
   auto sequential = ReplayCorpus(corpus_path.get(), FastScenarios(), baseline);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   ASSERT_EQ(sequential->cells.size(), 6u);
-  EXPECT_EQ(sequential->io_backend, "stream");
+  EXPECT_EQ(sequential->io_backend, "pread");
   EXPECT_EQ(sequential->cache_stats.hits, 0u);
   EXPECT_GT(sequential->corpus_bytes_read, 0u);
 

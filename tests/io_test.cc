@@ -1,7 +1,7 @@
 // Tests for the random-access I/O layer (src/util/random_access_file.h)
 // and the shared decoded-chunk cache (src/trace/chunk_cache.h).
 //
-// The acceptance properties: all three backends serve bit-identical bytes
+// The acceptance properties: both backends serve bit-identical bytes
 // for identical reads, reads are safe from many threads on one const
 // handle, accounting (bytes_read, hit/miss/eviction counters) is truthful,
 // and the cache evicts in LRU order within its byte budget.
@@ -20,8 +20,7 @@
 namespace ddr {
 namespace {
 
-const IoBackend kAllBackends[] = {IoBackend::kStream, IoBackend::kPread,
-                                  IoBackend::kMmap};
+const IoBackend kAllBackends[] = {IoBackend::kPread, IoBackend::kMmap};
 
 class ScopedFile {
  public:
@@ -53,10 +52,13 @@ TEST(IoBackendTest, NamesRoundtripAndBadNamesFail) {
     EXPECT_EQ(*parsed, backend);
   }
   EXPECT_FALSE(ParseIoBackend("carrier-pigeon").ok());
-  // "ifstream" is accepted as an alias for the stream backend.
-  auto alias = ParseIoBackend("ifstream");
-  ASSERT_TRUE(alias.ok());
-  EXPECT_EQ(*alias, IoBackend::kStream);
+  // The retired buffered-stream backend is a loud error, not an alias.
+  for (const char* retired : {"stream", "ifstream"}) {
+    auto parsed = ParseIoBackend(retired);
+    ASSERT_FALSE(parsed.ok()) << retired;
+    EXPECT_NE(parsed.status().message().find("pread|mmap"), std::string::npos)
+        << parsed.status().message();
+  }
 }
 
 TEST(RandomAccessFileTest, AllBackendsServeIdenticalBytes) {

@@ -99,8 +99,7 @@ constexpr CliFlag kCorpusBuildFlags[] = {
 constexpr CliFlag kCorpusAppendFlags[] = {
     {"--scenarios", true}, {"--models", true},   {"--threads", true},
     {"--chunk", true},     {"--ckpt", true},     {"--delta", false},
-    {"--report", true},    {"--io", true},       {"--cache-mb", true},
-    {"--in-place", false}, {"--rewrite", false}};
+    {"--report", true},    {"--io", true},       {"--cache-mb", true}};
 constexpr CliFlag kCorpusReplayFlags[] = {{"--threads", true},
                                           {"--report", true},
                                           {"--io", true},
@@ -142,11 +141,9 @@ void PrintUsage() {
                "  corpus info   <file>\n"
                "  corpus verify <file>\n"
                "  corpus replay <file> [--threads N] [--report path]\n"
-               "  corpus append <file> [build flags] [--in-place|--rewrite]\n"
-               "                record + append only missing cells; --in-place"
-               " (default)\n"
-               "                journals O(delta) bytes, --rewrite rebuilds "
-               "the canonical file\n"
+               "  corpus append <file> [build flags]\n"
+               "                record + journal only missing cells "
+               "(O(delta) bytes)\n"
                "  corpus merge  <out> <in>... [--on-collision "
                "fail|skip|rename-suffix]\n"
                "  corpus compact <file> [--drop name1,name2]\n"
@@ -179,8 +176,8 @@ void PrintUsage() {
                "debug-rcse\n"
                "  read-side commands (info|dump|verify|replay|corpus "
                "info|verify|replay) also take\n"
-               "         --io stream|pread|mmap   I/O backend (default: "
-               "DDR_IO_BACKEND or mmap)\n"
+               "         --io pread|mmap          I/O backend (default: "
+               "mmap)\n"
                "         --cache-mb N             decoded-chunk cache budget "
                "(default: DDR_CACHE_MB or 64)\n");
 }
@@ -240,7 +237,7 @@ uint64_t ParseCacheBytesFlag(int argc, char** argv) {
   return mb << 20;
 }
 
-// Shared read-side flags: --io stream|pread|mmap and --cache-mb N.
+// Shared read-side flags: --io pread|mmap and --cache-mb N.
 RandomAccessFileOptions IoOptionsFromFlags(int argc, char** argv) {
   RandomAccessFileOptions io;
   if (const char* name = FlagValue(argc, argv, "--io")) {
@@ -590,15 +587,6 @@ int CorpusBuild(const std::string& path, bool append, int argc, char** argv) {
     // commands (append decodes nothing, so it has no cache to size).
     options.resume_io = IoOptionsFromFlags(argc, argv);
     ParseCacheBytesFlag(argc, argv);
-    const bool in_place = HasFlag(argc, argv, "--in-place");
-    const bool rewrite = HasFlag(argc, argv, "--rewrite");
-    if (in_place && rewrite) {
-      std::fprintf(stderr,
-                   "ddr-trace: --in-place and --rewrite are exclusive\n");
-      return 1;
-    }
-    options.resume_mode =
-        rewrite ? CorpusAppendMode::kRewrite : CorpusAppendMode::kInPlace;
   }
   options.trace_options.events_per_chunk = ParseFlag(argc, argv, "--chunk", 512);
   options.trace_options.checkpoint_interval = ParseFlag(argc, argv, "--ckpt", 256);
@@ -690,10 +678,8 @@ int CorpusInfo(const std::string& path, int argc, char** argv) {
   std::printf("io backend:        %s\n",
               std::string(IoBackendName(corpus->io_backend())).c_str());
   std::printf("layout:            %s\n",
-              !corpus->journaled() ? "single-shot (v1)"
-              : corpus->format_version() == kCorpusFormatVersionDelta
-                  ? "journaled (v3, delta indexes)"
-                  : "journaled (v2, full indexes)");
+              corpus->journaled() ? "journaled (v3, delta indexes)"
+                                  : "single-shot (v1)");
   std::printf("generations:       %u\n", corpus->generation());
   std::printf("dead bytes:        %llu (%.1f%% of file%s)\n",
               static_cast<unsigned long long>(corpus->dead_bytes()),
@@ -908,10 +894,8 @@ int Query(int argc, char** argv) {
                   static_cast<unsigned long long>(info->file_size));
       std::printf("io backend:        %s\n", info->io_backend.c_str());
       std::printf("layout:            %s\n",
-                  !info->journaled ? "single-shot (v1)"
-                  : info->format_version == kCorpusFormatVersionDelta
-                      ? "journaled (v3, delta indexes)"
-                      : "journaled (v2, full indexes)");
+                  info->journaled ? "journaled (v3, delta indexes)"
+                                  : "single-shot (v1)");
       std::printf("generations:       %u\n", info->generation);
       std::printf("dead bytes:        %llu\n",
                   static_cast<unsigned long long>(info->dead_bytes));
