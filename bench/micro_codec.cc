@@ -65,8 +65,7 @@ void RunDecodeBench(BenchJsonWriter& json) {
   for (uint64_t c = 0; c < kChunks; ++c) {
     chunks.push_back(MakeEvents(kEventsPerChunk, c + 1));
     payloads.push_back(EncodeEventChunkPayload(
-        chunks.back().data(), kEventsPerChunk, c * kEventsPerChunk,
-        TraceFilter::kVarintDelta));
+        chunks.back().data(), kEventsPerChunk, c * kEventsPerChunk));
   }
   const uint64_t total_events = kChunks * kEventsPerChunk * kDecodeRepeats;
 
@@ -76,8 +75,7 @@ void RunDecodeBench(BenchJsonWriter& json) {
     for (int r = 0; r < kDecodeRepeats; ++r) {
       for (uint64_t c = 0; c < kChunks; ++c) {
         auto events = DecodeEventChunkPayloadWithPath(
-            payloads[c], TraceFilter::kVarintDelta, c * kEventsPerChunk,
-            kEventsPerChunk, path);
+            payloads[c], c * kEventsPerChunk, kEventsPerChunk, path);
         CHECK(events.ok()) << events.status();
         sum += events->back().seq;
       }
@@ -89,11 +87,11 @@ void RunDecodeBench(BenchJsonWriter& json) {
   // Equivalence before speed: both paths must produce identical events.
   for (uint64_t c = 0; c < kChunks; ++c) {
     auto scalar = DecodeEventChunkPayloadWithPath(
-        payloads[c], TraceFilter::kVarintDelta, c * kEventsPerChunk,
-        kEventsPerChunk, ColumnarDecodePath::kScalar);
+        payloads[c], c * kEventsPerChunk, kEventsPerChunk,
+        ColumnarDecodePath::kScalar);
     auto batched = DecodeEventChunkPayloadWithPath(
-        payloads[c], TraceFilter::kVarintDelta, c * kEventsPerChunk,
-        kEventsPerChunk, ColumnarDecodePath::kBatched);
+        payloads[c], c * kEventsPerChunk, kEventsPerChunk,
+        ColumnarDecodePath::kBatched);
     CHECK(scalar.ok() && batched.ok());
     for (uint64_t i = 0; i < kEventsPerChunk; ++i) {
       CHECK_EQ((*scalar)[i].seq, (*batched)[i].seq);
@@ -130,8 +128,7 @@ void RunEncodeBench(BenchJsonWriter& json) {
   for (int r = 0; r < kDecodeRepeats; ++r) {
     for (uint64_t c = 0; c < kChunks; ++c) {
       bytes += EncodeEventChunkPayload(events.data() + c * kEventsPerChunk,
-                                       kEventsPerChunk, c * kEventsPerChunk,
-                                       TraceFilter::kVarintDelta)
+                                       kEventsPerChunk, c * kEventsPerChunk)
                    .size();
     }
   }

@@ -1,6 +1,6 @@
 // Microbenchmark for the streaming/corpus/batch pipeline: streaming-write
-// throughput vs. the buffered Serialize path, the varint-delta chunk
-// filter's size effect, and batch-runner scaling across worker threads.
+// throughput vs. the buffered SerializeTrace path, bytes per event, and
+// batch-runner scaling across worker threads.
 // Plain-main (no google-benchmark) so it runs everywhere; emits
 // BENCH_micro_corpus_batch.json lines for cross-PR tracking.
 
@@ -13,7 +13,6 @@
 #include "src/core/batch_runner.h"
 #include "src/trace/corpus.h"
 #include "src/trace/streaming_writer.h"
-#include "src/trace/trace_writer.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 
@@ -73,61 +72,54 @@ RecordedExecution MakeRecording(uint64_t num_events) {
   return recording;
 }
 
-// Buffered Serialize vs. streaming appends (memory sink), per filter.
+// Buffered SerializeTrace vs. streaming appends (memory sink).
 void RunWriterBench(uint64_t num_events, int iterations, BenchJsonWriter& json) {
   const RecordedExecution recording = MakeRecording(num_events);
-  for (TraceFilter filter : {TraceFilter::kNone, TraceFilter::kVarintDelta}) {
-    TraceWriteOptions options;
-    options.checkpoint_interval = 1024;
-    options.chunk_filter = filter;
-    const char* filter_name =
-        filter == TraceFilter::kNone ? "none" : "varint-delta";
+  TraceWriteOptions options;
+  options.checkpoint_interval = 1024;
 
-    const TraceWriter writer(options);
-    std::vector<uint8_t> image;
-    auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iterations; ++i) {
-      image = writer.Serialize(recording);
-    }
-    const double buffered_seconds = Seconds(start) / iterations;
-
-    // Streaming: events arrive one at a time, as from a live recorder.
-    const std::vector<Event>& events = recording.log.events();
-    uint64_t streamed_bytes = 0;
-    start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iterations; ++i) {
-      BufferByteSink sink;
-      StreamingTraceWriter streaming(&sink, options);
-      CHECK(streaming.Begin().ok());
-      for (const Event& event : events) {
-        CHECK(streaming.Append(event).ok());
-      }
-      CHECK(streaming.Finish(FinishInfoFor(recording)).ok());
-      streamed_bytes = streaming.bytes_written();
-    }
-    const double streaming_seconds = Seconds(start) / iterations;
-    CHECK_EQ(streamed_bytes, image.size());
-
-    const double buffered_meps = num_events / buffered_seconds / 1e6;
-    const double streaming_meps = num_events / streaming_seconds / 1e6;
-    const double raw_bytes = static_cast<double>(recording.log.Encode().size());
-    std::printf(
-        "%8llu events [%-12s]: buffered %7.2f Mev/s  streaming %7.2f Mev/s  "
-        "%5.2f B/event  ratio %.2fx\n",
-        static_cast<unsigned long long>(num_events), filter_name, buffered_meps,
-        streaming_meps, static_cast<double>(image.size()) / num_events,
-        raw_bytes / image.size());
-
-    JsonLine line = json.Line();
-    line.Str("section", "writer")
-        .Str("filter", filter_name)
-        .Int("events", num_events)
-        .Num("buffered_mevents_per_sec", buffered_meps)
-        .Num("streaming_mevents_per_sec", streaming_meps)
-        .Num("bytes_per_event", static_cast<double>(image.size()) / num_events)
-        .Num("compression_ratio", raw_bytes / image.size());
-    json.Write(line);
+  std::vector<uint8_t> image;
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < iterations; ++i) {
+    image = SerializeTrace(recording, options);
   }
+  const double buffered_seconds = Seconds(start) / iterations;
+
+  // Streaming: events arrive one at a time, as from a live recorder.
+  const std::vector<Event>& events = recording.log.events();
+  uint64_t streamed_bytes = 0;
+  start = std::chrono::steady_clock::now();
+  for (int i = 0; i < iterations; ++i) {
+    BufferByteSink sink;
+    StreamingTraceWriter streaming(&sink, options);
+    CHECK(streaming.Begin().ok());
+    for (const Event& event : events) {
+      CHECK(streaming.Append(event).ok());
+    }
+    CHECK(streaming.Finish(FinishInfoFor(recording)).ok());
+    streamed_bytes = streaming.bytes_written();
+  }
+  const double streaming_seconds = Seconds(start) / iterations;
+  CHECK_EQ(streamed_bytes, image.size());
+
+  const double buffered_meps = num_events / buffered_seconds / 1e6;
+  const double streaming_meps = num_events / streaming_seconds / 1e6;
+  const double raw_bytes = static_cast<double>(recording.log.Encode().size());
+  std::printf(
+      "%8llu events: buffered %7.2f Mev/s  streaming %7.2f Mev/s  "
+      "%5.2f B/event  ratio %.2fx\n",
+      static_cast<unsigned long long>(num_events), buffered_meps,
+      streaming_meps, static_cast<double>(image.size()) / num_events,
+      raw_bytes / image.size());
+
+  JsonLine line = json.Line();
+  line.Str("section", "writer")
+      .Int("events", num_events)
+      .Num("buffered_mevents_per_sec", buffered_meps)
+      .Num("streaming_mevents_per_sec", streaming_meps)
+      .Num("bytes_per_event", static_cast<double>(image.size()) / num_events)
+      .Num("compression_ratio", raw_bytes / image.size());
+  json.Write(line);
 }
 
 // Batch-runner scaling: the same scenario x model grid at 1/2/4/8 worker
@@ -145,7 +137,6 @@ void RunBatchBench(BenchJsonWriter& json) {
     options.models = {DeterminismModel::kPerfect, DeterminismModel::kValue,
                       DeterminismModel::kFailure};
     options.corpus_path = kCorpusPath;
-    options.trace_options.chunk_filter = TraceFilter::kVarintDelta;
 
     const auto start = std::chrono::steady_clock::now();
     auto report = BatchRunner(std::move(scenarios), options).Run();

@@ -66,7 +66,6 @@ void BuildCorpus() {
   CHECK(writer.Begin().ok());
   TraceWriteOptions options;
   options.events_per_chunk = 512;
-  options.chunk_filter = TraceFilter::kVarintDelta;
   for (uint64_t i = 0; i < kEntries; ++i) {
     CHECK(writer
               .Add("serve/" + std::to_string(i),
@@ -284,7 +283,6 @@ void RunAppendBench(BenchJsonWriter& json) {
     CHECK(writer.ok()) << writer.status();
     TraceWriteOptions options;
     options.events_per_chunk = 512;
-    options.chunk_filter = TraceFilter::kVarintDelta;
     for (uint64_t i = 0; i < kAppended; ++i) {
       CHECK((*writer)
                 ->Add("appended/" + std::to_string(i),
@@ -338,7 +336,6 @@ void RunAppendScalingBench(BenchJsonWriter& json) {
   constexpr uint64_t kAppendEvents = 2'000;
   TraceWriteOptions trace_options;
   trace_options.events_per_chunk = 512;
-  trace_options.chunk_filter = TraceFilter::kVarintDelta;
 
   const auto file_size = [](const std::string& path) -> uint64_t {
     std::ifstream in(path, std::ios::binary | std::ios::ate);

@@ -10,8 +10,8 @@
 
 #include "bench/bench_util.h"
 #include "src/trace/block_compress.h"
+#include "src/trace/streaming_writer.h"
 #include "src/trace/trace_reader.h"
-#include "src/trace/trace_store.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 
@@ -80,11 +80,10 @@ void RunBench(uint64_t num_events, int iterations, BenchJsonWriter& json) {
   options.checkpoint_interval = 1024;
 
   // Serialize (in-memory image, no disk).
-  const TraceWriter writer(options);
   std::vector<uint8_t> image;
   auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iterations; ++i) {
-    image = writer.Serialize(recording);
+    image = SerializeTrace(recording, options);
   }
   const double encode_seconds = Seconds(start) / iterations;
 
@@ -93,11 +92,13 @@ void RunBench(uint64_t num_events, int iterations, BenchJsonWriter& json) {
   const double file_bytes = static_cast<double>(image.size());
 
   // Save + full load through disk.
-  CHECK(TraceStore::Save(kTmpPath, recording, options).ok());
+  CHECK(WriteTraceFile(kTmpPath, recording, options).ok());
   start = std::chrono::steady_clock::now();
   uint64_t decoded_events = 0;
   for (int i = 0; i < iterations; ++i) {
-    auto loaded = TraceStore::Load(kTmpPath);
+    auto reader = TraceReader::Open(kTmpPath);
+    CHECK(reader.ok()) << reader.status();
+    auto loaded = reader->ReadRecordedExecution();
     CHECK(loaded.ok()) << loaded.status();
     decoded_events = loaded->log.size();
   }

@@ -79,8 +79,10 @@ Status BatchReport::WriteJsonLines(const std::string& path) const {
   const std::string body = ToJsonLines();
   const bool written = std::fwrite(body.data(), 1, body.size(), file) ==
                        body.size();
-  std::fclose(file);
-  if (!written) {
+  // fclose flushes the stdio buffer, so a write error can surface only
+  // here (e.g. a full device).
+  const bool closed = std::fclose(file) == 0;
+  if (!written || !closed) {
     return UnavailableError("short write to batch report: " + path);
   }
   return OkStatus();
@@ -239,7 +241,7 @@ Result<BatchReport> BatchRunner::Run() {
       TraceWriteOptions trace_options = options_.trace_options;
       trace_options.scenario = scenarios_[s].name;
       trace_options.original_wall_seconds = out.wall_seconds;
-      out.image = TraceWriter(trace_options).Serialize(recording);
+      out.image = SerializeTrace(recording, trace_options);
     }
   });
 

@@ -210,7 +210,7 @@ Status ExperimentHarness::SaveRecording(const RecordedExecution& recording,
                                         TraceWriteOptions options) const {
   options.scenario = scenario_.name;
   options.original_wall_seconds = recording.original_outcome.stats.wall_seconds;
-  return TraceStore::Save(path, recording, options);
+  return WriteTraceFile(path, recording, options);
 }
 
 Result<RecordedExecution> ExperimentHarness::LoadRecording(

@@ -34,7 +34,7 @@
 #include "src/record/recorded_execution.h"
 #include "src/replay/replayer.h"
 #include "src/trace/streaming_writer.h"
-#include "src/trace/trace_store.h"
+#include "src/trace/trace_reader.h"
 
 namespace ddr {
 

@@ -25,8 +25,8 @@
 namespace ddr {
 
 // Compresses `input`; output is appended to a fresh buffer. The result may
-// be larger than the input for incompressible data — callers (TraceWriter)
-// fall back to storing raw when that happens.
+// be larger than the input for incompressible data — callers
+// (EncodeTraceSection) fall back to storing raw when that happens.
 std::vector<uint8_t> CompressBlock(const std::vector<uint8_t>& input);
 
 // Decompresses a block produced by CompressBlock. `expected_size` is the

@@ -147,36 +147,25 @@ Result<std::vector<Event>> DecodeColumnarBatched(Decoder* decoder,
 
 std::vector<uint8_t> EncodeEventChunkPayload(const Event* events,
                                              uint64_t count,
-                                             uint64_t first_event,
-                                             TraceFilter filter) {
+                                             uint64_t first_event) {
   Encoder encoder;
   encoder.PutVarint64(first_event);
   encoder.PutVarint64(count);
-  switch (filter) {
-    case TraceFilter::kNone:
-      for (uint64_t i = 0; i < count; ++i) {
-        events[i].EncodeTo(&encoder);
-      }
-      break;
-    case TraceFilter::kVarintDelta:
-      EncodeColumnar(events, count, &encoder);
-      break;
-  }
+  EncodeColumnar(events, count, &encoder);
   return encoder.TakeBuffer();
 }
 
 Result<std::vector<Event>> DecodeEventChunkPayload(
-    std::span<const uint8_t> payload, TraceFilter filter,
-    uint64_t expected_first, uint64_t expected_count) {
-  return DecodeEventChunkPayloadWithPath(payload, filter, expected_first,
+    std::span<const uint8_t> payload, uint64_t expected_first,
+    uint64_t expected_count) {
+  return DecodeEventChunkPayloadWithPath(payload, expected_first,
                                          expected_count,
                                          ColumnarDecodePath::kBatched);
 }
 
 Result<std::vector<Event>> DecodeEventChunkPayloadWithPath(
-    std::span<const uint8_t> payload, TraceFilter filter,
-    uint64_t expected_first, uint64_t expected_count,
-    ColumnarDecodePath path) {
+    std::span<const uint8_t> payload, uint64_t expected_first,
+    uint64_t expected_count, ColumnarDecodePath path) {
   Decoder decoder(payload.data(), payload.size());
   ASSIGN_OR_RETURN(uint64_t first, decoder.GetVarint64());
   ASSIGN_OR_RETURN(uint64_t count, decoder.GetVarint64());
@@ -185,32 +174,18 @@ Result<std::vector<Event>> DecodeEventChunkPayloadWithPath(
   }
   // Decoders allocate event storage up front, so a crafted count must
   // fail here with a Status, never abort inside the allocation. Two
-  // bounds: every encoded event occupies >= 10 payload bytes in either
-  // layout (one byte per field), and no conforming writer produces chunks
-  // past the format ceiling — which caps the worst crafted-but-decodable
-  // payload (e.g. 1 GiB of zeros, a valid varint stream) at a sane
-  // allocation.
+  // bounds: every encoded event occupies >= 10 payload bytes (one byte
+  // per column), and no conforming writer produces chunks past the
+  // format ceiling — which caps the worst crafted-but-decodable payload
+  // (e.g. 1 GiB of zeros, a valid varint stream) at a sane allocation.
   if (count > payload.size() / 10 || count > kMaxChunkEvents) {
     return InvalidArgumentError("chunk event count exceeds payload or ceiling");
   }
   std::vector<Event> events;
-  switch (filter) {
-    case TraceFilter::kNone: {
-      events.reserve(static_cast<size_t>(count));
-      for (uint64_t i = 0; i < count; ++i) {
-        ASSIGN_OR_RETURN(Event event, Event::DecodeFrom(&decoder));
-        events.push_back(event);
-      }
-      break;
-    }
-    case TraceFilter::kVarintDelta: {
-      if (path == ColumnarDecodePath::kBatched) {
-        ASSIGN_OR_RETURN(events, DecodeColumnarBatched(&decoder, count));
-      } else {
-        ASSIGN_OR_RETURN(events, DecodeColumnarScalar(&decoder, count));
-      }
-      break;
-    }
+  if (path == ColumnarDecodePath::kBatched) {
+    ASSIGN_OR_RETURN(events, DecodeColumnarBatched(&decoder, count));
+  } else {
+    ASSIGN_OR_RETURN(events, DecodeColumnarScalar(&decoder, count));
   }
   if (!decoder.Done()) {
     return InvalidArgumentError("trailing bytes after chunk events");

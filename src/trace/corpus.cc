@@ -10,7 +10,6 @@
 #include <cstring>
 #include <span>
 
-#include "src/trace/trace_writer.h"
 #include "src/util/crc32.h"
 #include "src/util/fault_injection.h"
 #include "src/util/file_lock.h"

@@ -192,7 +192,7 @@ class CorpusWriter {
   Status Add(const std::string& name, const RecordedExecution& recording,
              const TraceWriteOptions& options = {});
 
-  // Appends a pre-serialized DDRT image (TraceWriter::Serialize output).
+  // Appends a pre-serialized DDRT image (SerializeTrace output).
   // The caller supplies the index metadata the image was built from; batch
   // workers use this so serialization parallelizes while the bundle is
   // still written in deterministic order.

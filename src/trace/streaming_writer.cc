@@ -11,6 +11,7 @@
 
 #include "src/trace/chunk_codec.h"
 #include "src/util/fault_injection.h"
+#include "src/util/logging.h"
 #include "src/util/string_util.h"
 
 namespace ddr {
@@ -229,9 +230,7 @@ Status StreamingTraceWriter::Begin() {
   }
   Encoder encoder;
   encoder.PutFixed32(kTraceFileMagic);
-  encoder.PutFixed32(options_.chunk_filter == TraceFilter::kNone
-                         ? kTraceFormatVersion
-                         : kTraceFormatVersionFiltered);
+  encoder.PutFixed32(kTraceFormatVersion);
   encoder.PutFixed32(0);  // flags, reserved
   status_ = sink_->Append(encoder.buffer());
   if (status_.ok()) {
@@ -241,11 +240,13 @@ Status StreamingTraceWriter::Begin() {
 }
 
 Result<uint64_t> StreamingTraceWriter::WriteSection(
-    TraceSection kind, const std::vector<uint8_t>& payload, bool allow_compress,
-    TraceFilter filter) {
+    TraceSection kind, const std::vector<uint8_t>& payload) {
   RETURN_IF_ERROR(FaultPoint(SectionFaultSite(kind)));
-  const std::vector<uint8_t> section =
-      EncodeTraceSection(kind, payload, allow_compress, filter);
+  // Every section tries ddrz (stored raw when that does not shrink it)
+  // except the footer, which stays raw so its offset math never depends
+  // on compression behavior.
+  const std::vector<uint8_t> section = EncodeTraceSection(
+      kind, payload, /*allow_compress=*/kind != TraceSection::kFooter);
   RETURN_IF_ERROR(sink_->Append(section));
   const uint64_t section_offset = offset_;
   offset_ += section.size();
@@ -257,11 +258,10 @@ Status StreamingTraceWriter::FlushChunk() {
     return OkStatus();
   }
   const uint64_t first = total_events_ - pending_.size();
-  const std::vector<uint8_t> payload = EncodeEventChunkPayload(
-      pending_.data(), pending_.size(), first, options_.chunk_filter);
+  const std::vector<uint8_t> payload =
+      EncodeEventChunkPayload(pending_.data(), pending_.size(), first);
   ASSIGN_OR_RETURN(uint64_t chunk_offset,
-                   WriteSection(TraceSection::kEventChunk, payload,
-                                options_.compress, options_.chunk_filter));
+                   WriteSection(TraceSection::kEventChunk, payload));
   TraceChunkInfo chunk;
   chunk.file_offset = chunk_offset;
   chunk.first_event = first;
@@ -329,14 +329,13 @@ Status StreamingTraceWriter::Finish(const TraceFinishInfo& info) {
                                        ? info.original_wall_seconds
                                        : options_.original_wall_seconds;
       ASSIGN_OR_RETURN(footer_.metadata_offset,
-                       WriteSection(TraceSection::kMetadata, meta.Encode(),
-                                    options_.compress));
+                       WriteSection(TraceSection::kMetadata, meta.Encode()));
     }
 
     // Snapshot.
     ASSIGN_OR_RETURN(footer_.snapshot_offset,
                      WriteSection(TraceSection::kSnapshot,
-                                  info.snapshot.Encode(), options_.compress));
+                                  info.snapshot.Encode()));
 
     // Checkpoint index. Fingerprint verification during partial replay is
     // only sound when the log is the full intercepted stream.
@@ -347,14 +346,12 @@ Status StreamingTraceWriter::Finish(const TraceFinishInfo& info) {
       const CheckpointIndex index = checkpoints_.Finish(full_stream);
       ASSIGN_OR_RETURN(footer_.checkpoint_offset,
                        WriteSection(TraceSection::kCheckpointIndex,
-                                    index.Encode(), options_.compress));
+                                    index.Encode()));
     }
 
-    // Footer + trailer. The footer is stored raw so its offset math never
-    // depends on compression behavior.
+    // Footer (stored raw, see WriteSection) + trailer.
     ASSIGN_OR_RETURN(const uint64_t footer_offset,
-                     WriteSection(TraceSection::kFooter, footer_.Encode(),
-                                  /*allow_compress=*/false));
+                     WriteSection(TraceSection::kFooter, footer_.Encode()));
     RETURN_IF_ERROR(FaultPoint("trace.trailer"));
     Encoder encoder;
     encoder.PutFixed64(footer_offset);
@@ -367,6 +364,41 @@ Status StreamingTraceWriter::Finish(const TraceFinishInfo& info) {
 
   status_ = status;
   return status;
+}
+
+// ------------------------------------------------- whole-recording writes
+
+TraceFinishInfo FinishInfoFor(const RecordedExecution& recording) {
+  TraceFinishInfo info;
+  info.model = recording.model;
+  info.snapshot = recording.snapshot;
+  info.recorded_bytes = recording.recorded_bytes;
+  info.overhead_nanos = recording.overhead_nanos;
+  info.cpu_nanos = recording.cpu_nanos;
+  info.intercepted_events = recording.intercepted_events;
+  info.recorded_events = recording.recorded_events;
+  return info;
+}
+
+std::vector<uint8_t> SerializeTrace(const RecordedExecution& recording,
+                                    const TraceWriteOptions& options) {
+  BufferByteSink sink;
+  StreamingTraceWriter writer(&sink, options);
+  // A buffer sink cannot fail, so these statuses are structural invariants.
+  CHECK(writer.Begin().ok());
+  CHECK(writer.AppendEvents(recording.log.events()).ok());
+  CHECK(writer.Finish(FinishInfoFor(recording)).ok());
+  return sink.TakeBuffer();
+}
+
+Status WriteTraceFile(const std::string& path,
+                      const RecordedExecution& recording,
+                      const TraceWriteOptions& options) {
+  AtomicFileSink sink(path);
+  StreamingTraceWriter writer(&sink, options);
+  RETURN_IF_ERROR(writer.Begin());
+  RETURN_IF_ERROR(writer.AppendEvents(recording.log.events()));
+  return writer.Finish(FinishInfoFor(recording));
 }
 
 }  // namespace ddr

@@ -1,8 +1,8 @@
-// StreamingTraceWriter: chunk-at-a-time DDRT serialization.
+// DDRT serialization: StreamingTraceWriter, the one trace write path, and
+// the SerializeTrace / WriteTraceFile calls over it.
 //
-// Where TraceWriter::Serialize builds the whole file image from a finished
-// RecordedExecution, the streaming writer accepts events while the
-// recording is still running and flushes each full chunk — compressed,
+// The streaming writer accepts events while the recording is still
+// running and flushes each full chunk — columnar-encoded, compressed,
 // CRC'd, framed — through a TraceByteSink immediately. Recorder memory is
 // bounded by one chunk; the metadata / snapshot / checkpoint / footer
 // sections are emitted by Finish() once the run's totals are known.
@@ -13,8 +13,9 @@
 //   ... writer.AppendEvents(chunk_of_events) as they are observed ...
 //   CHECK(writer.Finish(info).ok());   // durable, atomically renamed
 //
-// The buffered TraceWriter is a thin wrapper over this class, so streaming
-// and buffered writes produce bit-identical files for the same inputs.
+// SerializeTrace and WriteTraceFile drive the same writer over a finished
+// RecordedExecution, so a recording streamed to disk during the run and
+// one serialized after the fact produce bit-identical files.
 
 #ifndef SRC_TRACE_STREAMING_WRITER_H_
 #define SRC_TRACE_STREAMING_WRITER_H_
@@ -24,12 +25,25 @@
 #include <vector>
 
 #include "src/record/event_log.h"
+#include "src/record/recorded_execution.h"
 #include "src/record/snapshot.h"
 #include "src/trace/checkpoint.h"
 #include "src/trace/trace_format.h"
-#include "src/trace/trace_writer_options.h"
 
 namespace ddr {
+
+struct TraceWriteOptions {
+  // Events per chunk; the unit of partial decode. Small chunks seek finer,
+  // large chunks compress better.
+  uint64_t events_per_chunk = 512;
+  // Emit a ReplayCheckpoint every N log events (0 = no checkpoints).
+  uint64_t checkpoint_interval = 256;
+  // Scenario name stamped into metadata so `ddr-trace replay` can rebuild
+  // the program. Optional.
+  std::string scenario;
+  // Production-run wall time for post-reload efficiency scoring. Optional.
+  double original_wall_seconds = 0.0;
+};
 
 // Destination for serialized trace bytes. Append-only; offsets in the
 // written stream start at 0 (a corpus embeds the stream at its own base).
@@ -45,7 +59,7 @@ class TraceByteSink {
   }
 };
 
-// Accumulates the stream in memory (TraceWriter::Serialize, tests).
+// Accumulates the stream in memory (SerializeTrace, tests).
 class BufferByteSink : public TraceByteSink {
  public:
   using TraceByteSink::Append;
@@ -143,9 +157,7 @@ class StreamingTraceWriter : public EventStreamSink {
   Status FlushChunk();
   // Appends a framed section and returns its offset in the stream.
   Result<uint64_t> WriteSection(TraceSection kind,
-                                const std::vector<uint8_t>& payload,
-                                bool allow_compress,
-                                TraceFilter filter = TraceFilter::kNone);
+                                const std::vector<uint8_t>& payload);
 
   TraceByteSink* sink_;
   TraceWriteOptions options_;
@@ -160,6 +172,22 @@ class StreamingTraceWriter : public EventStreamSink {
   TraceFooter footer_;
   CheckpointBuilder checkpoints_;
 };
+
+// Collects the run-end totals Finish needs from a RecordedExecution (the
+// scenario / wall-seconds fields stay unset so the writer falls back to
+// its options).
+TraceFinishInfo FinishInfoFor(const RecordedExecution& recording);
+
+// Serializes `recording` to the complete file image (header..trailer).
+std::vector<uint8_t> SerializeTrace(const RecordedExecution& recording,
+                                    const TraceWriteOptions& options = {});
+
+// Serializes and writes atomically: the image lands in a uniquely named
+// temp file beside `path` (see AtomicFileSink) and is renamed into place
+// only when complete, so `path` never holds a torn file.
+[[nodiscard]] Status WriteTraceFile(const std::string& path,
+                                    const RecordedExecution& recording,
+                                    const TraceWriteOptions& options = {});
 
 }  // namespace ddr
 

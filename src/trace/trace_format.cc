@@ -78,10 +78,19 @@ Result<TraceFooter> TraceFooter::Decode(std::span<const uint8_t> bytes) {
   return footer;
 }
 
+namespace {
+
+// The pre-filter every section of `kind` carries.
+TraceFilter SectionFilter(TraceSection kind) {
+  return kind == TraceSection::kEventChunk ? TraceFilter::kVarintDelta
+                                           : TraceFilter::kNone;
+}
+
+}  // namespace
+
 std::vector<uint8_t> EncodeTraceSection(TraceSection kind,
                                         const std::vector<uint8_t>& payload,
-                                        bool allow_compress,
-                                        TraceFilter filter) {
+                                        bool allow_compress) {
   TraceCodec codec = TraceCodec::kRaw;
   const std::vector<uint8_t>* stored = &payload;
   std::vector<uint8_t> compressed;
@@ -95,8 +104,9 @@ std::vector<uint8_t> EncodeTraceSection(TraceSection kind,
 
   Encoder encoder;
   encoder.PutFixed8(static_cast<uint8_t>(kind));
-  encoder.PutFixed8(static_cast<uint8_t>(
-      (static_cast<uint8_t>(filter) << 4) | static_cast<uint8_t>(codec)));
+  encoder.PutFixed8(
+      static_cast<uint8_t>((static_cast<uint8_t>(SectionFilter(kind)) << 4) |
+                           static_cast<uint8_t>(codec)));
   encoder.PutVarint64(payload.size());
   encoder.PutVarint64(stored->size());
   std::vector<uint8_t> out = encoder.TakeBuffer();
@@ -112,13 +122,26 @@ std::vector<uint8_t> EncodeTraceSection(TraceSection kind,
 
 uint64_t AppendTraceSection(std::vector<uint8_t>* out, TraceSection kind,
                             const std::vector<uint8_t>& payload,
-                            bool allow_compress, TraceFilter filter) {
+                            bool allow_compress) {
   const uint64_t offset = out->size();
   const std::vector<uint8_t> section =
-      EncodeTraceSection(kind, payload, allow_compress, filter);
+      EncodeTraceSection(kind, payload, allow_compress);
   out->insert(out->end(), section.begin(), section.end());
   return offset;
 }
+
+namespace {
+
+// Section framing never exceeds kind + filter/codec + two max-width varints.
+constexpr size_t kMaxSectionHeaderBytes = 2 + 10 + 10;
+
+// Parsed section framing (not including payload bytes).
+struct TraceSectionHeader {
+  TraceSection kind = TraceSection::kMetadata;
+  TraceCodec codec = TraceCodec::kRaw;
+  uint64_t uncompressed_size = 0;
+  uint64_t stored_size = 0;
+};
 
 Result<TraceSectionHeader> DecodeTraceSectionHeader(Decoder* decoder) {
   TraceSectionHeader header;
@@ -130,24 +153,22 @@ Result<TraceSectionHeader> DecodeTraceSectionHeader(Decoder* decoder) {
   header.kind = static_cast<TraceSection>(kind);
   ASSIGN_OR_RETURN(uint8_t packed, decoder->GetFixed8());
   const uint8_t codec = packed & 0x0F;
-  const uint8_t filter = packed >> 4;
   if (codec > static_cast<uint8_t>(TraceCodec::kDdrz)) {
     return InvalidArgumentError("unknown trace section codec");
   }
-  if (filter > static_cast<uint8_t>(TraceFilter::kVarintDelta)) {
-    return InvalidArgumentError("unknown trace section filter");
+  // The framing is outside the payload CRC, so the filter nibble is
+  // checked against the one layout this kind of section is written in.
+  if ((packed >> 4) != static_cast<uint8_t>(SectionFilter(header.kind))) {
+    return InvalidArgumentError(
+        StrPrintf("trace section filter %u does not match section kind %u",
+                  static_cast<unsigned>(packed >> 4),
+                  static_cast<unsigned>(kind)));
   }
   header.codec = static_cast<TraceCodec>(codec);
-  header.filter = static_cast<TraceFilter>(filter);
   ASSIGN_OR_RETURN(header.uncompressed_size, decoder->GetVarint64());
   ASSIGN_OR_RETURN(header.stored_size, decoder->GetVarint64());
   return header;
 }
-
-namespace {
-
-// Section framing never exceeds kind + filter/codec + two max-width varints.
-constexpr size_t kMaxSectionHeaderBytes = 2 + 10 + 10;
 
 Status CheckSectionSize(uint64_t claimed, uint64_t limit, const char* what) {
   if (claimed > limit) {
@@ -192,7 +213,6 @@ Result<TraceSectionPayload> ReadTraceSection(
 
   const size_t stored_size = static_cast<size_t>(section.stored_size);
   TraceSectionPayload payload;
-  payload.filter = section.filter;
   ASSIGN_OR_RETURN(
       std::span<const uint8_t> stored,
       file.Read(base + payload_offset, stored_size + 4, &payload.storage));

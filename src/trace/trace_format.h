@@ -1,4 +1,4 @@
-// On-disk trace file format (DDRT v1).
+// On-disk trace file format (DDRT v2).
 //
 // A trace file is a RecordedExecution made durable: what a production site
 // ships to the developer running replay. Layout:
@@ -25,9 +25,14 @@
 //              stored_size varint | payload[stored_size] | crc32 fixed32
 //
 // The second framing byte packs two values: the low nibble is the byte
-// codec (raw / ddrz), the high nibble the payload pre-filter id (event
-// chunks may be varint-delta filtered before compression). Files written
-// before filters existed carry a zero high nibble and decode unchanged.
+// codec (raw / ddrz), the high nibble the payload pre-filter id. The
+// filter is fixed by the section kind: event chunks are always the
+// columnar varint-delta layout (src/trace/chunk_codec.h) and every other
+// section carries none. The framing sits outside the payload CRC, so the
+// reader rejects any other pairing instead of trusting the nibble.
+//
+// Version 1 (row-encoded event chunks) is retired: readers reject it with
+// "unsupported trace format version 1", and the number is never reused.
 //
 // The trailer is fixed-width so `Open` can find the footer by reading the
 // last 12 bytes; the footer then gives random access to all sections.
@@ -53,12 +58,8 @@ namespace ddr {
 
 inline constexpr uint32_t kTraceFileMagic = 0x54524444u;   // "DDRT"
 inline constexpr uint32_t kTraceTrailerMagic = 0x44445254u;  // "TRDD"
-inline constexpr uint32_t kTraceFormatVersion = 1;
-// Stamped instead of kTraceFormatVersion when any chunk pre-filter is in
-// use, so a version-1-only reader reports a clean "unsupported version"
-// for filtered files rather than a corruption-shaped codec error.
-// Unfiltered files keep version 1 and stay readable by older readers.
-inline constexpr uint32_t kTraceFormatVersionFiltered = 2;
+// Never 1: that number named the retired row-chunk layout.
+inline constexpr uint32_t kTraceFormatVersion = 2;
 inline constexpr size_t kTraceHeaderBytes = 12;   // magic + version + flags
 inline constexpr size_t kTraceTrailerBytes = 12;  // footer offset + magic
 
@@ -85,9 +86,9 @@ enum class TraceCodec : uint8_t {
   kDdrz = 1,  // block LZ from src/trace/block_compress.h
 };
 
-// Payload pre-filter applied before the byte codec. Filters re-encode the
-// section payload into a form that compresses better; kVarintDelta is the
-// columnar delta event-chunk encoding from src/trace/chunk_codec.h.
+// Payload pre-filter id stamped into the section framing. kVarintDelta is
+// the columnar delta event-chunk encoding from src/trace/chunk_codec.h and
+// is what every event chunk carries; every other section carries kNone.
 enum class TraceFilter : uint8_t {
   kNone = 0,
   kVarintDelta = 1,
@@ -133,31 +134,19 @@ struct TraceFooter {
   static Result<TraceFooter> Decode(std::span<const uint8_t> bytes);
 };
 
-// Encodes a complete framed section (framing + payload + CRC). Compresses
-// with ddrz when `allow_compress` and compression actually shrinks the
-// payload. `filter` records how the payload bytes were pre-filtered — the
-// caller applies the filter, this only stamps its id into the framing.
+// Encodes a complete framed section (framing + payload + CRC), stamping
+// the filter that sections of `kind` carry (see TraceFilter) into the
+// framing; the caller has already encoded the payload in that layout.
+// Compresses with ddrz when `allow_compress` and compression actually
+// shrinks the payload.
 std::vector<uint8_t> EncodeTraceSection(TraceSection kind,
                                         const std::vector<uint8_t>& payload,
-                                        bool allow_compress,
-                                        TraceFilter filter = TraceFilter::kNone);
+                                        bool allow_compress);
 
 // Appends a framed section to `out`; returns the section's offset in `out`.
 uint64_t AppendTraceSection(std::vector<uint8_t>* out, TraceSection kind,
                             const std::vector<uint8_t>& payload,
-                            bool allow_compress,
-                            TraceFilter filter = TraceFilter::kNone);
-
-// Parsed section framing (not including payload bytes).
-struct TraceSectionHeader {
-  TraceSection kind = TraceSection::kMetadata;
-  TraceCodec codec = TraceCodec::kRaw;
-  TraceFilter filter = TraceFilter::kNone;
-  uint64_t uncompressed_size = 0;
-  uint64_t stored_size = 0;
-};
-
-Result<TraceSectionHeader> DecodeTraceSectionHeader(Decoder* decoder);
+                            bool allow_compress);
 
 // One decoded (post-codec, still pre-filter) section payload. `view` is
 // the payload bytes; it aliases the file's mmap region when the backend
@@ -166,15 +155,15 @@ Result<TraceSectionHeader> DecodeTraceSectionHeader(Decoder* decoder);
 // buffer; mapped views outlive the read by construction).
 struct TraceSectionPayload {
   std::span<const uint8_t> view;
-  TraceFilter filter = TraceFilter::kNone;
   std::vector<uint8_t> storage;
 };
 
 // Reads, CRC-checks, and decodes one framed section through a
-// RandomAccessFile. `base + offset` is the section's absolute file
-// position and `limit` the number of bytes in the window it must fit
-// inside (the image size for a bare trace, the embedded window length
-// for a corpus entry). Compressed payloads are decompressed directly
+// RandomAccessFile, rejecting a kind other than `expected_kind` or a
+// filter other than the one that kind carries. `base + offset` is the
+// section's absolute file position and `limit` the number of bytes in
+// the window it must fit inside (the image size for a bare trace, the
+// embedded window length for a corpus entry). Compressed payloads are decompressed directly
 // from the backend's buffer (the mapped region itself under mmap); raw
 // payloads are returned without any extra copy. `bytes_read`, when
 // non-null, is advanced by the framing + payload bytes pulled through

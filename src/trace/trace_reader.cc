@@ -127,8 +127,7 @@ Result<TraceReader> TraceReader::OpenImpl(std::shared_ptr<RandomAccessFile> file
       return InvalidArgumentError("bad trace file magic");
     }
     ASSIGN_OR_RETURN(uint32_t version, decoder.GetFixed32());
-    if (version != kTraceFormatVersion &&
-        version != kTraceFormatVersionFiltered) {
+    if (version != kTraceFormatVersion) {
       return InvalidArgumentError(
           StrPrintf("unsupported trace format version %u", version));
     }
@@ -196,7 +195,7 @@ Result<ChunkCache::EventsPtr> TraceReader::DecodeChunk(
                    ReadSection(chunk.file_offset, TraceSection::kEventChunk));
   ASSIGN_OR_RETURN(
       std::vector<Event> events,
-      DecodeEventChunkPayload(payload.view, payload.filter, chunk.first_event,
+      DecodeEventChunkPayload(payload.view, chunk.first_event,
                               chunk.event_count));
   auto decoded = std::make_shared<const std::vector<Event>>(std::move(events));
   if (cache_ != nullptr) {

@@ -1,4 +1,4 @@
-// TraceReader: random-access reader for DDRT v1 trace files.
+// TraceReader: random-access reader for DDRT v2 trace files.
 //
 // Open() reads only the header, trailer, footer, metadata, snapshot, and
 // checkpoint index (all small). Event chunks are read on demand, so

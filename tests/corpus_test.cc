@@ -23,7 +23,6 @@
 #include "src/trace/chunk_cache.h"
 #include "src/trace/corpus.h"
 #include "src/trace/trace_format.h"
-#include "src/trace/trace_writer.h"
 #include "src/util/codec.h"
 #include "src/util/crc32.h"
 #include "src/util/random_access_file.h"
@@ -274,14 +273,14 @@ TEST(CorpusTest, DetectsCorruptionAndTruncationOnEveryBackend) {
 // not allowed to change a single decoded byte.
 TEST(CorpusTest, BackendsDecodeBitIdentically) {
   ScopedPath path("backends");
-  TraceWriteOptions delta;
-  delta.events_per_chunk = 128;
-  delta.chunk_filter = TraceFilter::kVarintDelta;
+  TraceWriteOptions small_chunks;
+  small_chunks.events_per_chunk = 128;
   {
     CorpusWriter writer(path.get());
     ASSERT_TRUE(writer.Begin().ok());
-    ASSERT_TRUE(writer.Add("row/a", MakeSyntheticRecording(700, 1)).ok());
-    ASSERT_TRUE(writer.Add("col/b", MakeSyntheticRecording(900, 2), delta).ok());
+    ASSERT_TRUE(writer.Add("a", MakeSyntheticRecording(700, 1)).ok());
+    ASSERT_TRUE(
+        writer.Add("b", MakeSyntheticRecording(900, 2), small_chunks).ok());
     ASSERT_TRUE(writer.Finish().ok());
   }
 
@@ -1232,6 +1231,38 @@ TEST(CorpusJournalTest, RetiredV2JournalsAreRejected) {
   EXPECT_TRUE(corpus->VerifyAll().ok());
 }
 
+// A bundle embedding a DDRT image from the retired version 1 still opens
+// (the corpus index is intact) but fails VerifyAll, naming the version.
+TEST(CorpusTest, EmbeddedVersionOneImageFailsVerifyAll) {
+  const RecordedExecution recording = MakeSyntheticRecording(300, 3);
+  std::vector<uint8_t> image = SerializeTrace(recording);
+  ASSERT_EQ(image[4], 2);
+  image[4] = 1;  // trace header version fixed32, little-endian
+  ScopedPath path("tracev1");
+  {
+    CorpusWriter writer(path.get());
+    ASSERT_TRUE(writer.Begin().ok());
+    ASSERT_TRUE(writer.Add("good", MakeSyntheticRecording(200, 4)).ok());
+    ASSERT_TRUE(writer
+                    .AddImage("v1", image, recording.model, "",
+                              recording.log.size(), 0.0)
+                    .ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  for (IoBackend backend : kAllBackends) {
+    auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    const Status verified = corpus->VerifyAll();
+    ASSERT_FALSE(verified.ok()) << IoBackendName(backend);
+    EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(verified.message().find("unsupported trace format version 1"),
+              std::string::npos)
+        << verified.ToString();
+    EXPECT_TRUE(corpus->OpenTrace(corpus->entries()[0]).ok());
+    EXPECT_FALSE(corpus->OpenTrace(corpus->entries()[1]).ok());
+  }
+}
+
 // Merging the split halves of a grid reproduces every embedded image of
 // the single-shot build byte-for-byte (the whole file, in fact: same
 // order, same offsets, same index).
@@ -1789,7 +1820,6 @@ TEST(BatchRunnerTest, WritesCorpusAndReportEndToEnd) {
   options.models = {DeterminismModel::kPerfect, DeterminismModel::kFailure};
   options.corpus_path = corpus_path.get();
   options.trace_options.events_per_chunk = 64;
-  options.trace_options.chunk_filter = TraceFilter::kVarintDelta;
 
   auto report = BatchRunner(FastScenarios(), options).Run();
   ASSERT_TRUE(report.ok()) << report.status();
@@ -1812,6 +1842,20 @@ TEST(BatchRunnerTest, WritesCorpusAndReportEndToEnd) {
   }
   EXPECT_EQ(lines, report->cells.size());
   EXPECT_NE(json.find("\"scenario\":\"sum\""), std::string::npos);
+}
+
+// A write error that surfaces only when the stdio buffer is flushed at
+// close (a full device) must fail the report, not report OK.
+TEST(BatchRunnerTest, ReportWriteErrorAtCloseFails) {
+  if (!std::ifstream("/dev/full").good()) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  BatchReport report;
+  report.cells.resize(1);
+  report.cells[0].scenario = "sum";
+  const Status written = report.WriteJsonLines("/dev/full");
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.code(), StatusCode::kUnavailable);
 }
 
 // Replaying the corpus from disk scores identically to the in-memory
@@ -1849,7 +1893,6 @@ TEST(BatchRunnerTest, SharedReaderParallelReplayMatchesAcrossBackends) {
   options.models = {DeterminismModel::kPerfect, DeterminismModel::kValue,
                     DeterminismModel::kFailure};
   options.corpus_path = corpus_path.get();
-  options.trace_options.chunk_filter = TraceFilter::kVarintDelta;
   auto built = BatchRunner(FastScenarios(), options).Run();
   ASSERT_TRUE(built.ok()) << built.status();
 

@@ -33,7 +33,6 @@
 
 #include "src/trace/corpus.h"
 #include "src/trace/trace_reader.h"
-#include "src/trace/trace_writer.h"
 #include "src/util/fault_injection.h"
 #include "src/util/rng.h"
 #include "src/util/string_util.h"
@@ -285,8 +284,7 @@ TEST(FaultPlanTest, EintrStormDeliversExactlyItsBudget) {
 TEST(FaultInjectionTest, FsyncEioFailsAtomicSinkCloseWithNoLitter) {
   ScopedPath path("fsynceio");
   ASSERT_TRUE(SetFaultPlan("trace.sink.sync:eio").ok());
-  TraceWriter writer;
-  const Status wrote = writer.WriteFile(path.get(), MakeSyntheticRecording(40));
+  const Status wrote = WriteTraceFile(path.get(), MakeSyntheticRecording(40));
   ClearFaultPlan();
   EXPECT_FALSE(wrote.ok());
   EXPECT_NE(wrote.ToString().find("Input/output error"), std::string::npos)
@@ -300,11 +298,10 @@ TEST(FaultInjectionTest, FsyncFailAndShortWriteSurfaceStrerror) {
   // fsyncfail: the documented "fsync lies" kind behaves like eio at sync
   // sites.
   ASSERT_TRUE(SetFaultPlan("trace.sink.sync:fsyncfail").ok());
-  TraceWriter writer;
-  EXPECT_FALSE(writer.WriteFile(path.get(), MakeSyntheticRecording(40)).ok());
+  EXPECT_FALSE(WriteTraceFile(path.get(), MakeSyntheticRecording(40)).ok());
   // short: the sink writes a prefix then reports ENOSPC with strerror.
   ASSERT_TRUE(SetFaultPlan("trace.sink.append:short@1").ok());
-  const Status wrote = writer.WriteFile(path.get(), MakeSyntheticRecording(40));
+  const Status wrote = WriteTraceFile(path.get(), MakeSyntheticRecording(40));
   ClearFaultPlan();
   EXPECT_FALSE(wrote.ok());
   EXPECT_NE(wrote.ToString().find("No space left on device"),
@@ -340,10 +337,7 @@ TEST(FaultTortureTest, TraceWriteCrashesLeaveAllOrNothing) {
   std::set<std::string> sites;
   CrashAtEverySite(
       [&] { std::remove(path.get().c_str()); },
-      [&] {
-        TraceWriter writer;
-        return writer.WriteFile(path.get(), MakeSyntheticRecording(60));
-      },
+      [&] { return WriteTraceFile(path.get(), MakeSyntheticRecording(60)); },
       [&](uint64_t point, bool survived) {
         EXPECT_TRUE(TempLitter(path.get()).empty()) << "crash point " << point;
         if (FileExists(path.get())) {
@@ -474,8 +468,7 @@ TEST(FaultTortureTest, StoragePathsEnumerateAtLeastTwentyDistinctSites) {
   std::set<std::string> sites;
   EnumerateSites(
       [&] {
-        TraceWriter writer;
-        return writer.WriteFile(trace_path.get(), MakeSyntheticRecording(60));
+        return WriteTraceFile(trace_path.get(), MakeSyntheticRecording(60));
       },
       &sites);
   EnumerateSites([&] { return BuildBundle(path.get(), {"one", "two"}); },

@@ -1,9 +1,10 @@
 // Tests for src/trace: the DDRT file format (chunking, compression, CRCs,
-// footer index), checkpoint index construction, TraceStore round-trips,
-// harness save/load hooks, and checkpointed partial replay.
+// footer index), checkpoint index construction, WriteTraceFile /
+// TraceReader round-trips, harness save/load hooks, and checkpointed
+// partial replay.
 //
-// The acceptance property: a RecordedExecution saved via TraceStore and
-// reloaded from disk replays to the same failure fingerprint and output
+// The acceptance property: a RecordedExecution saved via WriteTraceFile
+// and reloaded from disk replays to the same failure fingerprint and output
 // fingerprint as the in-memory original, and partial replay from a
 // mid-trace checkpoint reaches the same outcome as full replay.
 
@@ -19,9 +20,8 @@
 #include "src/trace/block_compress.h"
 #include "src/trace/checkpoint.h"
 #include "src/trace/chunk_codec.h"
+#include "src/trace/streaming_writer.h"
 #include "src/trace/trace_reader.h"
-#include "src/trace/trace_store.h"
-#include "src/trace/trace_writer.h"
 #include "src/util/rng.h"
 
 namespace ddr {
@@ -39,6 +39,25 @@ class ScopedTracePath {
  private:
   std::string path_;
 };
+
+Result<RecordedExecution> LoadTrace(const std::string& path) {
+  ASSIGN_OR_RETURN(TraceReader reader, TraceReader::Open(path));
+  return reader.ReadRecordedExecution();
+}
+
+Status VerifyTrace(const std::string& path) {
+  ASSIGN_OR_RETURN(TraceReader reader, TraceReader::Open(path));
+  return reader.Verify();
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  if (!bytes.empty()) {  // an empty vector's data() may be null
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
+  ASSERT_EQ(std::fclose(f), 0);
+}
 
 RecordedExecution MakeSyntheticRecording(uint64_t num_events,
                                          uint64_t seed = 99) {
@@ -216,17 +235,17 @@ TEST(CheckpointIndexTest, EncodeDecodeRoundtrip) {
   }
 }
 
-// -------------------------------------------------------------- TraceStore
+// ------------------------------------------------------ whole-file writes
 
-TEST(TraceStoreTest, SaveLoadRoundtripsEveryField) {
+TEST(TraceFileTest, SaveLoadRoundtripsEveryField) {
   const RecordedExecution recording = MakeSyntheticRecording(1000);
   ScopedTracePath path("roundtrip");
   TraceWriteOptions options;
   options.events_per_chunk = 128;
   options.checkpoint_interval = 100;
-  ASSERT_TRUE(TraceStore::Save(path.get(), recording, options).ok());
+  ASSERT_TRUE(WriteTraceFile(path.get(), recording, options).ok());
 
-  auto loaded = TraceStore::Load(path.get());
+  auto loaded = LoadTrace(path.get());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->model, recording.model);
   ASSERT_EQ(loaded->log.size(), recording.log.size());
@@ -248,16 +267,15 @@ TEST(TraceStoreTest, SaveLoadRoundtripsEveryField) {
   EXPECT_EQ(loaded->recorded_events, recording.recorded_events);
   EXPECT_DOUBLE_EQ(loaded->OverheadMultiplier(), recording.OverheadMultiplier());
 
-  EXPECT_TRUE(TraceStore::Verify(path.get()).ok());
+  EXPECT_TRUE(VerifyTrace(path.get()).ok());
 }
 
-TEST(TraceStoreTest, SerializeIsDeterministic) {
+TEST(TraceFileTest, SerializeIsDeterministic) {
   const RecordedExecution recording = MakeSyntheticRecording(500);
-  const TraceWriter writer;
-  EXPECT_EQ(writer.Serialize(recording), writer.Serialize(recording));
+  EXPECT_EQ(SerializeTrace(recording), SerializeTrace(recording));
 }
 
-TEST(TraceStoreTest, EmptyLogRoundtrips) {
+TEST(TraceFileTest, EmptyLogRoundtrips) {
   RecordedExecution recording;
   recording.model = "failure";  // ESD-style: snapshot only, no events
   recording.snapshot.has_failure = true;
@@ -265,52 +283,42 @@ TEST(TraceStoreTest, EmptyLogRoundtrips) {
   recording.snapshot.message = "boom";
   recording.snapshot.failure_fingerprint = 0xDEAD;
   ScopedTracePath path("empty");
-  ASSERT_TRUE(TraceStore::Save(path.get(), recording).ok());
-  auto loaded = TraceStore::Load(path.get());
+  ASSERT_TRUE(WriteTraceFile(path.get(), recording).ok());
+  auto loaded = LoadTrace(path.get());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->log.size(), 0u);
   EXPECT_EQ(loaded->snapshot.message, "boom");
-  EXPECT_TRUE(TraceStore::Verify(path.get()).ok());
+  EXPECT_TRUE(VerifyTrace(path.get()).ok());
 }
 
-TEST(TraceStoreTest, MissingFileIsNotFound) {
-  auto loaded = TraceStore::Load("no_such_trace_file.ddrt");
+TEST(TraceFileTest, MissingFileIsNotFound) {
+  auto loaded = LoadTrace("no_such_trace_file.ddrt");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-TEST(TraceStoreTest, DetectsCorruptionAndTruncation) {
+TEST(TraceFileTest, DetectsCorruptionAndTruncation) {
   const RecordedExecution recording = MakeSyntheticRecording(1000);
   ScopedTracePath path("corrupt");
   TraceWriteOptions options;
   options.events_per_chunk = 100;
-  ASSERT_TRUE(TraceStore::Save(path.get(), recording, options).ok());
-
-  // Read the good image.
-  const TraceWriter writer(options);
-  std::vector<uint8_t> image = writer.Serialize(recording);
+  const std::vector<uint8_t> image = SerializeTrace(recording, options);
 
   // Flip one byte in the middle (inside some event chunk): load must fail
   // with a CRC mismatch, not produce garbage events.
   {
     std::vector<uint8_t> bad = image;
     bad[bad.size() / 2] ^= 0x40;
-    std::FILE* f = std::fopen(path.get().c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(bad.data(), 1, bad.size(), f);
-    std::fclose(f);
-    auto loaded = TraceStore::Load(path.get());
-    EXPECT_FALSE(loaded.ok());
-    EXPECT_FALSE(TraceStore::Verify(path.get()).ok());
+    WriteBytes(path.get(), bad);
+    EXPECT_FALSE(LoadTrace(path.get()).ok());
+    EXPECT_FALSE(VerifyTrace(path.get()).ok());
   }
 
   // Truncations at many points: Open or Load must fail cleanly.
   for (size_t keep = 0; keep < image.size(); keep += image.size() / 17 + 1) {
-    std::FILE* f = std::fopen(path.get().c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(image.data(), 1, keep, f);
-    std::fclose(f);
-    EXPECT_FALSE(TraceStore::Load(path.get()).ok()) << "prefix " << keep;
+    WriteBytes(path.get(),
+               std::vector<uint8_t>(image.begin(), image.begin() + keep));
+    EXPECT_FALSE(LoadTrace(path.get()).ok()) << "prefix " << keep;
   }
 }
 
@@ -320,7 +328,7 @@ TEST(TraceReaderTest, PartialRangeReadsTouchOnlyCoveringChunks) {
   TraceWriteOptions options;
   options.events_per_chunk = 256;
   options.checkpoint_interval = 512;
-  ASSERT_TRUE(TraceStore::Save(path.get(), recording, options).ok());
+  ASSERT_TRUE(WriteTraceFile(path.get(), recording, options).ok());
 
   auto reader = TraceReader::Open(path.get());
   ASSERT_TRUE(reader.ok());
@@ -342,32 +350,28 @@ TEST(TraceReaderTest, PartialRangeReadsTouchOnlyCoveringChunks) {
 }
 
 // The same DDRT file decodes to bit-identical logs through the pread and
-// mmap backends, filtered chunks included, and Verify stays green on
-// both.
+// mmap backends, and Verify stays green on both.
 TEST(TraceReaderTest, IoBackendsDecodeBitIdentically) {
-  for (TraceFilter filter : {TraceFilter::kNone, TraceFilter::kVarintDelta}) {
-    const RecordedExecution recording = MakeSyntheticRecording(3000);
-    ScopedTracePath path("backends");
-    TraceWriteOptions options;
-    options.events_per_chunk = 256;
-    options.chunk_filter = filter;
-    ASSERT_TRUE(TraceStore::Save(path.get(), recording, options).ok());
+  const RecordedExecution recording = MakeSyntheticRecording(3000);
+  ScopedTracePath path("backends");
+  TraceWriteOptions options;
+  options.events_per_chunk = 256;
+  ASSERT_TRUE(WriteTraceFile(path.get(), recording, options).ok());
 
-    std::vector<std::vector<uint8_t>> logs;
-    for (IoBackend backend : {IoBackend::kPread, IoBackend::kMmap}) {
-      TraceReaderOptions reader_options;
-      reader_options.io.backend = backend;
-      auto reader = TraceReader::Open(path.get(), reader_options);
-      ASSERT_TRUE(reader.ok()) << reader.status();
-      EXPECT_EQ(reader->io_backend(), backend);
-      EXPECT_TRUE(reader->Verify().ok()) << IoBackendName(backend);
-      auto log = reader->ReadAllEvents();
-      ASSERT_TRUE(log.ok()) << log.status();
-      logs.push_back(log->Encode());
-      EXPECT_GT(reader->bytes_read(), 0u);
-    }
-    EXPECT_EQ(logs[0], logs[1]);
+  std::vector<std::vector<uint8_t>> logs;
+  for (IoBackend backend : {IoBackend::kPread, IoBackend::kMmap}) {
+    TraceReaderOptions reader_options;
+    reader_options.io.backend = backend;
+    auto reader = TraceReader::Open(path.get(), reader_options);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    EXPECT_EQ(reader->io_backend(), backend);
+    EXPECT_TRUE(reader->Verify().ok()) << IoBackendName(backend);
+    auto log = reader->ReadAllEvents();
+    ASSERT_TRUE(log.ok()) << log.status();
+    logs.push_back(log->Encode());
+    EXPECT_GT(reader->bytes_read(), 0u);
   }
+  EXPECT_EQ(logs[0], logs[1]);
 }
 
 // A TraceReader with an attached ChunkCache decodes every chunk once:
@@ -377,7 +381,7 @@ TEST(TraceReaderTest, AttachedCacheMakesRereadsFree) {
   ScopedTracePath path("cached");
   TraceWriteOptions options;
   options.events_per_chunk = 128;
-  ASSERT_TRUE(TraceStore::Save(path.get(), recording, options).ok());
+  ASSERT_TRUE(WriteTraceFile(path.get(), recording, options).ok());
 
   TraceReaderOptions reader_options;
   reader_options.cache = std::make_shared<ChunkCache>(16 << 20);
@@ -403,36 +407,32 @@ TEST(TraceReaderTest, AttachedCacheMakesRereadsFree) {
   EXPECT_EQ(reader->bytes_read(), before);
 }
 
-// ------------------------------------------------- Streaming + filters
+// ------------------------------------------------ Streaming + chunk codec
 
-// The streaming writer produces byte-identical output to the buffered
-// Serialize path, whatever the append batching — so recordings streamed
-// during a run and recordings serialized afterwards are interchangeable.
-TEST(StreamingWriterTest, MatchesBufferedSerializeForBothFilters) {
+// The streaming writer produces byte-identical output to SerializeTrace,
+// whatever the append batching — so recordings streamed during a run and
+// recordings serialized afterwards are interchangeable.
+TEST(StreamingWriterTest, MatchesBufferedSerialize) {
   const RecordedExecution recording = MakeSyntheticRecording(1000);
-  for (TraceFilter filter : {TraceFilter::kNone, TraceFilter::kVarintDelta}) {
-    TraceWriteOptions options;
-    options.events_per_chunk = 128;
-    options.checkpoint_interval = 100;
-    options.chunk_filter = filter;
-    const std::vector<uint8_t> buffered = TraceWriter(options).Serialize(recording);
+  TraceWriteOptions options;
+  options.events_per_chunk = 128;
+  options.checkpoint_interval = 100;
+  const std::vector<uint8_t> buffered = SerializeTrace(recording, options);
 
-    BufferByteSink sink;
-    StreamingTraceWriter writer(&sink, options);
-    ASSERT_TRUE(writer.Begin().ok());
-    const std::vector<Event>& events = recording.log.events();
-    for (size_t i = 0; i < events.size();) {
-      const size_t batch = std::min<size_t>(1 + i % 53, events.size() - i);
-      ASSERT_TRUE(writer.AppendEvents(events.data() + i, batch).ok());
-      i += batch;
-    }
-    ASSERT_TRUE(writer.Finish(FinishInfoFor(recording)).ok());
-
-    EXPECT_EQ(sink.buffer(), buffered)
-        << "filter " << static_cast<int>(filter);
-    EXPECT_EQ(writer.bytes_written(), buffered.size());
-    EXPECT_EQ(writer.events_written(), events.size());
+  BufferByteSink sink;
+  StreamingTraceWriter writer(&sink, options);
+  ASSERT_TRUE(writer.Begin().ok());
+  const std::vector<Event>& events = recording.log.events();
+  for (size_t i = 0; i < events.size();) {
+    const size_t batch = std::min<size_t>(1 + i % 53, events.size() - i);
+    ASSERT_TRUE(writer.AppendEvents(events.data() + i, batch).ok());
+    i += batch;
   }
+  ASSERT_TRUE(writer.Finish(FinishInfoFor(recording)).ok());
+
+  EXPECT_EQ(sink.buffer(), buffered);
+  EXPECT_EQ(writer.bytes_written(), buffered.size());
+  EXPECT_EQ(writer.events_written(), events.size());
 }
 
 TEST(StreamingWriterTest, RejectsOutOfOrderLifecycle) {
@@ -447,57 +447,122 @@ TEST(StreamingWriterTest, RejectsOutOfOrderLifecycle) {
   EXPECT_FALSE(writer.Finish({}).ok());  // twice
 }
 
-// The varint-delta chunk filter round-trips every event and beats the
-// unfiltered encoding on disk (ddrz alone got only ~1.1x on varint-dense
-// chunks; the columnar delta layout is what gives it runs to work with).
-TEST(ChunkFilterTest, VarintDeltaRoundtripsAndShrinks) {
+// The columnar varint-delta chunk layout round-trips every event.
+TEST(ChunkFilterTest, VarintDeltaRoundtrips) {
   const RecordedExecution recording = MakeSyntheticRecording(4000);
-  TraceWriteOptions plain;
-  plain.events_per_chunk = 512;
-  TraceWriteOptions delta = plain;
-  delta.chunk_filter = TraceFilter::kVarintDelta;
-
-  const std::vector<uint8_t> plain_image = TraceWriter(plain).Serialize(recording);
-  const std::vector<uint8_t> delta_image = TraceWriter(delta).Serialize(recording);
-  EXPECT_LT(delta_image.size(), plain_image.size());
-
-  for (const TraceWriteOptions& options : {plain, delta}) {
-    ScopedTracePath path("filter");
-    ASSERT_TRUE(TraceStore::Save(path.get(), recording, options).ok());
-    auto loaded = TraceStore::Load(path.get());
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    ASSERT_EQ(loaded->log.size(), recording.log.size());
-    for (size_t i = 0; i < recording.log.size(); ++i) {
-      EXPECT_EQ(loaded->log.events()[i].SemanticHash(),
-                recording.log.events()[i].SemanticHash());
-      EXPECT_EQ(loaded->log.events()[i].seq, recording.log.events()[i].seq);
-      EXPECT_EQ(loaded->log.events()[i].time, recording.log.events()[i].time);
-    }
-    EXPECT_EQ(loaded->log.encoded_size_bytes(),
-              recording.log.encoded_size_bytes());
-    EXPECT_TRUE(TraceStore::Verify(path.get()).ok());
+  TraceWriteOptions options;
+  options.events_per_chunk = 512;
+  ScopedTracePath path("filter");
+  ASSERT_TRUE(WriteTraceFile(path.get(), recording, options).ok());
+  auto loaded = LoadTrace(path.get());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->log.size(), recording.log.size());
+  for (size_t i = 0; i < recording.log.size(); ++i) {
+    EXPECT_EQ(loaded->log.events()[i].SemanticHash(),
+              recording.log.events()[i].SemanticHash());
+    EXPECT_EQ(loaded->log.events()[i].seq, recording.log.events()[i].seq);
+    EXPECT_EQ(loaded->log.events()[i].time, recording.log.events()[i].time);
   }
+  EXPECT_EQ(loaded->log.encoded_size_bytes(),
+            recording.log.encoded_size_bytes());
+  EXPECT_TRUE(VerifyTrace(path.get()).ok());
 }
 
-// Filtered files advertise themselves through the header version, so a
-// reader that only understands version 1 diagnoses them cleanly.
-TEST(ChunkFilterTest, FilteredFilesStampHeaderVersionTwo) {
+uint32_t HeaderVersion(const std::vector<uint8_t>& image) {
+  Decoder decoder(image.data(), kTraceHeaderBytes);
+  EXPECT_TRUE(decoder.GetFixed32().ok());
+  auto version = decoder.GetFixed32();
+  EXPECT_TRUE(version.ok());
+  return version.ok() ? *version : 0;
+}
+
+// Every image is format version 2, whatever the options.
+TEST(ChunkFilterTest, EveryImageStampsHeaderVersionTwo) {
   const RecordedExecution recording = MakeSyntheticRecording(100);
-  for (TraceFilter filter : {TraceFilter::kNone, TraceFilter::kVarintDelta}) {
-    TraceWriteOptions options;
-    options.chunk_filter = filter;
-    const std::vector<uint8_t> image = TraceWriter(options).Serialize(recording);
-    Decoder decoder(image.data(), 8);
-    ASSERT_TRUE(decoder.GetFixed32().ok());
-    auto version = decoder.GetFixed32();
-    ASSERT_TRUE(version.ok());
-    EXPECT_EQ(*version, filter == TraceFilter::kNone
-                            ? kTraceFormatVersion
-                            : kTraceFormatVersionFiltered);
+  TraceWriteOptions small_chunks;
+  small_chunks.events_per_chunk = 7;
+  small_chunks.checkpoint_interval = 0;
+  for (const TraceWriteOptions& options : {TraceWriteOptions{}, small_chunks}) {
+    EXPECT_EQ(HeaderVersion(SerializeTrace(recording, options)), 2u);
   }
+  EXPECT_EQ(HeaderVersion(SerializeTrace(RecordedExecution{})), 2u);
 }
 
-// A crafted type byte must fail at Event::DecodeFrom (the row-path decode
+// The footer of a serialized image, parsed straight from its bytes: the
+// trailer's offset, then the raw footer section's payload.
+Result<TraceFooter> FooterOf(const std::vector<uint8_t>& image) {
+  Decoder trailer(image.data() + image.size() - kTraceTrailerBytes,
+                  kTraceTrailerBytes);
+  ASSIGN_OR_RETURN(uint64_t offset, trailer.GetFixed64());
+  Decoder section(image.data() + offset, image.size() - offset);
+  RETURN_IF_ERROR(section.GetBytes(2).status());  // kind, filter/codec
+  RETURN_IF_ERROR(section.GetVarint64().status());
+  ASSIGN_OR_RETURN(uint64_t stored, section.GetVarint64());
+  ASSIGN_OR_RETURN(const uint8_t* payload, section.GetBytes(stored));
+  return TraceFooter::Decode(std::span<const uint8_t>(payload, stored));
+}
+
+// The filter nibble sits in the section framing, outside the payload CRC,
+// so the reader checks it against the section kind: a flipped nibble is a
+// loud error, never a silent reinterpretation of the payload.
+TEST(ChunkFilterTest, FilterNibbleMustMatchSectionKind) {
+  const RecordedExecution recording = MakeSyntheticRecording(1000);
+  TraceWriteOptions options;
+  options.events_per_chunk = 100;
+  const std::vector<uint8_t> image = SerializeTrace(recording, options);
+  auto footer = FooterOf(image);
+  ASSERT_TRUE(footer.ok()) << footer.status();
+  ASSERT_FALSE(footer->chunks.empty());
+  ScopedTracePath path("nibble");
+
+  // An event chunk claiming no filter: metadata still opens, but reading
+  // or verifying the chunk fails.
+  std::vector<uint8_t> bad = image;
+  const size_t chunk_codec_byte = footer->chunks[3].file_offset + 1;
+  ASSERT_EQ(bad[chunk_codec_byte] >> 4, 1);
+  bad[chunk_codec_byte] &= 0x0F;
+  WriteBytes(path.get(), bad);
+  auto reader = TraceReader::Open(path.get());
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const Status verified = reader->Verify();
+  EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(verified.message().find("filter"), std::string::npos)
+      << verified.ToString();
+  EXPECT_FALSE(reader->ReadEvents(300, 10).ok());
+  EXPECT_TRUE(reader->ReadEvents(0, 10).ok());  // untouched chunk
+
+  // A metadata section claiming varint-delta: Open fails.
+  bad = image;
+  const size_t meta_codec_byte = footer->metadata_offset + 1;
+  ASSERT_EQ(bad[meta_codec_byte] >> 4, 0);
+  bad[meta_codec_byte] |= 0x10;
+  WriteBytes(path.get(), bad);
+  auto opened = TraceReader::Open(path.get());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("filter"), std::string::npos)
+      << opened.status().ToString();
+  EXPECT_FALSE(VerifyTrace(path.get()).ok());
+}
+
+// Version 1 (row-encoded chunks) is retired: a header claiming it is
+// rejected at Open by name, before any section is trusted.
+TEST(ChunkFilterTest, VersionOneIsRejected) {
+  std::vector<uint8_t> image = SerializeTrace(MakeSyntheticRecording(200));
+  image[4] = 1;  // version fixed32, little-endian
+  ASSERT_EQ(HeaderVersion(image), 1u);
+  ScopedTracePath path("version1");
+  WriteBytes(path.get(), image);
+  auto opened = TraceReader::Open(path.get());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find(
+                "unsupported trace format version 1"),
+            std::string::npos)
+      << opened.status().ToString();
+}
+
+// A crafted type byte must fail at Event::DecodeFrom (the EventLog decode
 // chokepoint), never reach EventLog's per-type counter array.
 TEST(ChunkFilterTest, CraftedEventTypeFailsCleanly) {
   Encoder encoder;
@@ -527,7 +592,6 @@ TEST(ChunkFilterTest, CraftedColumnarCountFailsCleanly) {
     encoder.PutFixed8(0);
   }
   auto decoded = DecodeEventChunkPayload(encoder.buffer(),
-                                         TraceFilter::kVarintDelta,
                                          /*expected_first=*/0,
                                          /*expected_count=*/500);
   ASSERT_FALSE(decoded.ok());
@@ -538,18 +602,14 @@ TEST(ChunkFilterTest, CorruptDeltaChunksFailCleanly) {
   const RecordedExecution recording = MakeSyntheticRecording(1000);
   TraceWriteOptions options;
   options.events_per_chunk = 100;
-  options.chunk_filter = TraceFilter::kVarintDelta;
-  const std::vector<uint8_t> image = TraceWriter(options).Serialize(recording);
+  const std::vector<uint8_t> image = SerializeTrace(recording, options);
 
   ScopedTracePath path("deltacorrupt");
   std::vector<uint8_t> bad = image;
   bad[bad.size() / 2] ^= 0x10;
-  std::FILE* f = std::fopen(path.get().c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(bad.data(), 1, bad.size(), f);
-  std::fclose(f);
-  EXPECT_FALSE(TraceStore::Load(path.get()).ok());
-  EXPECT_FALSE(TraceStore::Verify(path.get()).ok());
+  WriteBytes(path.get(), bad);
+  EXPECT_FALSE(LoadTrace(path.get()).ok());
+  EXPECT_FALSE(VerifyTrace(path.get()).ok());
 }
 
 // All fields of two decoded events must agree, not just the semantic hash
@@ -576,14 +636,13 @@ void ExpectEventsIdentical(const std::vector<Event>& a,
 TEST(ChunkFilterTest, ScalarAndBatchedDecodeBitIdentical) {
   const RecordedExecution recording = MakeSyntheticRecording(1500);
   const std::vector<Event>& events = recording.log.events();
-  for (const TraceFilter filter :
-       {TraceFilter::kNone, TraceFilter::kVarintDelta}) {
+  {
     const std::vector<uint8_t> payload = EncodeEventChunkPayload(
-        events.data(), events.size(), /*first_event=*/0, filter);
+        events.data(), events.size(), /*first_event=*/0);
     auto scalar = DecodeEventChunkPayloadWithPath(
-        payload, filter, 0, events.size(), ColumnarDecodePath::kScalar);
+        payload, 0, events.size(), ColumnarDecodePath::kScalar);
     auto batched = DecodeEventChunkPayloadWithPath(
-        payload, filter, 0, events.size(), ColumnarDecodePath::kBatched);
+        payload, 0, events.size(), ColumnarDecodePath::kBatched);
     ASSERT_TRUE(scalar.ok()) << scalar.status();
     ASSERT_TRUE(batched.ok()) << batched.status();
     ExpectEventsIdentical(*scalar, *batched);
@@ -602,14 +661,12 @@ TEST(ChunkFilterTest, ScalarAndBatchedDecodeBitIdentical) {
       const std::vector<Event>& log = real.log.events();
       for (uint64_t first = 0; first < log.size(); first += chunk) {
         const uint64_t count = std::min<uint64_t>(chunk, log.size() - first);
-        const std::vector<uint8_t> payload = EncodeEventChunkPayload(
-            log.data() + first, count, first, TraceFilter::kVarintDelta);
+        const std::vector<uint8_t> payload =
+            EncodeEventChunkPayload(log.data() + first, count, first);
         auto scalar = DecodeEventChunkPayloadWithPath(
-            payload, TraceFilter::kVarintDelta, first, count,
-            ColumnarDecodePath::kScalar);
+            payload, first, count, ColumnarDecodePath::kScalar);
         auto batched = DecodeEventChunkPayloadWithPath(
-            payload, TraceFilter::kVarintDelta, first, count,
-            ColumnarDecodePath::kBatched);
+            payload, first, count, ColumnarDecodePath::kBatched);
         ASSERT_TRUE(scalar.ok()) << scalar.status();
         ASSERT_TRUE(batched.ok()) << batched.status();
         ExpectEventsIdentical(*scalar, *batched);
@@ -634,8 +691,8 @@ TEST(ChunkFilterTest, CraftedHugeColumnarCountFailsOnBothPaths) {
   for (const ColumnarDecodePath path :
        {ColumnarDecodePath::kScalar, ColumnarDecodePath::kBatched}) {
     auto decoded = DecodeEventChunkPayloadWithPath(
-        encoder.buffer(), TraceFilter::kVarintDelta,
-        /*expected_first=*/0, /*expected_count=*/1ull << 60, path);
+        encoder.buffer(), /*expected_first=*/0,
+        /*expected_count=*/1ull << 60, path);
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
@@ -651,17 +708,14 @@ TEST(ChunkFilterTest, CorruptionSweepAgreesAcrossDecodePaths) {
   const RecordedExecution recording = MakeSyntheticRecording(600, /*seed=*/7);
   const std::vector<Event>& events = recording.log.events();
   const std::vector<uint8_t> payload = EncodeEventChunkPayload(
-      events.data(), events.size(), /*first_event=*/0,
-      TraceFilter::kVarintDelta);
+      events.data(), events.size(), /*first_event=*/0);
 
   const auto decode_both = [&](const std::vector<uint8_t>& bytes,
                                const char* what, size_t at) {
     auto scalar = DecodeEventChunkPayloadWithPath(
-        bytes, TraceFilter::kVarintDelta, 0, events.size(),
-        ColumnarDecodePath::kScalar);
+        bytes, 0, events.size(), ColumnarDecodePath::kScalar);
     auto batched = DecodeEventChunkPayloadWithPath(
-        bytes, TraceFilter::kVarintDelta, 0, events.size(),
-        ColumnarDecodePath::kBatched);
+        bytes, 0, events.size(), ColumnarDecodePath::kBatched);
     ASSERT_EQ(scalar.ok(), batched.ok()) << what << " at " << at;
     if (scalar.ok()) {
       ExpectEventsIdentical(*scalar, *batched);
@@ -680,21 +734,21 @@ TEST(ChunkFilterTest, CorruptionSweepAgreesAcrossDecodePaths) {
   }
 }
 
-TEST(TraceWriterTest, WriteFileIsAtomic) {
+TEST(WriteTraceFileTest, WriteFileIsAtomic) {
   const RecordedExecution recording = MakeSyntheticRecording(200);
   ScopedTracePath path("atomicfile");
-  ASSERT_TRUE(TraceWriter().WriteFile(path.get(), recording).ok());
-  EXPECT_TRUE(TraceStore::Verify(path.get()).ok());
+  ASSERT_TRUE(WriteTraceFile(path.get(), recording).ok());
+  EXPECT_TRUE(VerifyTrace(path.get()).ok());
 
   // An unwritable destination directory fails with a Status and leaves
   // nothing behind at the target path.
   const std::string bad_path = "no_such_dir_for_traces/x.ddrt";
-  EXPECT_FALSE(TraceWriter().WriteFile(bad_path, recording).ok());
+  EXPECT_FALSE(WriteTraceFile(bad_path, recording).ok());
   std::ifstream target(bad_path, std::ios::binary);
   EXPECT_FALSE(target.good());
 }
 
-TEST(TraceWriterTest, AbandonedSinkRemovesItsTempFile) {
+TEST(AtomicFileSinkTest, AbandonedSinkRemovesItsTempFile) {
   ScopedTracePath path("abandoned");
   std::string tmp_path;
   {

@@ -15,7 +15,7 @@
 //                                             run a bundled bug scenario and
 //                                             save its recording
 //   ddr-trace corpus build  <file> [--scenarios a,b] [--models m1,m2]
-//                           [--threads N] [--chunk N] [--ckpt N] [--delta]
+//                           [--threads N] [--chunk N] [--ckpt N]
 //                           [--report path]   batch-record every scenario x
 //                                             model into one DDRC bundle
 //   ddr-trace corpus info   <file>            list bundle entries
@@ -66,7 +66,6 @@
 #include "src/server/corpus_server.h"
 #include "src/trace/corpus.h"
 #include "src/trace/trace_reader.h"
-#include "src/trace/trace_store.h"
 #include "src/util/cli_flags.h"
 #include "src/util/string_util.h"
 
@@ -88,18 +87,13 @@ constexpr CliFlag kDumpFlags[] = {{"--io", true},
 constexpr CliFlag kReplayFlags[] = {{"--io", true},
                                     {"--cache-mb", true},
                                     {"--target", true}};
-constexpr CliFlag kRecordFlags[] = {{"--model", true},
-                                    {"--chunk", true},
-                                    {"--ckpt", true},
-                                    {"--delta", false}};
+constexpr CliFlag kRecordFlags[] = {
+    {"--model", true}, {"--chunk", true}, {"--ckpt", true}};
+// `corpus build` and `corpus append` take the same flags.
 constexpr CliFlag kCorpusBuildFlags[] = {
-    {"--scenarios", true}, {"--models", true},   {"--threads", true},
-    {"--chunk", true},     {"--ckpt", true},     {"--delta", false},
-    {"--report", true},    {"--io", true},       {"--cache-mb", true}};
-constexpr CliFlag kCorpusAppendFlags[] = {
-    {"--scenarios", true}, {"--models", true},   {"--threads", true},
-    {"--chunk", true},     {"--ckpt", true},     {"--delta", false},
-    {"--report", true},    {"--io", true},       {"--cache-mb", true}};
+    {"--scenarios", true}, {"--models", true}, {"--threads", true},
+    {"--chunk", true},     {"--ckpt", true},   {"--report", true},
+    {"--io", true},        {"--cache-mb", true}};
 constexpr CliFlag kCorpusReplayFlags[] = {{"--threads", true},
                                           {"--report", true},
                                           {"--io", true},
@@ -134,10 +128,10 @@ void PrintUsage() {
                "  verify <file>                   verify CRCs and structure\n"
                "  replay <file> [--target N]      replay the recording\n"
                "  record <scenario> <file> [--model NAME] [--chunk N] "
-               "[--ckpt N] [--delta]\n"
+               "[--ckpt N]\n"
                "  corpus build  <file> [--scenarios a,b] [--models m1,m2]\n"
                "                [--threads N] [--chunk N] [--ckpt N] "
-               "[--delta] [--report path]\n"
+               "[--report path]\n"
                "  corpus info   <file>\n"
                "  corpus verify <file>\n"
                "  corpus replay <file> [--threads N] [--report path]\n"
@@ -385,8 +379,8 @@ int Dump(const std::string& path, uint64_t from, uint64_t count, int argc,
 }
 
 int VerifyFile(const std::string& path, int argc, char** argv) {
-  const Status status =
-      TraceStore::Verify(path, ReaderOptionsFromFlags(argc, argv));
+  auto reader = TraceReader::Open(path, ReaderOptionsFromFlags(argc, argv));
+  const Status status = reader.ok() ? reader->Verify() : reader.status();
   if (!status.ok()) {
     std::fprintf(stderr, "ddr-trace: verify FAILED: %s\n",
                  status.ToString().c_str());
@@ -494,9 +488,6 @@ int RecordScenario(const std::string& scenario_name, const std::string& path,
   TraceWriteOptions options;
   options.events_per_chunk = ParseFlag(argc, argv, "--chunk", 512);
   options.checkpoint_interval = ParseFlag(argc, argv, "--ckpt", 256);
-  if (HasFlag(argc, argv, "--delta")) {
-    options.chunk_filter = TraceFilter::kVarintDelta;
-  }
   const Status saved = harness.SaveRecording(recording, path, options);
   if (!saved.ok()) {
     std::fprintf(stderr, "ddr-trace: %s\n", saved.ToString().c_str());
@@ -590,9 +581,6 @@ int CorpusBuild(const std::string& path, bool append, int argc, char** argv) {
   }
   options.trace_options.events_per_chunk = ParseFlag(argc, argv, "--chunk", 512);
   options.trace_options.checkpoint_interval = ParseFlag(argc, argv, "--ckpt", 256);
-  if (HasFlag(argc, argv, "--delta")) {
-    options.trace_options.chunk_filter = TraceFilter::kVarintDelta;
-  }
 
   auto report = BatchRunner(std::move(scenarios), options).Run();
   if (!report.ok()) {
@@ -1221,7 +1209,7 @@ int CorpusMain(int argc, char** argv) {
     return CorpusBuild(path, /*append=*/false, argc, argv);
   }
   if (subcommand == "append") {
-    RequireKnownFlags(argc, argv, kCorpusAppendFlags);
+    RequireKnownFlags(argc, argv, kCorpusBuildFlags);
     return CorpusBuild(path, /*append=*/true, argc, argv);
   }
   if (subcommand == "merge") {
