@@ -295,7 +295,10 @@ void RunAppendBench(BenchJsonWriter& json) {
   const double append_seconds = Seconds(append_start);
   CHECK_EQ(corpus->entries().size(), entries_before);  // old index until Reopen
 
-  CHECK(corpus->Reopen().ok());
+  auto reopened = corpus->Reopen();
+  CHECK(reopened.ok()) << reopened.status();
+  CHECK_EQ(corpus->entries().size(), entries_before);  // held reader untouched
+  corpus = std::move(*reopened);
   CHECK(corpus->journaled());
   CHECK_EQ(corpus->entries().size(), entries_before + kAppended);
   const ChunkCacheStats reopened_stats = corpus->cache_stats();
@@ -402,6 +405,81 @@ void RunAppendScalingBench(BenchJsonWriter& json) {
   // the cost is flat in base size (the same bound CI asserts).
   CHECK(written[1] < written[0] + 256);
   CHECK(written[1] < base_sizes[1] / 2);
+}
+
+// Reopen scaling: a reader held at generation N picks up one more
+// appended generation. The incremental Reopen reads the header, the new
+// trailer, its delta index and the held trailer it links down to — never
+// the generations the reader already holds — so with equal-length names
+// the bytes it reads are identical at every chain length, while a fresh
+// Open walks the whole chain.
+void RunReopenScalingBench(BenchJsonWriter& json) {
+  constexpr uint64_t kEntryEvents = 300;
+  const std::string path = "micro_corpus_serve_reopen.tmp.ddrc";
+  const auto add_generation = [&](uint64_t generation) {
+    const std::string name =
+        StrPrintf("gen/%05llu", static_cast<unsigned long long>(generation));
+    const RecordedExecution recording = MakeRecording(kEntryEvents, 55);
+    if (generation == 1) {
+      CorpusWriter writer(path);
+      CHECK(writer.Begin().ok());
+      CHECK(writer.Add(name, recording).ok());
+      CHECK(writer.Finish().ok());
+      return;
+    }
+    auto writer = CorpusWriter::AppendTo(path);
+    CHECK(writer.ok()) << writer.status();
+    CHECK((*writer)->Add(name, recording).ok());
+    CHECK((*writer)->Finish().ok());
+  };
+
+  const uint64_t chain_lengths[2] = {16, 512};
+  uint64_t reopen_bytes[2] = {0, 0};
+  for (int c = 0; c < 2; ++c) {
+    const uint64_t chain = chain_lengths[c];
+    for (uint64_t g = 1; g <= chain; ++g) {
+      add_generation(g);
+    }
+    auto held = CorpusReader::Open(path, Options(IoBackend::kMmap, 0));
+    CHECK(held.ok()) << held.status();
+    CHECK_EQ(held->generation(), chain);
+    add_generation(chain + 1);
+
+    auto start = std::chrono::steady_clock::now();
+    auto next = held->Reopen();
+    const double reopen_seconds = Seconds(start);
+    CHECK(next.ok()) << next.status();
+    CHECK_EQ(next->generation(), chain + 1);
+    reopen_bytes[c] = next->bytes_read();
+
+    start = std::chrono::steady_clock::now();
+    auto fresh = CorpusReader::Open(path, Options(IoBackend::kMmap, 0));
+    const double open_seconds = Seconds(start);
+    CHECK(fresh.ok()) << fresh.status();
+    CHECK_EQ(fresh->entries().size(), next->entries().size());
+    CHECK_EQ(fresh->entries().back().name, next->entries().back().name);
+
+    std::printf(
+        "reopen-scaling: chain %4llu + 1 generation -> reopen reads %6llu B "
+        "in %.5fs; fresh open reads %8llu B in %.5fs\n",
+        static_cast<unsigned long long>(chain),
+        static_cast<unsigned long long>(reopen_bytes[c]), reopen_seconds,
+        static_cast<unsigned long long>(fresh->bytes_read()), open_seconds);
+
+    JsonLine line = json.Line();
+    line.Str("section", "reopen-scaling")
+        .Int("generations", chain)
+        .Int("reopen_bytes_read", reopen_bytes[c])
+        .Num("reopen_seconds", reopen_seconds)
+        .Int("open_bytes_read", fresh->bytes_read())
+        .Num("open_seconds", open_seconds);
+    json.Write(line);
+    std::remove(path.c_str());
+  }
+
+  // The acceptance shape: a pickup reads O(new generations), flat in the
+  // chain length (the same count corpus_test asserts).
+  CHECK_EQ(reopen_bytes[0], reopen_bytes[1]);
 }
 
 // The daemon transport tax: N clients over a unix-domain socket each
@@ -612,6 +690,7 @@ void RunAll() {
   RunConcurrencyBench(json);
   RunAppendBench(json);
   RunAppendScalingBench(json);
+  RunReopenScalingBench(json);
   RunServerBench(json);
   RunResilienceBench(json);
   std::remove(kCorpusPath);

@@ -3,7 +3,7 @@
 //
 // Each model is a self-contained body: it spawns participant threads
 // with sched::Spawn and does all cross-thread communication through
-// sched-point operations (ddr::Mutex/SharedMutex/CondVar, SharedVar).
+// sched-point operations (ddr::Mutex/CondVar, SharedVar).
 // The clean models mirror the locking structure of a shipped subsystem
 // and are expected to be deadlock- and lost-wakeup-free under full
 // bounded exploration; the expect_finding models carry a deliberate bug

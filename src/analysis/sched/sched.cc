@@ -41,8 +41,6 @@ constexpr char kSchedulePrefix[] = "v1:";
 enum class WaitKind : uint8_t {
   kNone,
   kMutex,       // ddr::Mutex lock (or CondVar mutex reacquire after wake)
-  kSharedExcl,  // SharedMutex writer lock
-  kSharedRead,  // SharedMutex reader lock
   kCond,        // untimed CondVar wait, not yet notified
   kCondTimed,   // timed CondVar wait (timeout = spurious wake is legal)
   kJoin,        // SchedThread::Join on an unfinished thread
@@ -59,22 +57,16 @@ struct ThreadRec {
   enum class St : uint8_t { kRunnable, kBlocked, kFinished };
   St st = St::kRunnable;
   WaitKind wait = WaitKind::kNone;
-  const void* wait_obj = nullptr;      // mutex / shared mutex / condvar
+  const void* wait_obj = nullptr;      // mutex / condvar
   const void* reacquire_mu = nullptr;  // condvar waits: mutex to retake
   const void* woke_cv = nullptr;       // set when a notify claimed us
   int join_target = -1;
 
-  std::vector<const void*> held;       // exclusive holds, acquisition order
-  std::map<const void*, int> read_held;  // shared-read hold counts
+  std::vector<const void*> held;       // holds, acquisition order
 };
 
 struct MutexModel {
   int owner = -1;  // thread id, -1 = free
-};
-
-struct SharedModel {
-  int writer = -1;
-  std::vector<int> readers;  // one entry per outstanding shared hold
 };
 
 struct CondModel {
@@ -212,63 +204,6 @@ class Engine {
       *acquired = false;
       LogEvent(*self, StrPrintf("trylock %s (busy; held by t%d)",
                                 Name(mu, 'm').c_str(), m.owner));
-    }
-    Reschedule(lock, self);
-    return true;
-  }
-
-  bool SharedLock(const void* mu, bool exclusive) {
-    ThreadRec* self = t_self;
-    std::unique_lock<std::mutex> lock(mu_);
-    if (poisoned_) throw SchedKilled{};
-    SharedModel& m = shared_[mu];
-    if (exclusive) {
-      RecordLockEdges(self, mu);
-      if (m.writer == -1 && m.readers.empty()) {
-        m.writer = self->id;
-        self->held.push_back(mu);
-        LogEvent(*self, "wrlock " + Name(mu, 's'));
-      } else {
-        LogEvent(*self, "wrlock " + Name(mu, 's') + " (blocked)");
-        Block(self, WaitKind::kSharedExcl, mu);
-      }
-    } else {
-      if (m.writer == -1) {
-        m.readers.push_back(self->id);
-        ++self->read_held[mu];
-        LogEvent(*self, "rdlock " + Name(mu, 's'));
-      } else {
-        LogEvent(*self, StrPrintf("rdlock %s (blocked; writer t%d)",
-                                  Name(mu, 's').c_str(), m.writer));
-        Block(self, WaitKind::kSharedRead, mu);
-      }
-    }
-    Reschedule(lock, self);
-    return true;
-  }
-
-  bool SharedUnlock(const void* mu, bool exclusive) {
-    ThreadRec* self = t_self;
-    std::unique_lock<std::mutex> lock(mu_);
-    if (poisoned_) return true;  // release during unwind: no-op
-    SharedModel& m = shared_[mu];
-    if (exclusive) {
-      CHECK(m.writer == self->id)
-          << "t" << self->id << " write-unlocks " << Name(mu, 's')
-          << " it does not hold";
-      m.writer = -1;
-      EraseHold(self, mu);
-      LogEvent(*self, "wrunlock " + Name(mu, 's'));
-    } else {
-      auto it = std::find(m.readers.begin(), m.readers.end(), self->id);
-      CHECK(it != m.readers.end())
-          << "t" << self->id << " read-unlocks " << Name(mu, 's')
-          << " it does not hold";
-      m.readers.erase(it);
-      if (--self->read_held[mu] == 0) {
-        self->read_held.erase(mu);
-      }
-      LogEvent(*self, "rdunlock " + Name(mu, 's'));
     }
     Reschedule(lock, self);
     return true;
@@ -416,15 +351,6 @@ class Engine {
         auto it = mutexes_.find(t.wait_obj);
         return it == mutexes_.end() || it->second.owner == -1;
       }
-      case WaitKind::kSharedExcl: {
-        auto it = shared_.find(t.wait_obj);
-        return it == shared_.end() ||
-               (it->second.writer == -1 && it->second.readers.empty());
-      }
-      case WaitKind::kSharedRead: {
-        auto it = shared_.find(t.wait_obj);
-        return it == shared_.end() || it->second.writer == -1;
-      }
       case WaitKind::kCond:
         return false;  // only a notify can release an untimed wait
       case WaitKind::kCondTimed: {
@@ -455,22 +381,6 @@ class Engine {
         } else {
           LogEvent(*self, "acquired " + Name(self->wait_obj, 'm'));
         }
-        break;
-      }
-      case WaitKind::kSharedExcl: {
-        SharedModel& m = shared_[self->wait_obj];
-        CHECK(m.writer == -1 && m.readers.empty());
-        m.writer = self->id;
-        self->held.push_back(self->wait_obj);
-        LogEvent(*self, "wr-acquired " + Name(self->wait_obj, 's'));
-        break;
-      }
-      case WaitKind::kSharedRead: {
-        SharedModel& m = shared_[self->wait_obj];
-        CHECK(m.writer == -1);
-        m.readers.push_back(self->id);
-        ++self->read_held[self->wait_obj];
-        LogEvent(*self, "rd-acquired " + Name(self->wait_obj, 's'));
         break;
       }
       case WaitKind::kCondTimed: {
@@ -601,12 +511,6 @@ class Engine {
         return StrPrintf("t%d blocked locking %s (held by t%d)", t.id,
                          NameOf(t.wait_obj).c_str(), owner);
       }
-      case WaitKind::kSharedExcl:
-        return StrPrintf("t%d blocked write-locking %s", t.id,
-                         NameOf(t.wait_obj).c_str());
-      case WaitKind::kSharedRead:
-        return StrPrintf("t%d blocked read-locking %s", t.id,
-                         NameOf(t.wait_obj).c_str());
       case WaitKind::kCond:
         return StrPrintf("t%d waiting on %s (mutex %s, no notify pending)",
                          t.id, NameOf(t.wait_obj).c_str(),
@@ -758,7 +662,6 @@ class Engine {
   std::vector<SchedFinding> findings_;
 
   std::map<const void*, MutexModel> mutexes_;
-  std::map<const void*, SharedModel> shared_;
   std::map<const void*, CondModel> conds_;
   std::map<const void*, std::string> names_;
   std::map<char, int> name_counters_;
@@ -935,14 +838,6 @@ bool UnlockHook(void* mu) {
 
 bool TryLockHook(void* mu, bool* acquired) {
   return Participating() && sched::g_engine->TryLock(mu, acquired);
-}
-
-bool SharedLockHook(void* mu, bool exclusive) {
-  return Participating() && sched::g_engine->SharedLock(mu, exclusive);
-}
-
-bool SharedUnlockHook(void* mu, bool exclusive) {
-  return Participating() && sched::g_engine->SharedUnlock(mu, exclusive);
 }
 
 bool CondWaitHook(void* cv, void* mu, bool timed) {

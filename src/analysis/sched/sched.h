@@ -10,7 +10,7 @@
 //
 // Model: a test body runs under a cooperative scheduler that admits ONE
 // runnable thread at a time. Every operation on the annotated wrappers
-// (ddr::Mutex / SharedMutex / CondVar, hooked in
+// (ddr::Mutex / CondVar, hooked in
 // src/util/thread_annotations.h) plus sched::SharedVar accesses and
 // Spawn/Join are sched-points: the running thread logs an event, applies
 // the operation to the scheduler's model of the primitive, and hands the

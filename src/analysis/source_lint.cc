@@ -459,8 +459,8 @@ struct RawSyncToken {
 constexpr RawSyncToken kRawSync[] = {
     {"std::mutex", "ddr::Mutex"},
     {"std::recursive_mutex", "ddr::Mutex (and remove the reentrancy)"},
-    {"std::shared_mutex", "ddr::SharedMutex"},
-    {"std::shared_timed_mutex", "ddr::SharedMutex"},
+    {"std::shared_mutex", "ddr::Mutex"},
+    {"std::shared_timed_mutex", "ddr::Mutex"},
     {"std::condition_variable_any", "ddr::CondVar"},
     {"std::condition_variable", "ddr::CondVar"},
     {"std::thread", "ddr::OsThread"},

@@ -111,7 +111,8 @@ class BatchRunner {
 // one lazily-built ScenarioPrep per scenario across every call and every
 // thread. This is the per-request half of ReplayCorpus, split out so a
 // long-lived server can score entries one at a time — arriving on any
-// worker thread, against a reader that gets Reopen'd between calls —
+// worker thread, against whichever reader snapshot a refresh last
+// published —
 // while paying each scenario's seed search exactly once for the life of
 // the scorer. Results are bit-identical (RowSignature) to a ReplayCorpus
 // pass over the same bundle: same prep (include_training=false), same

@@ -60,6 +60,10 @@ RpcResponse ErrorResponse(const Status& status) {
   return response;
 }
 
+Status DrainingError() {
+  return UnavailableError("server is draining (shutdown)");
+}
+
 RpcResponse OkResponse(std::vector<uint8_t> payload = {}) {
   RpcResponse response;
   response.payload = std::move(payload);
@@ -76,15 +80,23 @@ struct CorpusServer::Impl {
   Socket listener;
   bool unix_endpoint = false;
 
-  // The one shared reader + cache. Requests execute under the shared
-  // side; Refresh swaps generations under the exclusive side (windows
-  // handed out before a Reopen stay valid, so in-flight requests only
-  // need to have *entered* under the old index, not to outlive the swap).
-  mutable SharedMutex reader_mu;
-  std::optional<CorpusReader> reader GUARDED_BY(reader_mu);
+  // The reader requests run on, published as an immutable snapshot. A
+  // request pins it (a shared_ptr copy; snapshot_mu is held only for the
+  // copy) and finishes on it even if a refresh swaps in the next one;
+  // the last pin of a retired snapshot releases its handle. Every
+  // snapshot shares one ChunkCache.
+  mutable Mutex snapshot_mu;
+  std::shared_ptr<const CorpusReader> snapshot GUARDED_BY(snapshot_mu);
+  // Bytes read through the handles of retired snapshots up to their
+  // swap, so corpus_bytes_read never restarts at a refresh.
+  uint64_t retired_bytes_read GUARDED_BY(snapshot_mu) = 0;
+  // Serializes refreshes (the RPC and the watcher): each one reopens
+  // against the snapshot it will replace, so a generation is picked up
+  // and counted exactly once.
+  Mutex refresh_mu;
 
   // Immutable after Start and internally synchronized (prep futures
-  // behind its own mutex), so not guarded by reader_mu.
+  // behind its own mutex), so not guarded by snapshot_mu.
   std::optional<CorpusEntryScorer> scorer;
 
   // Bounded admission queue.
@@ -182,23 +194,23 @@ struct CorpusServer::Impl {
         return HandleReplay(request.name, request.model);
       case RpcCommand::kStats:
         return OkResponse(EncodeServeStats(Snapshot()));
-      case RpcCommand::kRefresh: {
-        auto refreshed = Refresh();
-        if (!refreshed.ok()) {
-          return ErrorResponse(refreshed.status());
-        }
-        return OkResponse(EncodeServeRefresh(*refreshed));
-      }
+      // The control commands are answered inline by the connection's
+      // reader thread; handling them here too keeps a queued one harmless.
+      case RpcCommand::kRefresh:
+        return HandleRefresh();
       case RpcCommand::kShutdown:
-        // Normally answered inline by the reader thread; acknowledging
-        // here too keeps a queued one harmless.
         return OkResponse();
     }
     return ErrorResponse(InvalidArgumentError("unknown rpc command"));
   }
 
+  std::shared_ptr<const CorpusReader> Pin() const {
+    MutexLock lock(snapshot_mu);
+    return snapshot;
+  }
+
   RpcResponse HandleInfo() {
-    ReaderMutexLock lock(reader_mu);
+    const std::shared_ptr<const CorpusReader> reader = Pin();
     ServeInfo info;
     info.path = reader->path();
     info.file_size = reader->file_size();
@@ -215,7 +227,7 @@ struct CorpusServer::Impl {
   }
 
   RpcResponse HandleList() {
-    ReaderMutexLock lock(reader_mu);
+    const std::shared_ptr<const CorpusReader> reader = Pin();
     std::vector<ServeEntry> entries;
     entries.reserve(reader->entries().size());
     for (const CorpusEntry& entry : reader->entries()) {
@@ -231,7 +243,7 @@ struct CorpusServer::Impl {
   }
 
   RpcResponse HandleVerify(const std::string& name) {
-    ReaderMutexLock lock(reader_mu);
+    const std::shared_ptr<const CorpusReader> reader = Pin();
     if (name.empty()) {
       if (Status verified = reader->VerifyAll(); !verified.ok()) {
         return ErrorResponse(verified);
@@ -264,7 +276,7 @@ struct CorpusServer::Impl {
       return ErrorResponse(
           InvalidArgumentError("replay needs an entry name"));
     }
-    ReaderMutexLock lock(reader_mu);
+    const std::shared_ptr<const CorpusReader> reader = Pin();
     const CorpusEntry* entry = reader->Find(name);
     if (entry == nullptr) {
       return ErrorResponse(
@@ -277,16 +289,33 @@ struct CorpusServer::Impl {
     return OkResponse(EncodeBatchCell(*cell));
   }
 
+  RpcResponse HandleRefresh() {
+    auto refreshed = Refresh();
+    if (!refreshed.ok()) {
+      return ErrorResponse(refreshed.status());
+    }
+    return OkResponse(EncodeServeRefresh(*refreshed));
+  }
+
+  // Builds the next reader off-lock (requests keep running on the
+  // current snapshot meanwhile) and swaps it in. On failure the current
+  // snapshot keeps serving — the caller sees the error, clients see no
+  // change.
   Result<ServeRefresh> Refresh() {
-    WriterMutexLock lock(reader_mu);
+    MutexLock serialized(refresh_mu);
+    const std::shared_ptr<const CorpusReader> current = Pin();
+    ASSIGN_OR_RETURN(CorpusReader reopened, current->Reopen());
+    auto next = std::make_shared<const CorpusReader>(std::move(reopened));
     ServeRefresh out;
-    out.generation_before = reader->generation();
-    out.entries_before = reader->entries().size();
-    // On failure the reader is untouched and keeps serving the old
-    // generation — the caller sees the error, clients see no change.
-    RETURN_IF_ERROR(reader->Reopen());
-    out.generation_after = reader->generation();
-    out.entries_after = reader->entries().size();
+    out.generation_before = current->generation();
+    out.entries_before = current->entries().size();
+    out.generation_after = next->generation();
+    out.entries_after = next->entries().size();
+    {
+      MutexLock lock(snapshot_mu);
+      retired_bytes_read += current->bytes_read();
+      snapshot = std::move(next);
+    }
     out.picked_up = out.generation_after != out.generation_before ||
                     out.entries_after != out.entries_before;
     refreshes.fetch_add(1, std::memory_order_relaxed);
@@ -311,10 +340,16 @@ struct CorpusServer::Impl {
         generations_picked_up.load(std::memory_order_relaxed);
     stats.clients_total = clients_total.load(std::memory_order_relaxed);
     stats.clients_active = clients_active.load(std::memory_order_relaxed);
-    ReaderMutexLock lock(reader_mu);
+    std::shared_ptr<const CorpusReader> reader;
+    {
+      // Summed under the lock so a concurrent swap cannot count the
+      // retiring handle twice or not at all.
+      MutexLock lock(snapshot_mu);
+      reader = snapshot;
+      stats.corpus_bytes_read = retired_bytes_read + reader->bytes_read();
+    }
     stats.generation = reader->generation();
     stats.entry_count = reader->entries().size();
-    stats.corpus_bytes_read = reader->bytes_read();
     stats.cache = reader->cache_stats();
     return stats;
   }
@@ -350,15 +385,21 @@ struct CorpusServer::Impl {
     while (true) {
       // Idle wait: unbounded but stoppable — a connected-but-quiet client
       // is legitimate and costs only a 200ms poll. The request deadline
-      // starts once the first bytes of a frame arrive.
+      // starts once the first bytes of a frame arrive. Once stopping, a
+      // request already sent is still read and answered (as draining),
+      // not dropped with the connection.
       bool readable = false;
-      while (!stop.load(std::memory_order_acquire)) {
-        auto wait = WaitReadable(conn->socket, 200);
+      while (true) {
+        const bool stopping = stop.load(std::memory_order_acquire);
+        auto wait = WaitReadable(conn->socket, stopping ? 0 : 200);
         if (!wait.ok()) {
           break;  // poll error: treat the connection as gone
         }
         if (*wait) {
           readable = true;
+          break;
+        }
+        if (stopping) {
           break;
         }
       }
@@ -388,11 +429,19 @@ struct CorpusServer::Impl {
       requests_total.fetch_add(1, std::memory_order_relaxed);
       requests_by_command[static_cast<size_t>(request->command)].fetch_add(
           1, std::memory_order_relaxed);
+      // Control commands are answered inline: they must not sit behind —
+      // or be rejected by — a queue full of replays. Shutdown is acked
+      // before the drain starts; a refresh swaps the next snapshot in
+      // without waiting for in-flight requests.
       if (request->command == RpcCommand::kShutdown) {
-        // Control command: answered inline (it must not sit behind — or
-        // be rejected by — a full queue), acked before the drain starts.
         WriteResponse(*conn, OkResponse());
         RequestStop();
+        continue;
+      }
+      if (request->command == RpcCommand::kRefresh) {
+        WriteResponse(*conn, stop.load(std::memory_order_acquire)
+                                 ? ErrorResponse(DrainingError())
+                                 : HandleRefresh());
         continue;
       }
       switch (TryPush(Task{conn, std::move(*request)})) {
@@ -407,8 +456,7 @@ struct CorpusServer::Impl {
                   std::max<size_t>(options.queue_capacity, 1)))));
           break;
         case PushResult::kClosed:
-          WriteResponse(*conn, ErrorResponse(UnavailableError(
-                                   "server is draining (shutdown)")));
+          WriteResponse(*conn, ErrorResponse(DrainingError()));
           break;
       }
     }
@@ -447,12 +495,7 @@ struct CorpusServer::Impl {
       if (::stat(bundle_path.c_str(), &st) != 0) {
         continue;
       }
-      uint64_t seen = 0;
-      {
-        ReaderMutexLock lock(reader_mu);
-        seen = reader->file_size();
-      }
-      if (static_cast<uint64_t>(st.st_size) != seen) {
+      if (static_cast<uint64_t>(st.st_size) != Pin()->file_size()) {
         // Size moved: attempt the pickup. Reopen does the real trailer
         // inspection; a mid-append (unpublished) tail reopens to the
         // same generation and counts as no pickup. Errors leave the old
@@ -555,8 +598,8 @@ Result<std::unique_ptr<CorpusServer>> CorpusServer::Start(
   {
     // No other thread exists yet; the lock exists for the analysis (and
     // costs nothing uncontended).
-    WriterMutexLock lock(impl->reader_mu);
-    impl->reader.emplace(std::move(reader));
+    MutexLock lock(impl->snapshot_mu);
+    impl->snapshot = std::make_shared<const CorpusReader>(std::move(reader));
   }
   impl->scorer.emplace(options.scenarios.empty() ? AllBugScenarios()
                                                  : options.scenarios);

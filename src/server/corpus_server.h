@@ -16,20 +16,27 @@
 //                   a bounded admission queue — on overflow the reader
 //                   itself answers Unavailable immediately (loud
 //                   overload, never silent unbounded queuing);
-//   worker pool     pops requests, executes them under a shared reader
-//                   lock, writes the response under the connection's
-//                   write mutex (shutdown is answered inline by the
-//                   reader thread: a control command must not sit behind
-//                   a full queue).
+//   worker pool     pops requests, pins the current reader snapshot (a
+//                   shared_ptr<const CorpusReader> copied under a plain
+//                   mutex) for the request's whole duration, executes,
+//                   and writes the response under the connection's
+//                   write mutex. The control commands — shutdown and
+//                   refresh — are answered inline by the reader thread:
+//                   they must not sit behind a queue full of replays.
 //
 // Append coordination: the single-writer append path (flock'd, ordered
 // fsyncs) grows the bundle while the server serves it — published bytes
 // are never mutated, so in-flight requests are undisturbed. A `refresh`
 // request (or the optional watcher thread, which polls the file size)
-// swaps the new generation in via CorpusReader::Reopen under an
-// exclusive lock: requests in flight finish on the old index first, the
-// ChunkCache object — and its counters — carries over, and a failed
-// reopen leaves the old generation serving.
+// builds the next reader with CorpusReader::Reopen — incremental, reading
+// only the new generations — off any lock the requests take, then
+// publishes it as the new snapshot. A refresh never waits for an
+// in-flight replay, which finishes on the snapshot it started on; the
+// last pin of a retired snapshot releases its handle. Refreshes are
+// serialized by one mutex the watcher shares, so each generation is
+// picked up and counted once. The ChunkCache object — and its counters —
+// carries over, corpus_bytes_read stays cumulative across swaps, and a
+// failed reopen leaves the old generation serving.
 //
 // Graceful drain (SIGTERM path): stop accepting, answer new requests
 // with Unavailable, finish everything already admitted, then unblock and

@@ -25,8 +25,11 @@
 //                                     the wire bit-exactly: doubles ship
 //                                     as fixed64 bit patterns)
 //   stats    -> ServeStats           (server counters + cache counters)
-//   refresh  -> ServeRefresh         (generation before/after)
-//   shutdown -> empty ack, then the server drains
+//   refresh  -> ServeRefresh         (generation before/after; answered
+//                                     inline by the connection's reader
+//                                     thread, never queued behind
+//                                     replays; Unavailable once draining)
+//   shutdown -> empty ack, then the server drains (also answered inline)
 //
 // This header is shared by CorpusServer, CorpusClient, and the tests, so
 // there is exactly one encoder and one decoder for every message shape.
@@ -141,7 +144,7 @@ struct ServeEntry {
   uint64_t length = 0;
 };
 
-// `refresh`: what Reopen found.
+// `refresh`: what the incremental Reopen found.
 struct ServeRefresh {
   uint32_t generation_before = 0;
   uint32_t generation_after = 0;
@@ -165,6 +168,9 @@ struct ServeStats {
   uint64_t clients_active = 0;
   uint32_t generation = 1;
   uint64_t entry_count = 0;
+  // Cold bytes read through every reader handle the server has served
+  // from, cumulative across refreshes (reads a retired snapshot makes
+  // after its swap are not counted).
   uint64_t corpus_bytes_read = 0;
   ChunkCacheStats cache;
 };

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <span>
+#include <unordered_map>
 
 #include "src/util/crc32.h"
 #include "src/util/fault_injection.h"
@@ -67,6 +69,8 @@ Result<std::vector<CorpusEntry>> DecodeCorpusIndex(
   return entries;
 }
 
+}  // namespace
+
 // ----------------------------------------------------- journal trailers
 
 // A parsed corpus trailer: the fixed-width record that publishes an index
@@ -86,6 +90,8 @@ struct CorpusTrailerInfo {
            (delta ? kCorpusJournalTrailerBytes : kCorpusTrailerBytes);
   }
 };
+
+namespace {
 
 std::vector<uint8_t> EncodeJournalTrailer(uint64_t index_offset,
                                           uint64_t prev_trailer_offset,
@@ -212,26 +218,29 @@ uint32_t ReadWordLE(const uint8_t* bytes) {
 
 // Finds the latest (highest-offset) valid trailer of a journaled bundle.
 // The common case — a clean file with its trailer flush at end-of-file —
-// is the first candidate tried; after a crash mid-append the scan walks
-// backward past the torn tail until a trailer whose magic, CRC, *and*
-// index section all validate. A false candidate (magic bytes inside
-// image data) fails index validation and the scan continues.
+// is the first candidate tried, through a first window just one trailer
+// wide; after a crash mid-append the scan walks backward past the torn
+// tail until a trailer whose magic, CRC, *and* index section all
+// validate. A false candidate (magic bytes inside image data) fails index
+// validation and the scan continues. A candidate at `trusted_offset` is
+// the trailer a held reader already validated: it is accepted without
+// re-reading its immutable index, and `*entries_out` is left untouched.
 Result<CorpusTrailerInfo> FindLatestValidTrailer(
-    const RandomAccessFile& file, uint64_t file_size,
+    const RandomAccessFile& file, uint64_t file_size, uint64_t trusted_offset,
     std::vector<CorpusEntry>* entries_out) {
   std::vector<uint8_t> scan_buf;
   std::vector<uint8_t> scratch;
   constexpr uint64_t kScanWindow = 1 << 16;
+  uint64_t window = kCorpusJournalTrailerBytes;
   uint64_t hi = file_size;  // exclusive end of the unscanned region
   while (hi >= kCorpusHeaderBytes + 4) {
-    const uint64_t lo = hi - kCorpusHeaderBytes >= kScanWindow
-                            ? hi - kScanWindow
-                            : kCorpusHeaderBytes;
+    const uint64_t lo =
+        hi - kCorpusHeaderBytes >= window ? hi - window : kCorpusHeaderBytes;
     ASSIGN_OR_RETURN(
-        std::span<const uint8_t> window,
+        std::span<const uint8_t> bytes_in_window,
         file.Read(lo, static_cast<size_t>(hi - lo), &scan_buf));
     for (uint64_t p = hi - 4;; --p) {
-      const uint32_t word = ReadWordLE(window.data() + (p - lo));
+      const uint32_t word = ReadWordLE(bytes_in_window.data() + (p - lo));
       const bool delta_magic = word == kCorpusDeltaTrailerMagic;
       if (delta_magic || word == kCorpusTrailerMagic) {
         const uint64_t size =
@@ -242,6 +251,9 @@ Result<CorpusTrailerInfo> FindLatestValidTrailer(
           auto bytes = file.Read(start, static_cast<size_t>(size), &scratch);
           if (bytes.ok() &&
               ParseTrailerBytes(*bytes, start, delta_magic, &info)) {
+            if (start == trusted_offset) {
+              return info;
+            }
             auto entries = LoadIndexForTrailer(file, info);
             if (entries.ok()) {
               *entries_out = std::move(*entries);
@@ -258,6 +270,7 @@ Result<CorpusTrailerInfo> FindLatestValidTrailer(
       break;
     }
     hi = lo + 3;  // overlap so words spanning the window boundary are seen
+    window = kScanWindow;
   }
   return InvalidArgumentError(
       "no valid corpus trailer found (torn or corrupt journal)");
@@ -289,50 +302,94 @@ Result<CorpusTrailerInfo> ReadPrevTrailer(const RandomAccessFile& file,
   return prev;
 }
 
-// Walks the prev-trailer chain from the latest generation down to the v1
-// body, stitching delta indexes.
-//
-// On entry `entries` holds the latest generation's own index. Delta
-// generations are collected walking down to the v1 body — the stitch
-// base — then overlaid on it oldest-first, a newer generation winning
-// any name. Every index in the chain is live.
-Status StitchJournalChain(const RandomAccessFile& file, uint64_t file_size,
-                          const CorpusTrailerInfo& latest,
-                          std::vector<CorpusEntry>* entries) {
-  std::vector<uint8_t> scratch;
-  CorpusTrailerInfo current = latest;
-  std::vector<CorpusEntry> current_entries = std::move(*entries);
-  // Delta generations' entry lists, newest first.
+// A journal chain walked down from its latest trailer: the trailer the
+// walk stopped on, that trailer's own index, and the index of every delta
+// generation above it, newest first.
+struct ChainWalk {
+  CorpusTrailerInfo base;
+  std::vector<CorpusEntry> base_entries;  // empty when the walk hit `floor`
   std::vector<std::vector<CorpusEntry>> deltas;
-  while (current.delta) {
-    deltas.push_back(std::move(current_entries));
+};
+
+// Walks the prev-trailer chain down from `latest` (whose own index is
+// `latest_entries`) while the current trailer is a delta that lies above
+// `floor`. A full open passes floor 0 and walks to the v1 body; an
+// incremental reopen passes the held reader's trailer offset, whose
+// index it already has, so that index is never read again. The caller
+// checks where the walk stopped.
+Result<ChainWalk> WalkJournalChain(const RandomAccessFile& file,
+                                   uint64_t file_size,
+                                   const CorpusTrailerInfo& latest,
+                                   std::vector<CorpusEntry> latest_entries,
+                                   uint64_t floor) {
+  std::vector<uint8_t> scratch;
+  ChainWalk walk;
+  walk.base = latest;
+  walk.base_entries = std::move(latest_entries);
+  while (walk.base.delta && walk.base.trailer_offset > floor) {
+    walk.deltas.push_back(std::move(walk.base_entries));
     ASSIGN_OR_RETURN(CorpusTrailerInfo prev,
-                     ReadPrevTrailer(file, file_size, current, &scratch));
-    ASSIGN_OR_RETURN(current_entries, LoadIndexForTrailer(file, prev));
-    current = prev;
+                     ReadPrevTrailer(file, file_size, walk.base, &scratch));
+    walk.base_entries.clear();
+    if (prev.trailer_offset > floor) {
+      ASSIGN_OR_RETURN(walk.base_entries, LoadIndexForTrailer(file, prev));
+    }
+    walk.base = prev;
   }
-  // `current` publishes the v1 body's full index; overlay the deltas
-  // oldest-first so the final order is add order, with a newer
-  // generation replacing a name in place.
-  std::vector<CorpusEntry> stitched = std::move(current_entries);
+  return walk;
+}
+
+// Overlays delta generations (newest first, as WalkJournalChain collects
+// them) onto `entries` oldest-first, so the final order is add order and
+// a newer generation replaces a name in place. The name -> slot map keeps
+// the stitch linear in the entries touched.
+void OverlayDeltas(std::vector<std::vector<CorpusEntry>> deltas,
+                   std::vector<CorpusEntry>* entries) {
+  if (deltas.empty()) {
+    return;
+  }
+  std::unordered_map<std::string, size_t> slots;
+  slots.reserve(entries->size());
+  for (size_t i = 0; i < entries->size(); ++i) {
+    slots.emplace((*entries)[i].name, i);
+  }
   for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
     for (CorpusEntry& entry : *it) {
-      auto slot = std::find_if(
-          stitched.begin(), stitched.end(),
-          [&](const CorpusEntry& have) { return have.name == entry.name; });
-      if (slot != stitched.end()) {
-        *slot = std::move(entry);
+      const auto [slot, added] = slots.emplace(entry.name, entries->size());
+      if (added) {
+        entries->push_back(std::move(entry));
       } else {
-        stitched.push_back(std::move(entry));
+        (*entries)[slot->second] = std::move(entry);
       }
     }
   }
-  if (current.generation != 1) {
-    return InvalidArgumentError(
-        "corpus journal chain does not reach generation 1");
+}
+
+// Reads and checks the 12-byte header; returns the format version.
+Result<uint32_t> ReadCorpusHeader(const RandomAccessFile& file) {
+  std::vector<uint8_t> scratch;
+  ASSIGN_OR_RETURN(std::span<const uint8_t> header,
+                   file.Read(0, kCorpusHeaderBytes, &scratch));
+  Decoder decoder(header.data(), header.size());
+  ASSIGN_OR_RETURN(uint32_t magic, decoder.GetFixed32());
+  if (magic != kCorpusFileMagic) {
+    return InvalidArgumentError("bad corpus file magic");
   }
-  *entries = std::move(stitched);
-  return OkStatus();
+  ASSIGN_OR_RETURN(uint32_t version, decoder.GetFixed32());
+  if (version != kCorpusFormatVersion && version != kCorpusFormatVersionDelta) {
+    return InvalidArgumentError(
+        StrPrintf("unsupported corpus format version %u", version));
+  }
+  return version;
+}
+
+Result<std::shared_ptr<RandomAccessFile>> OpenCorpusFile(
+    const std::string& path, const RandomAccessFileOptions& io) {
+  auto file = RandomAccessFile::Open(path, io);
+  if (!file.ok() && file.status().code() == StatusCode::kNotFound) {
+    return NotFoundError("cannot open corpus file: " + path);
+  }
+  return file;
 }
 
 }  // namespace
@@ -889,30 +946,77 @@ uint64_t CorpusWriter::bytes_written() const {
 
 Result<CorpusReader> CorpusReader::Open(const std::string& path,
                                         const CorpusReaderOptions& options) {
-  return OpenImpl(path, options, nullptr);
+  ASSIGN_OR_RETURN(std::shared_ptr<RandomAccessFile> file,
+                   OpenCorpusFile(path, options.io));
+  return OpenImpl(path, options, nullptr, std::move(file));
 }
 
-Status CorpusReader::Reopen() {
-  ASSIGN_OR_RETURN(CorpusReader fresh, OpenImpl(path_, options_, cache_));
-  *this = std::move(fresh);
+Result<CorpusReader> CorpusReader::Reopen() const {
+  ASSIGN_OR_RETURN(std::shared_ptr<RandomAccessFile> file,
+                   OpenCorpusFile(path_, options_.io));
+  if (file->SameFile(*file_)) {
+    std::optional<CorpusReader> next;
+    RETURN_IF_ERROR(Extend(file, &next));
+    if (next.has_value()) {
+      return std::move(*next);
+    }
+  }
+  return OpenImpl(path_, options_, cache_, std::move(file));
+}
+
+Status CorpusReader::Extend(std::shared_ptr<RandomAccessFile> file,
+                            std::optional<CorpusReader>* next) const {
+  // An in-place append only ever grows the file, and it flips the header
+  // to the journal version before its first byte lands.
+  if (file->size() < tail_offset_) {
+    return OkStatus();
+  }
+  ASSIGN_OR_RETURN(uint32_t version, ReadCorpusHeader(*file));
+  if (version != kCorpusFormatVersionDelta) {
+    return OkStatus();
+  }
+  // Every trailer and index read below is new to this reader and goes
+  // through the same link, CRC and window checks as a full open; the
+  // bytes up to trailer_offset_ were validated when *this was opened and
+  // appends never mutate them.
+  std::vector<CorpusEntry> latest_entries;
+  ASSIGN_OR_RETURN(
+      CorpusTrailerInfo latest,
+      FindLatestValidTrailer(*file, file->size(), trailer_offset_,
+                             &latest_entries));
+  ASSIGN_OR_RETURN(ChainWalk walk,
+                   WalkJournalChain(*file, file->size(), latest,
+                                    std::move(latest_entries),
+                                    trailer_offset_));
+  if (walk.base.trailer_offset != trailer_offset_ ||
+      walk.base.generation != generation_) {
+    return OkStatus();  // the chain no longer runs through our trailer
+  }
+  CorpusReader& extended = next->emplace(*this);
+  extended.file_ = std::move(file);
+  extended.file_size_ = extended.file_->size();
+  extended.format_version_ = version;
+  extended.journaled_ = true;
+  extended.SetLatestTrailer(latest);
+  OverlayDeltas(std::move(walk.deltas), &extended.entries_);
   return OkStatus();
 }
 
-Result<CorpusReader> CorpusReader::OpenImpl(const std::string& path,
-                                            const CorpusReaderOptions& options,
-                                            std::shared_ptr<ChunkCache> cache) {
+void CorpusReader::SetLatestTrailer(const CorpusTrailerInfo& trailer) {
+  index_offset_ = trailer.index_offset;
+  trailer_offset_ = trailer.trailer_offset;
+  tail_offset_ = trailer.end();
+  generation_ = trailer.generation;
+  dead_bytes_ = file_size_ - trailer.end();
+}
+
+Result<CorpusReader> CorpusReader::OpenImpl(
+    const std::string& path, const CorpusReaderOptions& options,
+    std::shared_ptr<ChunkCache> cache, std::shared_ptr<RandomAccessFile> file) {
   CorpusReader reader;
   reader.path_ = path;
   reader.options_ = options;
-  {
-    auto file = RandomAccessFile::Open(path, options.io);
-    if (!file.ok()) {
-      return file.status().code() == StatusCode::kNotFound
-                 ? NotFoundError("cannot open corpus file: " + path)
-                 : file.status();
-    }
-    reader.file_ = std::move(*file);
-  }
+  reader.file_ = std::move(file);
   reader.cache_ = cache != nullptr
                       ? std::move(cache)
                       : std::make_shared<ChunkCache>(options.cache_bytes);
@@ -920,30 +1024,12 @@ Result<CorpusReader> CorpusReader::OpenImpl(const std::string& path,
   if (reader.file_size_ < kCorpusHeaderBytes + kCorpusTrailerBytes) {
     return InvalidArgumentError("corpus file too small: " + path);
   }
+  ASSIGN_OR_RETURN(reader.format_version_, ReadCorpusHeader(*reader.file_));
 
-  // Header.
-  std::vector<uint8_t> scratch;
-  uint32_t version = 0;
-  {
-    ASSIGN_OR_RETURN(std::span<const uint8_t> header,
-                     reader.file_->Read(0, kCorpusHeaderBytes, &scratch));
-    Decoder decoder(header.data(), header.size());
-    ASSIGN_OR_RETURN(uint32_t magic, decoder.GetFixed32());
-    if (magic != kCorpusFileMagic) {
-      return InvalidArgumentError("bad corpus file magic");
-    }
-    ASSIGN_OR_RETURN(version, decoder.GetFixed32());
-    if (version != kCorpusFormatVersion &&
-        version != kCorpusFormatVersionDelta) {
-      return InvalidArgumentError(
-          StrPrintf("unsupported corpus format version %u", version));
-    }
-  }
-  reader.format_version_ = version;
-
-  if (version == kCorpusFormatVersion) {
+  if (reader.format_version_ == kCorpusFormatVersion) {
     // Canonical single-shot layout: exactly one trailer, flush at
     // end-of-file — anything else is corruption, never scanned past.
+    std::vector<uint8_t> scratch;
     ASSIGN_OR_RETURN(
         std::span<const uint8_t> trailer_bytes,
         reader.file_->Read(reader.file_size_ - kCorpusTrailerBytes,
@@ -956,11 +1042,8 @@ Result<CorpusReader> CorpusReader::OpenImpl(const std::string& path,
     }
     ASSIGN_OR_RETURN(reader.entries_,
                      LoadIndexForTrailer(*reader.file_, trailer));
-    reader.index_offset_ = trailer.index_offset;
-    reader.trailer_offset_ = trailer.trailer_offset;
-    reader.tail_offset_ = trailer.end();
     reader.journaled_ = false;
-    reader.generation_ = 1;
+    reader.SetLatestTrailer(trailer);
     return reader;
   }
 
@@ -968,17 +1051,22 @@ Result<CorpusReader> CorpusReader::OpenImpl(const std::string& path,
   // back past a torn tail if a crashed append left one, then stitch the
   // index chain (a no-op overlay when the latest trailer is still the v1
   // body's, i.e. a crash landed right after the header flip).
+  std::vector<CorpusEntry> latest_entries;
   ASSIGN_OR_RETURN(CorpusTrailerInfo trailer,
                    FindLatestValidTrailer(*reader.file_, reader.file_size_,
-                                          &reader.entries_));
-  reader.index_offset_ = trailer.index_offset;
-  reader.trailer_offset_ = trailer.trailer_offset;
-  reader.tail_offset_ = trailer.end();
+                                          /*trusted_offset=*/0,
+                                          &latest_entries));
+  ASSIGN_OR_RETURN(ChainWalk walk,
+                   WalkJournalChain(*reader.file_, reader.file_size_, trailer,
+                                    std::move(latest_entries), /*floor=*/0));
+  if (walk.base.generation != 1) {
+    return InvalidArgumentError(
+        "corpus journal chain does not reach generation 1");
+  }
+  reader.entries_ = std::move(walk.base_entries);
+  OverlayDeltas(std::move(walk.deltas), &reader.entries_);
   reader.journaled_ = true;
-  reader.generation_ = trailer.generation;
-  reader.dead_bytes_ = reader.file_size_ - trailer.end();
-  RETURN_IF_ERROR(StitchJournalChain(*reader.file_, reader.file_size_, trailer,
-                                     &reader.entries_));
+  reader.SetLatestTrailer(trailer);
   return reader;
 }
 

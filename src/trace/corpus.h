@@ -57,7 +57,8 @@
 // the chain is live; the only dead bytes are a torn tail (reported by
 // `dead_bytes()` / `corpus info`, reclaimed by CompactCorpus). Header
 // version 2 (a retired full-index journal) is rejected, and the number
-// is never reused.
+// is never reused. A held reader's Reopen walks the chain only down to
+// its own trailer and overlays just the generations above it.
 //
 // Crash durability is by write ordering, not rename:
 //
@@ -98,6 +99,7 @@
 #define SRC_TRACE_CORPUS_H_
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -142,6 +144,7 @@ struct CorpusEntry {
 
 class CorpusReader;
 class CorpusJournalSink;
+struct CorpusTrailerInfo;
 
 struct CorpusAppendOptions {
   // Backend used to read the existing bundle's index.
@@ -285,16 +288,29 @@ class CorpusReader {
   [[nodiscard]] static Result<CorpusReader> Open(const std::string& path,
                                    const CorpusReaderOptions& options = {});
 
-  // Re-opens the same path with the same options, picking up a bundle
-  // grown (or rewritten) since Open: a fresh handle on the current file,
-  // the latest index. The decoded-chunk cache object is carried over,
-  // so its accumulated counters survive and windows of other files it
-  // serves stay warm (chunks of a replaced file re-decode: cache keys
-  // are per-handle by design, precisely so a swapped path can never serve
-  // stale bytes). On failure *this is left untouched and still serves the
-  // old bundle. Not safe to call concurrently with OpenTrace on the same
-  // object; windows handed out before Reopen stay valid either way.
-  [[nodiscard]] Status Reopen();
+  // Opens the same path with the same options again and returns the next
+  // reader: a fresh handle on the current file, the latest index. *this
+  // is never modified, so it keeps serving (and windows it handed out
+  // stay valid) whether Reopen succeeds or fails, and a caller can build
+  // the next reader while others still read this one.
+  //
+  // When the fresh handle is the same file as this one (same st_dev and
+  // st_ino; the held handle keeps the inode from being reused) and the
+  // journal chain from the latest trailer runs down to this reader's
+  // trailer, the pickup is incremental: only the new generations'
+  // trailers and delta indexes are read, each through the same link, CRC
+  // and window checks as a full open, and overlaid on this reader's
+  // entries. Bytes this reader already validated are immutable under the
+  // append protocol and are not read again (VerifyAll remains the full
+  // check). Anything else — a path replaced by compact or merge, a v1
+  // file, a chain that misses this trailer — takes the full open.
+  //
+  // The decoded-chunk cache object is carried over, so its accumulated
+  // counters survive and windows of other files it serves stay warm
+  // (chunks read through the new handle re-decode: cache keys are
+  // per-handle by design, precisely so a swapped path can never serve
+  // stale bytes).
+  [[nodiscard]] Result<CorpusReader> Reopen() const;
 
   const std::string& path() const { return path_; }
   uint64_t file_size() const { return file_size_; }
@@ -364,7 +380,14 @@ class CorpusReader {
 
   static Result<CorpusReader> OpenImpl(const std::string& path,
                                        const CorpusReaderOptions& options,
-                                       std::shared_ptr<ChunkCache> cache);
+                                       std::shared_ptr<ChunkCache> cache,
+                                       std::shared_ptr<RandomAccessFile> file);
+  // Reopen's incremental path: sets *next to this reader extended by the
+  // generations appended to `file`, or leaves it empty when `file` is
+  // not an in-place extension of this reader's generation.
+  Status Extend(std::shared_ptr<RandomAccessFile> file,
+                std::optional<CorpusReader>* next) const;
+  void SetLatestTrailer(const CorpusTrailerInfo& trailer);
 
   std::string path_;
   CorpusReaderOptions options_;

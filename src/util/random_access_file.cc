@@ -44,8 +44,8 @@ Status OpenError(const std::string& path, int err) {
 // page cache is the only buffer. Concurrent readers never contend.
 class PreadFile final : public RandomAccessFile {
  public:
-  PreadFile(std::string path, uint64_t size, int fd)
-      : RandomAccessFile(std::move(path), size, IoBackend::kPread), fd_(fd) {}
+  PreadFile(std::string path, const FileStat& stat, int fd)
+      : RandomAccessFile(std::move(path), stat, IoBackend::kPread), fd_(fd) {}
   // Guarded: closing a negative descriptor (a failed or released handle)
   // would hit errno at best and, with fd 0 confusion elsewhere, a live
   // descriptor at worst.
@@ -108,8 +108,8 @@ class PreadFile final : public RandomAccessFile {
 
 class MmapFile final : public RandomAccessFile {
  public:
-  MmapFile(std::string path, uint64_t size, const uint8_t* data)
-      : RandomAccessFile(std::move(path), size, IoBackend::kMmap),
+  MmapFile(std::string path, const FileStat& stat, const uint8_t* data)
+      : RandomAccessFile(std::move(path), stat, IoBackend::kMmap),
         data_(data) {}
   ~MmapFile() override {
     if (data_ != nullptr) {
@@ -145,7 +145,7 @@ class MmapFile final : public RandomAccessFile {
   const uint8_t* data_;
 };
 
-Result<int> OpenFd(const std::string& path, uint64_t* size) {
+Result<int> OpenFd(const std::string& path, RandomAccessFile::FileStat* stat) {
   int fd = -1;
   do {
     fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -158,27 +158,30 @@ Result<int> OpenFd(const std::string& path, uint64_t* size) {
     ::close(fd);
     return UnavailableError("cannot stat file: " + path);
   }
-  *size = static_cast<uint64_t>(st.st_size);
+  stat->size = static_cast<uint64_t>(st.st_size);
+  stat->device = static_cast<uint64_t>(st.st_dev);
+  stat->inode = static_cast<uint64_t>(st.st_ino);
   return fd;
 }
 
 Result<std::shared_ptr<RandomAccessFile>> OpenPread(const std::string& path) {
-  uint64_t size = 0;
-  ASSIGN_OR_RETURN(int fd, OpenFd(path, &size));
-  return std::shared_ptr<RandomAccessFile>(new PreadFile(path, size, fd));
+  RandomAccessFile::FileStat stat;
+  ASSIGN_OR_RETURN(int fd, OpenFd(path, &stat));
+  return std::shared_ptr<RandomAccessFile>(new PreadFile(path, stat, fd));
 }
 
 Result<std::shared_ptr<RandomAccessFile>> OpenMmap(const std::string& path) {
-  uint64_t size = 0;
-  ASSIGN_OR_RETURN(int fd, OpenFd(path, &size));
-  if (size == 0) {
+  RandomAccessFile::FileStat stat;
+  ASSIGN_OR_RETURN(int fd, OpenFd(path, &stat));
+  if (stat.size == 0) {
     // mmap(2) rejects zero-length mappings; an empty file has nothing to
     // map anyway. Callers with allow_fallback land on pread.
     ::close(fd);
     return UnavailableError("cannot mmap empty file: " + path);
   }
   void* mapped =
-      ::mmap(nullptr, static_cast<size_t>(size), PROT_READ, MAP_PRIVATE, fd, 0);
+      ::mmap(nullptr, static_cast<size_t>(stat.size), PROT_READ, MAP_PRIVATE,
+             fd, 0);
   // The descriptor is not needed once the mapping exists.
   ::close(fd);
   if (mapped == MAP_FAILED) {
@@ -186,7 +189,7 @@ Result<std::shared_ptr<RandomAccessFile>> OpenMmap(const std::string& path) {
         StrPrintf("mmap(%s): %s", path.c_str(), std::strerror(errno)));
   }
   return std::shared_ptr<RandomAccessFile>(
-      new MmapFile(path, size, static_cast<const uint8_t*>(mapped)));
+      new MmapFile(path, stat, static_cast<const uint8_t*>(mapped)));
 }
 
 }  // namespace

@@ -65,6 +65,13 @@ struct RandomAccessFileOptions {
 
 class RandomAccessFile {
  public:
+  // What fstat(2) reported on the handle's own descriptor at open.
+  struct FileStat {
+    uint64_t size = 0;
+    uint64_t device = 0;
+    uint64_t inode = 0;
+  };
+
   [[nodiscard]] static Result<std::shared_ptr<RandomAccessFile>> Open(
       const std::string& path, const RandomAccessFileOptions& options = {});
 
@@ -90,6 +97,14 @@ class RandomAccessFile {
   // on, so handle-keyed cache entries can never go stale.
   uint64_t id() const { return id_; }
   IoBackend backend() const { return backend_; }
+  // True when both handles were opened on the same file: (st_dev, st_ino)
+  // as fstat(2) reported them on each handle's own descriptor at open.
+  // While `other` stays open its inode cannot be reused, so a match means
+  // this handle sees the very file `other` does, not a replacement that
+  // was renamed over the path.
+  bool SameFile(const RandomAccessFile& other) const {
+    return device_ == other.device_ && inode_ == other.inode_;
+  }
   // True when Read() returns views into an in-memory mapping.
   bool zero_copy() const { return backend_ == IoBackend::kMmap; }
   // Total logical bytes served across all readers of this handle (mmap
@@ -107,8 +122,13 @@ class RandomAccessFile {
   void Advise(ReadaheadMode mode) const { AdviseImpl(mode); }
 
  protected:
-  RandomAccessFile(std::string path, uint64_t size, IoBackend backend)
-      : path_(std::move(path)), size_(size), backend_(backend), id_(NextId()) {}
+  RandomAccessFile(std::string path, const FileStat& stat, IoBackend backend)
+      : path_(std::move(path)),
+        size_(stat.size),
+        device_(stat.device),
+        inode_(stat.inode),
+        backend_(backend),
+        id_(NextId()) {}
 
   virtual void AdviseImpl(ReadaheadMode mode) const = 0;
 
@@ -120,6 +140,8 @@ class RandomAccessFile {
 
   std::string path_;
   uint64_t size_ = 0;
+  uint64_t device_ = 0;
+  uint64_t inode_ = 0;
   IoBackend backend_ = IoBackend::kPread;
   uint64_t id_ = 0;
   // Set once by Open before the handle is shared; immutable afterwards.

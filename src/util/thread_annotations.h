@@ -18,10 +18,8 @@
 //   MutexLock lock(mu_);   // SCOPED_CAPABILITY: held until end of scope
 //   queue_.push_back(t);   // OK; without the lock: compile error on clang
 //
-// SharedMutex / ReaderMutexLock / WriterMutexLock mirror the same pattern
-// for std::shared_mutex, and CondVar is a condition_variable_any bound to
-// the annotated Mutex so waiting code keeps its capability visible to the
-// analysis (use an explicit `while (!pred) cv.Wait(lock);` loop — a
+// CondVar is a condition_variable_any bound to the annotated Mutex so
+// waiting code keeps its capability visible to the analysis (use an explicit `while (!pred) cv.Wait(lock);` loop — a
 // predicate lambda would be analyzed as a separate, lockless function).
 //
 // The wrappers are also the sched-points of the deterministic schedule
@@ -37,7 +35,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 
 #include "src/util/instr_gate.h"
@@ -58,20 +55,14 @@
 // Function-level contracts: the caller must hold / must not hold.
 #define REQUIRES(...) \
   DDR_THREAD_ANNOTATION_ATTRIBUTE(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  DDR_THREAD_ANNOTATION_ATTRIBUTE(requires_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) DDR_THREAD_ANNOTATION_ATTRIBUTE(locks_excluded(__VA_ARGS__))
 
 // Lock/unlock primitives (used on the wrappers below; user code should
 // prefer the scoped lockers).
 #define ACQUIRE(...) \
   DDR_THREAD_ANNOTATION_ATTRIBUTE(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  DDR_THREAD_ANNOTATION_ATTRIBUTE(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) \
   DDR_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  DDR_THREAD_ANNOTATION_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
 #define TRY_ACQUIRE(...) \
   DDR_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
 #define RETURN_CAPABILITY(x) DDR_THREAD_ANNOTATION_ATTRIBUTE(lock_returned(x))
@@ -98,8 +89,6 @@ namespace sched_internal {
 bool LockHook(void* mu);
 bool UnlockHook(void* mu);
 bool TryLockHook(void* mu, bool* acquired);
-bool SharedLockHook(void* mu, bool exclusive);
-bool SharedUnlockHook(void* mu, bool exclusive);
 bool CondWaitHook(void* cv, void* mu, bool timed);
 bool CondNotifyHook(void* cv, bool all);
 }  // namespace sched_internal
@@ -149,77 +138,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// std::shared_mutex with capability attributes: exclusive for writers
-// (generation swaps), shared for the request fan-in.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() ACQUIRE() {
-    if (InstrArmed(kInstrSched) &&
-        sched_internal::SharedLockHook(this, /*exclusive=*/true)) {
-      return;
-    }
-    mu_.lock();
-  }
-  void unlock() RELEASE() {
-    if (InstrArmed(kInstrSched) &&
-        sched_internal::SharedUnlockHook(this, /*exclusive=*/true)) {
-      return;
-    }
-    mu_.unlock();
-  }
-  void lock_shared() ACQUIRE_SHARED() {
-    if (InstrArmed(kInstrSched) &&
-        sched_internal::SharedLockHook(this, /*exclusive=*/false)) {
-      return;
-    }
-    mu_.lock_shared();
-  }
-  void unlock_shared() RELEASE_SHARED() {
-    if (InstrArmed(kInstrSched) &&
-        sched_internal::SharedUnlockHook(this, /*exclusive=*/false)) {
-      return;
-    }
-    mu_.unlock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
-};
-
-class SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterMutexLock() RELEASE() { mu_.unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-class SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  // Generic RELEASE: a scoped capability releases whatever mode it
-  // acquired (clang models shared release through the same attribute).
-  ~ReaderMutexLock() RELEASE() { mu_.unlock_shared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 // Condition variable bound to the annotated Mutex. Wait() takes the

@@ -637,7 +637,9 @@ TEST(CorpusLifecycleTest, InterruptedAppendLeavesOriginalIntact) {
     ASSERT_TRUE((*writer)->Add("next", MakeSyntheticRecording(100)).ok());
     ASSERT_TRUE((*writer)->Finish().ok());
   }
-  ASSERT_TRUE(corpus->Reopen().ok());
+  auto reopened = corpus->Reopen();
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  corpus = std::move(*reopened);
   ASSERT_EQ(corpus->entries().size(), 2u);
   EXPECT_EQ(corpus->generation(), 2u);
   EXPECT_NE(corpus->Find("next"), nullptr);
@@ -1603,7 +1605,9 @@ TEST(CorpusLifecycleTest, ReopenPicksUpGrownIndex) {
   EXPECT_TRUE(corpus->VerifyAll().ok());
   EXPECT_EQ(corpus->Find("new"), nullptr);
 
-  ASSERT_TRUE(corpus->Reopen().ok());
+  auto reopened = corpus->Reopen();
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  corpus = std::move(*reopened);
   ASSERT_EQ(corpus->entries().size(), 2u);
   EXPECT_TRUE(corpus->journaled());
   EXPECT_EQ(corpus->generation(), 2u);
@@ -1689,10 +1693,281 @@ TEST(CorpusLifecycleTest, ConcurrentReadersSurviveAppendThenReopen) {
 
     // The shared object still serves the old index until Reopen.
     EXPECT_EQ(corpus->Find(appended), nullptr);
-    ASSERT_TRUE(corpus->Reopen().ok()) << IoBackendName(backend);
+    auto reopened = corpus->Reopen();
+    ASSERT_TRUE(reopened.ok()) << IoBackendName(backend) << ": "
+                               << reopened.status();
+    corpus = std::move(*reopened);
     EXPECT_NE(corpus->Find(appended), nullptr);
     EXPECT_TRUE(corpus->VerifyAll().ok()) << IoBackendName(backend);
   }
+}
+
+// ------------------------------------------------- Incremental Reopen
+
+// Appends one generation holding `names` (one small entry each).
+void AppendGeneration(const std::string& path,
+                      const std::vector<std::string>& names,
+                      uint64_t events = 300) {
+  auto writer = CorpusWriter::AppendTo(path);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  for (const std::string& name : names) {
+    ASSERT_TRUE((*writer)->Add(name, MakeSyntheticRecording(events, 5)).ok());
+  }
+  ASSERT_TRUE((*writer)->Finish().ok());
+}
+
+void BuildSingleShot(const std::string& path,
+                     const std::vector<std::string>& names) {
+  CorpusWriter writer(path);
+  ASSERT_TRUE(writer.Begin().ok());
+  for (const std::string& name : names) {
+    ASSERT_TRUE(writer.Add(name, MakeSyntheticRecording(300, 5)).ok());
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
+// Overwrites one byte in place: same inode, no truncation, so a held
+// reader's handle (mmap or pread) stays valid.
+void FlipByteInPlace(const std::string& path, uint64_t offset) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good()) << path;
+  file.seekg(static_cast<std::streamoff>(offset));
+  const int byte = file.get();
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.put(static_cast<char>(byte ^ 0x5A));
+  ASSERT_TRUE(file.good()) << path;
+}
+
+// The result of Reopen must be indistinguishable from a fresh Open of
+// the same file. Returns the fresh reader's bytes_read(), the cost of a
+// full open, so callers can tell which path Reopen took.
+uint64_t ExpectMatchesFreshOpen(const CorpusReader& reopened) {
+  auto fresh = CorpusReader::Open(reopened.path());
+  EXPECT_TRUE(fresh.ok()) << fresh.status();
+  if (!fresh.ok()) {
+    return 0;
+  }
+  EXPECT_EQ(reopened.generation(), fresh->generation());
+  EXPECT_EQ(reopened.trailer_offset(), fresh->trailer_offset());
+  EXPECT_EQ(reopened.tail_offset(), fresh->tail_offset());
+  EXPECT_EQ(reopened.index_offset(), fresh->index_offset());
+  EXPECT_EQ(reopened.file_size(), fresh->file_size());
+  EXPECT_EQ(reopened.dead_bytes(), fresh->dead_bytes());
+  EXPECT_EQ(reopened.format_version(), fresh->format_version());
+  EXPECT_EQ(reopened.journaled(), fresh->journaled());
+  EXPECT_EQ(reopened.entries().size(), fresh->entries().size());
+  for (size_t i = 0;
+       i < std::min(reopened.entries().size(), fresh->entries().size());
+       ++i) {
+    const CorpusEntry& got = reopened.entries()[i];
+    const CorpusEntry& want = fresh->entries()[i];
+    EXPECT_EQ(got.name, want.name) << "entry " << i;
+    EXPECT_EQ(got.offset, want.offset) << want.name;
+    EXPECT_EQ(got.length, want.length) << want.name;
+    EXPECT_EQ(got.model, want.model) << want.name;
+    EXPECT_EQ(got.scenario, want.scenario) << want.name;
+    EXPECT_EQ(got.event_count, want.event_count) << want.name;
+    EXPECT_EQ(got.original_wall_seconds, want.original_wall_seconds)
+        << want.name;
+  }
+  return fresh->bytes_read();
+}
+
+// After each of k appends, the reader Reopen returns equals a fresh Open
+// (the first append flips the header v1 -> v3 under the held reader),
+// reads less than that full open does (only the new generation), and
+// leaves the held reader untouched.
+TEST(CorpusReopenTest, EachAppendMatchesFreshOpenOnEveryBackend) {
+  for (IoBackend backend : kAllBackends) {
+    ScopedPath path("reopen_incr_" + std::string(IoBackendName(backend)));
+    BuildSingleShot(path.get(), {"base/a", "base/b"});
+    auto held = CorpusReader::Open(path.get(), WithBackend(backend, 1 << 20));
+    ASSERT_TRUE(held.ok()) << held.status();
+    EXPECT_EQ(held->format_version(), kCorpusFormatVersion);
+    for (uint32_t k = 1; k <= 5; ++k) {
+      std::vector<std::string> names = {"gen" + std::to_string(k) + "/x"};
+      if (k % 2 == 0) {
+        names.push_back("gen" + std::to_string(k) + "/y");
+      }
+      AppendGeneration(path.get(), names);
+      const uint32_t held_generation = held->generation();
+      const size_t held_entries = held->entries().size();
+
+      auto next = held->Reopen();
+      ASSERT_TRUE(next.ok()) << next.status();
+      EXPECT_EQ(held->generation(), held_generation);
+      EXPECT_EQ(held->entries().size(), held_entries);
+      EXPECT_EQ(next->generation(), k + 1);
+      EXPECT_EQ(next->format_version(), kCorpusFormatVersionDelta);
+      EXPECT_TRUE(next->journaled());
+      EXPECT_EQ(next->io_backend(), backend);
+      EXPECT_EQ(next->chunk_cache(), held->chunk_cache());
+      const uint64_t full_open_bytes = ExpectMatchesFreshOpen(*next);
+      EXPECT_LT(next->bytes_read(), full_open_bytes) << "generation " << k + 1;
+      auto loaded = next->LoadRecording(names.back());
+      ASSERT_TRUE(loaded.ok()) << loaded.status();
+      EXPECT_EQ(loaded->log.size(), 300u);
+      held = std::move(*next);
+    }
+    EXPECT_TRUE(held->VerifyAll().ok());
+  }
+}
+
+// A torn tail (an abandoned append) under a held reader reopens to the
+// same generation with the tail counted dead; the next append writes
+// over the torn bytes and is picked up incrementally.
+TEST(CorpusReopenTest, TornTailThenLaterAppendMatchesFreshOpen) {
+  ScopedPath path("reopen_torn");
+  BuildSingleShot(path.get(), {"base/a"});
+  AppendGeneration(path.get(), {"gen2/a"});
+  auto held = CorpusReader::Open(path.get());
+  ASSERT_TRUE(held.ok()) << held.status();
+  {
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE(
+        (*writer)->Add("lost", MakeSyntheticRecording(900, 6)).ok());
+    // No Finish: the staged bytes stay behind as a torn tail.
+  }
+  auto torn = held->Reopen();
+  ASSERT_TRUE(torn.ok()) << torn.status();
+  EXPECT_EQ(torn->generation(), 2u);
+  EXPECT_GT(torn->dead_bytes(), 0u);
+  EXPECT_EQ(torn->Find("lost"), nullptr);
+  ExpectMatchesFreshOpen(*torn);
+
+  AppendGeneration(path.get(), {"gen3/a"});
+  auto next = torn->Reopen();
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->generation(), 3u);
+  EXPECT_NE(next->Find("gen3/a"), nullptr);
+  EXPECT_EQ(next->Find("lost"), nullptr);
+  const uint64_t full_open_bytes = ExpectMatchesFreshOpen(*next);
+  EXPECT_LT(next->bytes_read(), full_open_bytes);
+  EXPECT_TRUE(next->VerifyAll().ok());
+}
+
+// A path replaced by CompactCorpus is a new inode, and a bundle
+// rewritten in place whose chain no longer runs through the held trailer
+// is not an extension of it: both take the full open and match a fresh
+// Open.
+TEST(CorpusReopenTest, ReplacedOrRewrittenFileTakesTheFullOpen) {
+  ScopedPath path("reopen_replaced");
+  BuildSingleShot(path.get(), {"base/a", "base/b"});
+  AppendGeneration(path.get(), {"gen2/a"});
+  AppendGeneration(path.get(), {"gen3/a"});
+  auto held = CorpusReader::Open(path.get());
+  ASSERT_TRUE(held.ok()) << held.status();
+
+  auto compacted = CompactCorpus(path.get(), {"base/b"});
+  ASSERT_TRUE(compacted.ok()) << compacted.status();
+  auto next = held->Reopen();
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->format_version(), kCorpusFormatVersion);
+  EXPECT_FALSE(next->journaled());
+  EXPECT_EQ(next->generation(), 1u);
+  EXPECT_EQ(next->entries().size(), 3u);
+  EXPECT_EQ(next->Find("base/b"), nullptr);
+  EXPECT_EQ(next->bytes_read(), ExpectMatchesFreshOpen(*next));
+  // The held reader still serves the replaced inode.
+  EXPECT_EQ(held->generation(), 3u);
+  EXPECT_TRUE(held->LoadRecording("base/b").ok());
+
+  // Same inode, different chain: overwrite the file in place with a
+  // larger journal whose generations sit at other offsets.
+  held = std::move(*next);
+  ASSERT_EQ(held->generation(), 1u);
+  const std::string other = path.get() + ".other";
+  BuildSingleShot(other, {"other/a"});
+  for (int g = 2; g <= 4; ++g) {
+    AppendGeneration(other, {"other/gen" + std::to_string(g)}, 400);
+  }
+  const std::vector<uint8_t> replacement = ReadFileBytes(other);
+  std::remove(other.c_str());
+  ASSERT_GT(replacement.size(), FileSizeBytes(path.get()));
+  {
+    std::fstream file(path.get(),
+                      std::ios::binary | std::ios::in | std::ios::out);
+    file.write(reinterpret_cast<const char*>(replacement.data()),
+               static_cast<std::streamsize>(replacement.size()));
+    ASSERT_TRUE(file.good());
+  }
+  auto rewritten = held->Reopen();
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status();
+  EXPECT_EQ(rewritten->generation(), 4u);
+  EXPECT_NE(rewritten->Find("other/gen4"), nullptr);
+  EXPECT_EQ(rewritten->Find("base/a"), nullptr);
+  // The abandoned walk's reads land on the new handle before the full
+  // open's.
+  EXPECT_GT(rewritten->bytes_read(), ExpectMatchesFreshOpen(*rewritten));
+}
+
+// A corrupt index in a newly appended generation below the latest one
+// fails the pickup loudly — exactly like a fresh Open — while the held
+// reader keeps serving its generation.
+TEST(CorpusReopenTest, CorruptNewIndexFailsLoudlyAndHeldReaderServes) {
+  for (IoBackend backend : kAllBackends) {
+    ScopedPath path("reopen_flip_" + std::string(IoBackendName(backend)));
+    BuildSingleShot(path.get(), {"base/a"});
+    AppendGeneration(path.get(), {"gen2/a"});
+    auto held = CorpusReader::Open(path.get(), WithBackend(backend, 0));
+    ASSERT_TRUE(held.ok()) << held.status();
+
+    AppendGeneration(path.get(), {"gen3/a"});
+    uint64_t index_offset = 0;
+    uint64_t trailer_offset = 0;
+    {
+      auto gen3 = CorpusReader::Open(path.get());
+      ASSERT_TRUE(gen3.ok()) << gen3.status();
+      index_offset = gen3->index_offset();
+      trailer_offset = gen3->trailer_offset();
+    }
+    AppendGeneration(path.get(), {"gen4/a"});
+    FlipByteInPlace(path.get(), (index_offset + trailer_offset) / 2);
+
+    auto next = held->Reopen();
+    ASSERT_FALSE(next.ok()) << IoBackendName(backend);
+    EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument)
+        << next.status();
+    auto fresh = CorpusReader::Open(path.get());
+    ASSERT_FALSE(fresh.ok());
+    EXPECT_EQ(fresh.status().code(), next.status().code());
+
+    EXPECT_EQ(held->generation(), 2u);
+    EXPECT_TRUE(held->VerifyAll().ok()) << IoBackendName(backend);
+    auto loaded = held->LoadRecording("gen2/a");
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->log.size(), 300u);
+  }
+}
+
+// The pickup cost is a count, not a timing: with equal-length names the
+// bytes the returned reader's handle reads while Reopen picks up one
+// appended generation are identical at chain lengths 16 and 512.
+TEST(CorpusReopenTest, PickupBytesAreFlatInChainLength) {
+  uint64_t pickup_bytes[2] = {0, 0};
+  const uint32_t chains[2] = {16, 512};
+  for (int c = 0; c < 2; ++c) {
+    ScopedPath path("reopen_flat_" + std::to_string(chains[c]));
+    const auto name = [](uint32_t generation) {
+      return StrPrintf("gen/%05u", generation);
+    };
+    BuildSingleShot(path.get(), {name(1)});
+    for (uint32_t g = 2; g <= chains[c]; ++g) {
+      AppendGeneration(path.get(), {name(g)});
+    }
+    auto held = CorpusReader::Open(path.get());
+    ASSERT_TRUE(held.ok()) << held.status();
+    ASSERT_EQ(held->generation(), chains[c]);
+    AppendGeneration(path.get(), {name(chains[c] + 1)});
+    auto next = held->Reopen();
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_EQ(next->generation(), chains[c] + 1);
+    EXPECT_EQ(next->entries().back().name, name(chains[c] + 1));
+    pickup_bytes[c] = next->bytes_read();
+  }
+  EXPECT_GT(pickup_bytes[0], 0u);
+  EXPECT_EQ(pickup_bytes[0], pickup_bytes[1]);
 }
 
 // ------------------------------------------- Writer state-machine holes

@@ -163,6 +163,28 @@ TEST(RandomAccessFileTest, MissingFileIsNotFoundForEveryBackend) {
   }
 }
 
+// SameFile compares the (st_dev, st_ino) each handle saw at open: two
+// opens of one path match across backends, and a file renamed over the
+// path does not, even with identical bytes.
+TEST(RandomAccessFileTest, SameFileTracksTheInodeNotThePath) {
+  const std::vector<uint8_t> bytes = PatternBytes(4096);
+  ScopedFile file("samefile", bytes);
+  RandomAccessFileOptions pread_options;
+  pread_options.backend = IoBackend::kPread;
+  auto first = RandomAccessFile::Open(file.get(), pread_options);
+  auto second = RandomAccessFile::Open(file.get());
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_TRUE((*first)->SameFile(**second));
+  EXPECT_TRUE((*second)->SameFile(**first));
+
+  ScopedFile replacement("samefile_next", bytes);
+  ASSERT_EQ(std::rename(replacement.get().c_str(), file.get().c_str()), 0);
+  auto replaced = RandomAccessFile::Open(file.get());
+  ASSERT_TRUE(replaced.ok()) << replaced.status();
+  EXPECT_FALSE((*replaced)->SameFile(**first));
+  EXPECT_FALSE((*first)->SameFile(**replaced));
+}
+
 TEST(RandomAccessFileTest, MmapIsZeroCopyAndFallsBackOnEmptyFiles) {
   const std::vector<uint8_t> bytes = PatternBytes(64);
   ScopedFile file("zerocopy", bytes);

@@ -66,16 +66,11 @@ TEST(InstrGate, UnarmedByDefaultAndPerLayerBits) {
 TEST(InstrGate, WrappersWorkUnarmed) {
   Mutex mu;
   CondVar cv;
-  SharedMutex smu;
   mu.lock();
   cv.NotifyAll();  // no waiters; must not divert into a scheduler
   mu.unlock();
   EXPECT_TRUE(mu.try_lock());
   mu.unlock();
-  smu.lock_shared();
-  smu.unlock_shared();
-  smu.lock();
-  smu.unlock();
   SharedVar<int> v(3);
   v.Store(4);
   EXPECT_EQ(v.Load(), 4);
@@ -331,21 +326,6 @@ TEST(SchedEngine, TryLockNeverBlocksAndBothOutcomesAreReachable) {
   };
   // Exhaustive-enough search: both the acquired and busy branches run;
   // neither deadlocks.
-  const ExploreReport report = Explore(body, TestOptions());
-  EXPECT_TRUE(report.findings.empty());
-}
-
-TEST(SchedEngine, SharedMutexReadersDontExcludeEachOther) {
-  auto body = [] {
-    auto smu = std::make_shared<SharedMutex>();
-    SchedThread r1 = Spawn([smu] { ReaderMutexLock lock(*smu); });
-    SchedThread r2 = Spawn([smu] { ReaderMutexLock lock(*smu); });
-    {
-      WriterMutexLock lock(*smu);
-    }
-    r1.Join();
-    r2.Join();
-  };
   const ExploreReport report = Explore(body, TestOptions());
   EXPECT_TRUE(report.findings.empty());
 }

@@ -587,6 +587,165 @@ TEST(CorpusServerTest, OverloadAnswersUnavailableLoudly) {
   EXPECT_GE(stats->overload_rejections, 1u);
 }
 
+// `refresh` is a control command answered on the connection's reader
+// thread: with the only worker stalled inside a replay, a refresh from a
+// second client still picks the appended generation up and answers
+// before the stalled replay does.
+TEST(CorpusServerTest, RefreshDoesNotWaitBehindAStalledReplay) {
+  ScopedPath bundle("server_test_refresh_inline.ddrc");
+  ScopedPath socket_path("server_test_refresh_inline.sock");
+  BuildBundle(bundle.get(), {DeterminismModel::kPerfect});
+
+  CorpusServerOptions options = UnixOptions(socket_path.get());
+  options.workers = 1;
+  options.debug_handler_delay_ms = 1500;
+  auto server = CorpusServer::Start(bundle.get(), options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  BuildBundle(bundle.get(),
+              {DeterminismModel::kPerfect, DeterminismModel::kValue},
+              /*resume=*/true);
+
+  auto replayer = CorpusClient::ConnectUnixSocket(socket_path.get());
+  auto refresher = CorpusClient::ConnectUnixSocket(socket_path.get());
+  ASSERT_TRUE(replayer.ok() && refresher.ok());
+  std::atomic<bool> replay_answered{false};
+  std::thread replay([&] {
+    auto cell = replayer->Replay("sum/perfect");
+    EXPECT_TRUE(cell.ok()) << cell.status();
+    replay_answered.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+
+  auto refresh = refresher->Refresh();
+  const bool replay_done_first = replay_answered.load();
+  ASSERT_TRUE(refresh.ok()) << refresh.status();
+  EXPECT_TRUE(refresh->picked_up);
+  EXPECT_EQ(refresh->generation_after, 2u);
+  EXPECT_EQ(refresh->entries_after, 4u);
+  EXPECT_FALSE(replay_done_first);
+  replay.join();
+  EXPECT_TRUE(replay_answered.load());
+}
+
+// Once a shutdown is acknowledged, a refresh the same client already
+// sent is still read and answered — loudly, as draining.
+TEST(CorpusServerTest, RefreshAfterShutdownIsAnsweredUnavailable) {
+  ScopedPath bundle("server_test_refresh_drain.ddrc");
+  ScopedPath socket_path("server_test_refresh_drain.sock");
+  BuildBundle(bundle.get(), {DeterminismModel::kPerfect});
+  auto server = CorpusServer::Start(bundle.get(), UnixOptions(socket_path.get()));
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  auto socket = ConnectUnix(socket_path.get());
+  ASSERT_TRUE(socket.ok()) << socket.status();
+  // Both frames in one send, so the refresh is already queued on the
+  // socket when the shutdown is handled.
+  Encoder frames;
+  for (RpcCommand command : {RpcCommand::kShutdown, RpcCommand::kRefresh}) {
+    RpcRequest request;
+    request.command = command;
+    const std::vector<uint8_t> payload = EncodeRequest(request);
+    frames.PutFixed32(kRpcFrameMagic);
+    frames.PutFixed32(static_cast<uint32_t>(payload.size()));
+    frames.PutFixed32(Crc32(payload.data(), payload.size()));
+    for (uint8_t byte : payload) {
+      frames.PutFixed8(byte);
+    }
+  }
+  ASSERT_TRUE(socket->SendAll(frames.buffer().data(), frames.size()).ok());
+
+  std::vector<Status> answers;
+  for (int i = 0; i < 2; ++i) {
+    auto frame = ReadFrame(*socket);
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    ASSERT_TRUE(frame->has_value()) << "response " << i;
+    auto response = DecodeResponse(**frame);
+    ASSERT_TRUE(response.ok()) << response.status();
+    answers.push_back(Status(response->code, response->message));
+  }
+  EXPECT_TRUE(answers[0].ok()) << answers[0];
+  EXPECT_EQ(answers[1].code(), StatusCode::kUnavailable) << answers[1];
+  EXPECT_NE(answers[1].message().find("draining"), std::string::npos)
+      << answers[1];
+  (*server)->Wait();
+  EXPECT_EQ((*server)->Snapshot().refreshes, 0u);
+}
+
+// The watcher and concurrent `refresh` RPCs serialize: each appended
+// generation is picked up, and counted, exactly once.
+TEST(CorpusServerTest, WatcherAndRpcRefreshCountEachGenerationOnce) {
+  ScopedPath bundle("server_test_refresh_race.ddrc");
+  ScopedPath socket_path("server_test_refresh_race.sock");
+  BuildBundle(bundle.get(), {DeterminismModel::kPerfect});
+  CorpusServerOptions options = UnixOptions(socket_path.get());
+  options.watch_interval_ms = 1;
+  auto server = CorpusServer::Start(bundle.get(), options);
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  std::vector<DeterminismModel> models = {DeterminismModel::kPerfect};
+  const DeterminismModel added[] = {DeterminismModel::kValue,
+                                    DeterminismModel::kFailure,
+                                    DeterminismModel::kOutputOnly};
+  for (DeterminismModel model : added) {
+    models.push_back(model);
+    BuildBundle(bundle.get(), models, /*resume=*/true);
+    std::vector<std::thread> refreshers;
+    for (int r = 0; r < 3; ++r) {
+      refreshers.emplace_back([&] {
+        auto client = CorpusClient::ConnectUnixSocket(socket_path.get());
+        ASSERT_TRUE(client.ok()) << client.status();
+        auto refresh = client->Refresh();
+        EXPECT_TRUE(refresh.ok()) << refresh.status();
+      });
+    }
+    for (std::thread& thread : refreshers) {
+      thread.join();
+    }
+  }
+  const ServeStats stats = (*server)->Snapshot();
+  EXPECT_EQ(stats.generation, 4u);
+  EXPECT_EQ(stats.entry_count, 8u);
+  EXPECT_EQ(stats.generations_picked_up, 3u);
+  EXPECT_GE(stats.refreshes, 9u);
+}
+
+// corpus_bytes_read is cumulative across generations: a refresh retires
+// the old handle's count into the total instead of restarting from the
+// new handle's.
+TEST(CorpusServerTest, CorpusBytesReadNeverDecreasesAcrossRefresh) {
+  ScopedPath bundle("server_test_bytes_read.ddrc");
+  ScopedPath socket_path("server_test_bytes_read.sock");
+  BuildBundle(bundle.get(), {DeterminismModel::kPerfect});
+  auto server = CorpusServer::Start(bundle.get(), UnixOptions(socket_path.get()));
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto client = CorpusClient::ConnectUnixSocket(socket_path.get());
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  uint64_t last = 0;
+  const auto expect_not_below_last = [&](const char* when) {
+    auto stats = client->Stats();
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_GE(stats->corpus_bytes_read, last) << when;
+    last = stats->corpus_bytes_read;
+  };
+  std::vector<DeterminismModel> models = {DeterminismModel::kPerfect};
+  const DeterminismModel added[] = {DeterminismModel::kValue,
+                                    DeterminismModel::kFailure};
+  for (DeterminismModel model : added) {
+    ASSERT_TRUE(client->Verify().ok());
+    expect_not_below_last("after verify");
+    models.push_back(model);
+    BuildBundle(bundle.get(), models, /*resume=*/true);
+    auto refresh = client->Refresh();
+    ASSERT_TRUE(refresh.ok()) << refresh.status();
+    EXPECT_TRUE(refresh->picked_up);
+    expect_not_below_last("after refresh");
+  }
+  ASSERT_TRUE(client->Verify().ok());
+  expect_not_below_last("after the last verify");
+  EXPECT_GT(last, 0u);
+}
+
 TEST(CorpusServerTest, TornTailBundleServesLastValidGeneration) {
   ScopedPath bundle("server_test_torn.ddrc");
   ScopedPath socket_path("server_test_torn.sock");
