@@ -1,11 +1,12 @@
 // google-benchmark microbenchmarks of the deterministic substrate and the
 // analysis hot paths: fiber context switches and spawns, instrumented memory
-// access, channel transfer, race-detector event processing, and vector
-// clocks.
+// access, channel transfer, schedule exploration, race-detector event
+// processing, and vector clocks.
 
 #include <benchmark/benchmark.h>
 
 #include "src/analysis/race_detector.h"
+#include "src/analysis/sched/models.h"
 #include "src/sim/channel.h"
 #include "src/sim/environment.h"
 #include "src/sim/shared_var.h"
@@ -103,6 +104,24 @@ void BM_ChannelTransfer(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(total));
 }
 BENCHMARK(BM_ChannelTransfer)->Unit(benchmark::kMillisecond);
+
+void BM_SchedExplore(benchmark::State& state) {
+  // Schedule-explorer throughput: every run is a fresh Engine whose
+  // threads hand the token over at each Mutex/CondVar sched-point.
+  const sched::SchedModel* model = sched::FindSchedModel("server-queue");
+  sched::ExploreOptions options;
+  options.dfs_budget = 256;
+  options.random_budget = 64;
+  uint64_t runs = 0;
+  for (auto _ : state) {
+    const sched::ExploreReport report = sched::Explore(model->body, options);
+    benchmark::DoNotOptimize(report.findings.size());
+    runs += report.runs;
+  }
+  state.counters["runs_per_s"] = benchmark::Counter(
+      static_cast<double>(runs), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SchedExplore)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_RaceDetectorOnEvent(benchmark::State& state) {
   RaceDetector detector(/*report_once_per_cell=*/true);

@@ -2,7 +2,10 @@
 
 #include <deque>
 #include <memory>
+#include <vector>
 
+#include "src/trace/chunk_cache.h"
+#include "src/util/logging.h"
 #include "src/util/thread_annotations.h"
 
 namespace ddr::sched {
@@ -10,47 +13,41 @@ namespace {
 
 // --------------------------------------------------------------- clean
 
-// Sharded ChunkCache LRU (src/trace/chunk_cache.h): independent
-// per-shard mutexes, never held together. Two accessors hit the shards
-// in opposite orders while an evictor walks all shards one at a time —
-// the structure that makes the real cache deadlock-free by construction.
+// The real sharded ChunkCache (src/trace/chunk_cache.h), not a copy: its
+// per-shard ddr::Mutex locks are the sched-points. The budget holds one
+// 1-event chunk (224 B: one Event plus entry overhead) per shard, so
+// inserts evict. Two readers insert and look up two keys in opposite
+// orders while a filler inserts ten more.
 void CacheLruBody() {
-  struct Shard {
-    Mutex mu;
-    int entries = 0;
-    int hits = 0;
+  auto cache = std::make_shared<ChunkCache>(8 * 300);
+  auto key = [](uint64_t index) {
+    return ChunkKey{.file_id = 1, .image_offset = 0, .chunk_index = index};
   };
-  struct State {
-    Shard shard[2];
+  std::vector<ChunkCache::EventsPtr> chunks;
+  for (int i = 0; i < 12; ++i) {
+    chunks.push_back(std::make_shared<const std::vector<Event>>(1));
+  }
+  auto reader = [=](uint64_t first, uint64_t second) {
+    for (uint64_t index : {first, second}) {
+      cache->Insert(key(index), chunks[index]);
+      const ChunkCache::EventsPtr hit = cache->Lookup(key(index));
+      CHECK(hit == nullptr || hit == chunks[index])
+          << "cache hit returned a foreign chunk";
+    }
   };
-  auto st = std::make_shared<State>();
-  auto get = [st](int s) {
-    MutexLock lock(st->shard[s].mu);
-    ++st->shard[s].hits;
-  };
-  auto put = [st](int s) {
-    MutexLock lock(st->shard[s].mu);
-    ++st->shard[s].entries;
-  };
-  SchedThread a = Spawn([=] {
-    put(0);
-    get(1);
-    get(0);
-  });
-  SchedThread b = Spawn([=] {
-    put(1);
-    get(0);
-    get(1);
-  });
-  SchedThread evictor = Spawn([st] {
-    for (int s = 0; s < 2; ++s) {
-      MutexLock lock(st->shard[s].mu);
-      if (st->shard[s].entries > 0) --st->shard[s].entries;
+  SchedThread a = Spawn([=] { reader(0, 1); });
+  SchedThread b = Spawn([=] { reader(1, 0); });
+  SchedThread filler = Spawn([=] {
+    for (uint64_t index = 2; index < 12; ++index) {
+      cache->Insert(key(index), chunks[index]);
     }
   });
   a.Join();
   b.Join();
-  evictor.Join();
+  filler.Join();
+  const ChunkCacheStats stats = cache->stats();
+  CHECK_EQ(stats.hits + stats.misses, 4u);
+  CHECK_GT(stats.evictions, 0u);
 }
 
 // Corpus server admission queue + stop/drain (src/server/corpus_server.cc
@@ -216,8 +213,8 @@ void LostWakeupBody() {
 const std::vector<SchedModel>& Models() {
   static const std::vector<SchedModel>* models = new std::vector<SchedModel>{
       {"cache-lru",
-       "sharded ChunkCache LRU: per-shard mutexes, opposite-order "
-       "accessors, one-shard-at-a-time evictor",
+       "the real ChunkCache at one chunk per shard: opposite-order "
+       "readers, a filler forcing evictions",
        &CacheLruBody, SchedModel::Expect::kClean},
       {"server-queue",
        "corpus server admission queue + stop/drain with the PR 9 "

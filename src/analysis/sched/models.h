@@ -4,11 +4,12 @@
 // Each model is a self-contained body: it spawns participant threads
 // with sched::Spawn and does all cross-thread communication through
 // sched-point operations (ddr::Mutex/CondVar, SharedVar).
-// The clean models mirror the locking structure of a shipped subsystem
-// and are expected to be deadlock- and lost-wakeup-free under full
-// bounded exploration; the expect_finding models carry a deliberate bug
-// (lock-order inversion, pre-PR9 stop-path lost wakeup) so tests and the
-// CI smoke can assert the explorer actually finds and replays it.
+// The clean models are expected to be deadlock- and lost-wakeup-free
+// under full bounded exploration: cache-lru drives the real ChunkCache,
+// the others mirror the locking structure of a shipped subsystem. The
+// expect_finding models carry a deliberate bug (lock-order inversion,
+// pre-PR9 stop-path lost wakeup) so tests and the CI smoke can assert the
+// explorer actually finds and replays it.
 
 #ifndef SRC_ANALYSIS_SCHED_MODELS_H_
 #define SRC_ANALYSIS_SCHED_MODELS_H_

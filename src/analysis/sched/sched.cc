@@ -1,20 +1,15 @@
 #include "src/analysis/sched/sched.h"
 
-// The scheduler IS the instrumentation layer under the annotated
-// wrappers, so it must use the raw primitives itself — routing its own
-// parking through ddr::Mutex would recurse into the hooks. ddr-lint
-// exempts src/analysis/sched/ from ddr-raw-sync for exactly this reason.
+#include <ucontext.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
-#include <thread>
 #include <utility>
 
+#include "src/sim/fiber.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/string_util.h"
@@ -47,12 +42,13 @@ enum class WaitKind : uint8_t {
 };
 
 struct ThreadRec {
-  explicit ThreadRec(int id_in) : id(id_in) {}
+  explicit ThreadRec(int id_in)
+      : id(id_in),
+        fiber(static_cast<FiberId>(id_in), /*node=*/0,
+              StrPrintf("t%d", id_in)) {}
 
   const int id;
-  std::function<void()> fn;  // empty for t0 (the body runs inline)
-  std::thread os;
-  std::condition_variable park;
+  Fiber fiber;
 
   enum class St : uint8_t { kRunnable, kBlocked, kFinished };
   St st = St::kRunnable;
@@ -85,12 +81,11 @@ class Engine;
 Engine* g_engine = nullptr;
 thread_local ThreadRec* t_self = nullptr;
 
-// One deterministic serialized execution of a body. The engine admits a
-// single thread at a time: every other participant is parked on its own
-// condvar under mu_, and every model-state transition happens under mu_
-// — which is also what hands TSan the happens-before edges that make
-// modeled critical sections genuinely race-free even though the real
-// mutexes are never touched.
+// One deterministic serialized execution of a body. Every participant,
+// the body's own t0 included, is a Fiber on the OS thread that called
+// Run(), so exactly one of them runs at a time and a handoff is a context
+// switch. Run() is the resume loop: it switches into whichever fiber
+// holds the token until that fiber parks in Reschedule() or exits.
 class Engine {
  public:
   explicit Engine(Strategy strategy)
@@ -99,35 +94,19 @@ class Engine {
   RunResult Run(const std::function<void()>& body) {
     CHECK(g_engine == nullptr && t_self == nullptr)
         << "nested schedule explorations are not supported";
-    auto t0 = std::make_unique<ThreadRec>(0);
-    threads_.push_back(std::move(t0));
-    t_self = threads_[0].get();
     g_engine = this;
     SetInstrArmed(kInstrSched, true);
-    try {
-      body();
-    } catch (const SchedKilled&) {
+    AddThread(body);  // t0, the token holder
+    while (!poisoned_ && current_ >= 0) {
+      Resume(*threads_[current_]);
     }
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      threads_[0]->st = ThreadRec::St::kFinished;
-      if (!poisoned_) {
-        LogEvent(*threads_[0], "exit");
-        try {
-          Reschedule(lock, threads_[0].get());
-        } catch (const SchedKilled&) {
-        }
-        done_cv_.wait(lock, [this] { return poisoned_ || AllFinished(); });
-      }
-    }
-    for (auto& t : threads_) {
-      if (t->os.joinable()) {
-        t->os.join();
-      }
+    // A poisoned run resumes each unfinished fiber, whose next sched-point
+    // throws SchedKilled through its own stack.
+    for (const auto& t : threads_) {
+      while (t->st != ThreadRec::St::kFinished) Resume(*t);
     }
     SetInstrArmed(kInstrSched, false);
     g_engine = nullptr;
-    t_self = nullptr;
 
     RunResult result;
     result.schedule = ScheduleString();
@@ -158,7 +137,6 @@ class Engine {
 
   bool Lock(const void* mu) {
     ThreadRec* self = t_self;
-    std::unique_lock<std::mutex> lock(mu_);
     if (poisoned_) throw SchedKilled{};
     MutexModel& m = mutexes_[mu];
     RecordLockEdges(self, mu);
@@ -171,13 +149,12 @@ class Engine {
                                 Name(mu, 'm').c_str(), m.owner));
       Block(self, WaitKind::kMutex, mu);
     }
-    Reschedule(lock, self);
+    Reschedule(self);
     return true;
   }
 
   bool Unlock(const void* mu) {
     ThreadRec* self = t_self;
-    std::unique_lock<std::mutex> lock(mu_);
     if (poisoned_) return true;  // release during unwind: no-op
     MutexModel& m = mutexes_[mu];
     CHECK(m.owner == self->id)
@@ -186,13 +163,12 @@ class Engine {
     m.owner = -1;
     EraseHold(self, mu);
     LogEvent(*self, "unlock " + Name(mu, 'm'));
-    Reschedule(lock, self);
+    Reschedule(self);
     return true;
   }
 
   bool TryLock(const void* mu, bool* acquired) {
     ThreadRec* self = t_self;
-    std::unique_lock<std::mutex> lock(mu_);
     if (poisoned_) throw SchedKilled{};
     MutexModel& m = mutexes_[mu];
     if (m.owner == -1) {
@@ -205,13 +181,12 @@ class Engine {
       LogEvent(*self, StrPrintf("trylock %s (busy; held by t%d)",
                                 Name(mu, 'm').c_str(), m.owner));
     }
-    Reschedule(lock, self);
+    Reschedule(self);
     return true;
   }
 
   bool CondWait(const void* cv, const void* mu, bool timed) {
     ThreadRec* self = t_self;
-    std::unique_lock<std::mutex> lock(mu_);
     if (poisoned_) throw SchedKilled{};
     MutexModel& m = mutexes_[mu];
     CHECK(m.owner == self->id)
@@ -225,13 +200,12 @@ class Engine {
                               Name(cv, 'c').c_str(), Name(mu, 'm').c_str()));
     Block(self, timed ? WaitKind::kCondTimed : WaitKind::kCond, cv);
     self->reacquire_mu = mu;
-    Reschedule(lock, self);
+    Reschedule(self);
     return true;
   }
 
   bool CondNotify(const void* cv, bool all) {
     ThreadRec* self = t_self;
-    std::unique_lock<std::mutex> lock(mu_);
     if (poisoned_) return true;  // notify during unwind: no-op
     CondModel& c = conds_[cv];
     if (c.waiters.empty()) {
@@ -254,36 +228,28 @@ class Engine {
                                 all ? "all" : "one", Name(cv, 'c').c_str(),
                                 woken.c_str()));
     }
-    Reschedule(lock, self);
+    Reschedule(self);
     return true;
   }
 
   void Access(const void* object, bool write) {
     ThreadRec* self = t_self;
-    std::unique_lock<std::mutex> lock(mu_);
     if (poisoned_) throw SchedKilled{};
     LogEvent(*self, (write ? "store " : "load ") + Name(object, 'v'));
-    Reschedule(lock, self);
+    Reschedule(self);
   }
 
   int SpawnThread(std::function<void()> fn) {
     ThreadRec* self = t_self;
-    std::unique_lock<std::mutex> lock(mu_);
     if (poisoned_) throw SchedKilled{};
-    const int id = static_cast<int>(threads_.size());
-    auto rec = std::make_unique<ThreadRec>(id);
-    rec->fn = std::move(fn);
-    ThreadRec* raw = rec.get();
-    threads_.push_back(std::move(rec));
+    const int id = AddThread(std::move(fn));
     LogEvent(*self, StrPrintf("spawn t%d", id));
-    raw->os = std::thread([this, raw] { ThreadMain(raw); });
-    Reschedule(lock, self);
+    Reschedule(self);
     return id;
   }
 
   void JoinThread(int target) {
     ThreadRec* self = t_self;
-    std::unique_lock<std::mutex> lock(mu_);
     if (poisoned_) throw SchedKilled{};
     CHECK(target >= 0 && target < static_cast<int>(threads_.size()))
         << "join of unknown thread t" << target;
@@ -294,44 +260,38 @@ class Engine {
       Block(self, WaitKind::kJoin, nullptr);
       self->join_target = target;
     }
-    Reschedule(lock, self);
+    Reschedule(self);
   }
 
  private:
-  void ThreadMain(ThreadRec* rec) {
-    t_self = rec;
-    bool run_body = true;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      rec->park.wait(lock,
-                     [&] { return poisoned_ || current_ == rec->id; });
-      if (poisoned_) {
-        run_body = false;
-      }
-    }
-    if (run_body) {
-      try {
-        rec->fn();
-      } catch (const SchedKilled&) {
-      }
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    rec->st = ThreadRec::St::kFinished;
-    if (!poisoned_) {
-      LogEvent(*rec, "exit");
-      try {
-        Reschedule(lock, rec);
-      } catch (const SchedKilled&) {
-      }
-    }
-    t_self = nullptr;
+  // Launches a new thread's fiber; it first runs when it gets the token.
+  // A fiber first resumed on a poisoned run skips its body.
+  int AddThread(std::function<void()> fn) {
+    const int id = static_cast<int>(threads_.size());
+    threads_.push_back(std::make_unique<ThreadRec>(id));
+    ThreadRec* rec = threads_.back().get();
+    rec->fiber.Launch(
+        [this, rec, fn = std::move(fn)] {
+          if (!poisoned_) {
+            try {
+              fn();
+            } catch (const SchedKilled&) {
+            }
+          }
+          rec->st = ThreadRec::St::kFinished;
+          if (!poisoned_) {
+            LogEvent(*rec, "exit");
+            Reschedule(rec);
+          }
+        },
+        &scheduler_);
+    return id;
   }
 
-  bool AllFinished() const {
-    for (const auto& t : threads_) {
-      if (t->st != ThreadRec::St::kFinished) return false;
-    }
-    return true;
+  void Resume(ThreadRec& t) {
+    t_self = &t;
+    t.fiber.SwitchIn();
+    t_self = nullptr;
   }
 
   void Block(ThreadRec* self, WaitKind kind, const void* obj) {
@@ -365,7 +325,7 @@ class Engine {
   }
 
   // The woken/continuing thread applies its pending transition. Runs in
-  // the context of the thread that just received the token, under mu_.
+  // the context of the thread that just received the token.
   void ResolveWait(ThreadRec* self) {
     if (self->st != ThreadRec::St::kBlocked) return;
     switch (self->wait) {
@@ -416,10 +376,11 @@ class Engine {
   }
 
   // Core handoff: pick the next thread among the eligible, record the
-  // decision if there was a real choice, transfer the token, park the
-  // caller until it is scheduled again (throwing SchedKilled if the run
-  // is poisoned while parked).
-  void Reschedule(std::unique_lock<std::mutex>& lock, ThreadRec* self) {
+  // decision if there was a real choice, and hand over the token. Keeping
+  // the token resolves in place; otherwise the caller parks in the resume
+  // loop until it is scheduled again (throwing SchedKilled if the run was
+  // poisoned meanwhile). A finished caller just returns and exits.
+  void Reschedule(ThreadRec* self) {
     std::vector<int> eligible;
     bool any_unfinished = false;
     for (const auto& t : threads_) {
@@ -428,14 +389,12 @@ class Engine {
       if (Eligible(*t)) eligible.push_back(t->id);
     }
     if (eligible.empty()) {
-      if (!any_unfinished) {
-        done_cv_.notify_all();
-        return;
-      }
+      current_ = -1;
+      if (!any_unfinished) return;
       DetectStuck();
-      Poison();
+      poisoned_ = true;
       if (self->st == ThreadRec::St::kBlocked) throw SchedKilled{};
-      return;  // self just finished; teardown reaps the rest
+      return;  // self just finished; the resume loop unwinds the rest
     }
     size_t chosen = 0;
     if (eligible.size() > 1) {
@@ -461,9 +420,8 @@ class Engine {
       ResolveWait(self);
       return;
     }
-    threads_[next]->park.notify_all();
     if (self->st == ThreadRec::St::kFinished) return;
-    self->park.wait(lock, [&] { return poisoned_ || current_ == self->id; });
+    self->fiber.SwitchToScheduler();
     if (poisoned_) throw SchedKilled{};
     ResolveWait(self);
   }
@@ -558,14 +516,6 @@ class Engine {
     findings_.push_back(std::move(finding));
   }
 
-  void Poison() {
-    poisoned_ = true;
-    for (const auto& t : threads_) {
-      t->park.notify_all();
-    }
-    done_cv_.notify_all();
-  }
-
   // Acquisition-order graph: before t acquires (or blocks on) exclusive
   // `mu`, add an edge held -> mu for every exclusive lock t holds. A new
   // edge that makes `held` reachable from `mu` closes a cycle — reported
@@ -645,10 +595,9 @@ class Engine {
     return s;
   }
 
-  std::mutex mu_;
-  std::condition_variable done_cv_;
+  ucontext_t scheduler_;  // the resume loop's context
   std::vector<std::unique_ptr<ThreadRec>> threads_;
-  int current_ = 0;
+  int current_ = 0;  // token holder; -1 once no thread can run
   bool poisoned_ = false;
 
   Strategy strategy_;

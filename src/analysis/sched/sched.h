@@ -38,10 +38,18 @@
 //                     wanted) closed a cycle, even if this particular
 //                     run got through without deadlocking
 //
-// On a finding the run is poisoned: every parked thread is released by
-// throwing SchedKilled through its next sched-point (models must not
-// swallow it with catch-all), the engine joins all OS threads, and the
-// finding carries the decision string that reproduces it.
+// Substrate: every participant thread, the body's own t0 included, runs
+// as a ddr::Fiber (src/sim/fiber.h) on the OS thread that called the
+// explorer, so a handoff is a context switch and no engine lock is
+// needed: only one fiber ever runs. A body sees the caller's
+// std::this_thread::get_id(). The fiber rule applies: a body must not
+// block or yield (hit a sched-point) inside a catch handler, because the
+// C++ runtime's caught-exception stack is per OS thread, not per fiber.
+//
+// On a finding the run is poisoned: the engine resumes every unfinished
+// fiber, whose next sched-point throws SchedKilled through its own stack
+// so its destructors run (models must not swallow it with catch-all),
+// and the finding carries the decision string that reproduces it.
 
 #ifndef SRC_ANALYSIS_SCHED_SCHED_H_
 #define SRC_ANALYSIS_SCHED_SCHED_H_

@@ -438,17 +438,16 @@ void CheckRawIo(const StrippedSource& src, std::string_view path,
 }
 
 // ---------------------------------------------------------------------------
-// Rule: ddr-raw-sync (src/ only; src/util/ and src/analysis/sched/
-// exempt).
+// Rule: ddr-raw-sync (src/ only; src/util/ exempt).
 //
 // The schedule explorer (src/analysis/sched/) can only interleave what it
 // can see, and it sees the annotated wrappers in
 // src/util/thread_annotations.h. A raw std::mutex or std::thread in
 // product code is a synchronization edge the explorer (and the clang
 // thread-safety analysis) is blind to. src/util/ hosts the wrappers
-// themselves; src/analysis/sched/ is the cooperative scheduler that sits
-// beneath them and must use the real primitives — both are exempt for the
-// same reason fault_injection is exempt from ddr-raw-io.
+// themselves and must use the real primitives — exempt for the same
+// reason fault_injection is exempt from ddr-raw-io. The explorer needs no
+// exemption: it runs its threads as fibers on one OS thread.
 // ---------------------------------------------------------------------------
 
 struct RawSyncToken {
@@ -468,8 +467,7 @@ constexpr RawSyncToken kRawSync[] = {
 
 void CheckRawSync(const StrippedSource& src, std::string_view path,
                   std::vector<LintIssue>* issues) {
-  if (!PathContains(path, "src/") || PathContains(path, "src/util/") ||
-      PathContains(path, "src/analysis/sched/")) {
+  if (!PathContains(path, "src/") || PathContains(path, "src/util/")) {
     return;
   }
   // Longest token first at each position: std::condition_variable must

@@ -20,13 +20,11 @@
 //                            bypasses the crash-enumeration harness.
 //   ddr-raw-sync             raw std::mutex / std::shared_mutex /
 //                            std::condition_variable[_any] / std::thread
-//                            in src/ outside src/util/ (and outside the
-//                            scheduler itself, src/analysis/sched/):
-//                            synchronization the schedule explorer and
-//                            the thread-safety analysis cannot see. Use
-//                            the wrappers (ddr::Mutex, ddr::CondVar,
-//                            ddr::OsThread) from
-//                            src/util/thread_annotations.h.
+//                            in src/ outside src/util/: synchronization
+//                            the schedule explorer and the thread-safety
+//                            analysis cannot see. Use the wrappers
+//                            (ddr::Mutex, ddr::CondVar, ddr::OsThread)
+//                            from src/util/thread_annotations.h.
 //   ddr-suppression          a ddr NOLINT marker with no justification
 //                            text after it. Suppressions are allowed,
 //                            silent ones are not. This rule cannot

@@ -6,8 +6,10 @@
 
 #include "src/analysis/sched/sched.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -287,6 +289,201 @@ TEST(SchedModels, RegistryIsStableAndLookupWorks) {
   EXPECT_STREQ(ExpectName(SchedModel::Expect::kDeadlock), "deadlock");
 }
 
+// Exploration results pinned from the engine as first shipped: a change
+// of substrate must not move a single run count, finding or event. Every
+// finding's schedule is also replayed and its full event log compared.
+struct GoldenFinding {
+  FindingKind kind;
+  const char* message;
+  const char* schedule;
+  std::vector<std::string> events;  // RunWithSchedule(schedule).events
+};
+
+struct GoldenExploration {
+  const char* model;
+  uint64_t runs;
+  uint64_t dfs_runs;
+  bool dfs_exhausted;
+  std::vector<GoldenFinding> findings;
+};
+
+TEST(SchedModels, ExplorationMatchesGolden) {
+  const std::vector<GoldenExploration> golden = {
+      {"server-queue", 160, 128, false, {}},
+      {"flock-append", 60, 28, true, {}},
+      {"deadlock-inversion", 65, 33, true, {
+           {FindingKind::kLockOrderCycle,
+            "lock-order cycle: t2 locks m0 while holding m1, but m1 is also "
+            "(transitively) acquired while holding m0",
+            "v1:00000000",
+            {"t0 spawn t1",
+             "t0 spawn t2",
+             "t0 join t1 (blocked)",
+             "t1 lock m0",
+             "t1 lock m1",
+             "t1 unlock m1",
+             "t1 unlock m0",
+             "t1 exit",
+             "t0 joined t1",
+             "t0 join t2 (blocked)",
+             "t2 lock m1",
+             "t2 lock m0",
+             "t2 unlock m0",
+             "t2 unlock m1",
+             "t2 exit",
+             "t0 joined t2",
+             "t0 exit"}},
+           {FindingKind::kLockOrderCycle,
+            "lock-order cycle: t1 locks m1 while holding m0, but m0 is also "
+            "(transitively) acquired while holding m1",
+            "v1:00011",
+            {"t0 spawn t1",
+             "t0 spawn t2",
+             "t0 join t1 (blocked)",
+             "t1 lock m0",
+             "t2 lock m1",
+             "t2 lock m0 (blocked; held by t1)",
+             "t1 lock m1 (blocked; held by t2)"}},
+           {FindingKind::kDeadlock,
+            "deadlock: t0 joining t1; t1 blocked locking m1 (held by t2); t2 "
+            "blocked locking m0 (held by t1)",
+            "v1:00011",
+            {"t0 spawn t1",
+             "t0 spawn t2",
+             "t0 join t1 (blocked)",
+             "t1 lock m0",
+             "t2 lock m1",
+             "t2 lock m0 (blocked; held by t1)",
+             "t1 lock m1 (blocked; held by t2)"}},
+           {FindingKind::kLockOrderCycle,
+            "lock-order cycle: t1 locks m0 while holding m1, but m1 is also "
+            "(transitively) acquired while holding m0",
+            "v1:0011111",
+            {"t0 spawn t1",
+             "t0 spawn t2",
+             "t0 join t1 (blocked)",
+             "t2 lock m0",
+             "t2 lock m1",
+             "t2 unlock m1",
+             "t2 unlock m0",
+             "t2 exit",
+             "t1 lock m1",
+             "t1 lock m0",
+             "t1 unlock m0",
+             "t1 unlock m1",
+             "t1 exit",
+             "t0 joined t1",
+             "t0 join t2",
+             "t0 exit"}},
+           {FindingKind::kDeadlock,
+            "deadlock: t0 joining t1; t1 blocked locking m0 (held by t2); t2 "
+            "blocked locking m1 (held by t1)",
+            "v1:02121",
+            {"t0 spawn t1",
+             "t0 spawn t2",
+             "t2 lock m0",
+             "t1 lock m1",
+             "t2 lock m1 (blocked; held by t1)",
+             "t1 lock m0 (blocked; held by t2)",
+             "t0 join t1 (blocked)"}},
+           {FindingKind::kLockOrderCycle,
+            "lock-order cycle: t2 locks m1 while holding m0, but m0 is also "
+            "(transitively) acquired while holding m1",
+            "v1:02100",
+            {"t0 spawn t1",
+             "t0 spawn t2",
+             "t2 lock m0",
+             "t1 lock m1",
+             "t0 join t1 (blocked)",
+             "t1 lock m0 (blocked; held by t2)",
+             "t2 lock m1 (blocked; held by t1)"}},
+       }},
+      {"lock-order", 81, 49, true, {
+           {FindingKind::kLockOrderCycle,
+            "lock-order cycle: t2 locks m1 while holding m2, but m2 is also "
+            "(transitively) acquired while holding m1",
+            "v1:0000000000",
+            {"t0 spawn t1",
+             "t0 spawn t2",
+             "t0 join t1 (blocked)",
+             "t1 lock m0",
+             "t1 lock m1",
+             "t1 lock m2",
+             "t1 unlock m2",
+             "t1 unlock m1",
+             "t1 unlock m0",
+             "t1 exit",
+             "t0 joined t1",
+             "t0 join t2 (blocked)",
+             "t2 lock m0",
+             "t2 lock m2",
+             "t2 lock m1",
+             "t2 unlock m1",
+             "t2 unlock m2",
+             "t2 unlock m0",
+             "t2 exit",
+             "t0 joined t2",
+             "t0 exit"}},
+           {FindingKind::kLockOrderCycle,
+            "lock-order cycle: t1 locks m1 while holding m2, but m2 is also "
+            "(transitively) acquired while holding m1",
+            "v1:001111111",
+            {"t0 spawn t1",
+             "t0 spawn t2",
+             "t0 join t1 (blocked)",
+             "t2 lock m0",
+             "t2 lock m1",
+             "t2 lock m2",
+             "t2 unlock m2",
+             "t2 unlock m1",
+             "t2 unlock m0",
+             "t2 exit",
+             "t1 lock m0",
+             "t1 lock m2",
+             "t1 lock m1",
+             "t1 unlock m1",
+             "t1 unlock m2",
+             "t1 unlock m0",
+             "t1 exit",
+             "t0 joined t1",
+             "t0 join t2",
+             "t0 exit"}},
+       }},
+      {"lost-wakeup", 37, 5, true, {
+           {FindingKind::kLostWakeup,
+            "lost wakeup: t0 joining t1; t1 waiting on c0 (mutex m0, no "
+            "notify pending)",
+            "v1:11000",
+            {"t0 spawn t1",
+             "t1 lock m0",
+             "t1 load v0",
+             "t0 store v0",
+             "t0 notify-all c0 (no waiters)",
+             "t0 join t1 (blocked)",
+             "t1 wait c0 (releases m0)"}},
+       }},
+  };
+  for (const GoldenExploration& want : golden) {
+    SCOPED_TRACE(want.model);
+    const SchedModel* model = FindSchedModel(want.model);
+    ASSERT_NE(model, nullptr);
+    const ExploreReport report = Explore(model->body, TestOptions());
+    EXPECT_EQ(report.runs, want.runs);
+    EXPECT_EQ(report.dfs_runs, want.dfs_runs);
+    EXPECT_EQ(report.dfs_exhausted, want.dfs_exhausted);
+    ASSERT_EQ(report.findings.size(), want.findings.size());
+    for (size_t i = 0; i < want.findings.size(); ++i) {
+      const GoldenFinding& finding = want.findings[i];
+      EXPECT_EQ(report.findings[i].kind, finding.kind);
+      EXPECT_EQ(report.findings[i].message, finding.message);
+      EXPECT_EQ(report.findings[i].schedule, finding.schedule);
+      Result<RunResult> replay = RunWithSchedule(model->body, finding.schedule);
+      ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+      EXPECT_EQ(replay->events, finding.events);
+    }
+  }
+}
+
 // ------------------------------------------------ engine corner cases
 
 TEST(SchedEngine, DfsExhaustsATinyModel) {
@@ -354,6 +551,53 @@ TEST(SchedEngine, SelfDeadlockIsDetected) {
   Result<RunResult> run = RunWithSchedule(body, "v1:");
   ASSERT_TRUE(run.ok());
   ASSERT_TRUE(HasKind(run->findings, FindingKind::kDeadlock));
+}
+
+TEST(SchedEngine, PoisonedRunUnwindsEveryFiberOnTheCallersThread) {
+  // Every explorer thread is a fiber on the caller's OS thread, and a
+  // deadlock poisons the run: each parked fiber must unwind its own
+  // stack, running its destructors, when SchedKilled is thrown into it.
+  struct Guard {
+    std::shared_ptr<int> count;
+    ~Guard() { ++*count; }
+  };
+  const std::thread::id test_thread = std::this_thread::get_id();
+  auto unwound = std::make_shared<int>(0);
+  auto foreign = std::make_shared<int>(0);
+  auto body = [=] {
+    auto on_caller_thread = [=] {
+      if (std::this_thread::get_id() != test_thread) ++*foreign;
+    };
+    on_caller_thread();
+    auto a = std::make_shared<Mutex>();
+    auto b = std::make_shared<Mutex>();
+    SchedThread t1 = Spawn([=] {
+      on_caller_thread();
+      Guard guard{unwound};
+      MutexLock la(*a);
+      MutexLock lb(*b);
+    });
+    SchedThread t2 = Spawn([=] {
+      on_caller_thread();
+      Guard guard{unwound};
+      MutexLock lb(*b);
+      MutexLock la(*a);
+    });
+    t1.Join();
+    t2.Join();
+  };
+  const ExploreReport report = Explore(body, TestOptions());
+  EXPECT_EQ(*foreign, 0);
+  const SchedFinding* deadlock =
+      FirstOfKind(report.findings, FindingKind::kDeadlock);
+  ASSERT_NE(deadlock, nullptr);
+
+  *unwound = 0;
+  Result<RunResult> run = RunWithSchedule(body, deadlock->schedule);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(HasKind(run->findings, FindingKind::kDeadlock));
+  EXPECT_EQ(*unwound, 2) << "SchedKilled must unwind both parked threads";
+  EXPECT_EQ(*foreign, 0);
 }
 
 TEST(SchedEngine, FindingKindNamesAreStable) {

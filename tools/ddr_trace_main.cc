@@ -53,6 +53,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -203,6 +204,19 @@ uint64_t ParseFlag(int argc, char** argv, const char* flag, uint64_t fallback) {
     std::exit(1);
   }
   return *value;
+}
+
+// An int-typed flag: a value above INT_MAX is the same usage error as any
+// other junk, never a silent wrap through static_cast<int>.
+int ParseIntFlag(int argc, char** argv, const char* flag, int fallback) {
+  const uint64_t value =
+      ParseFlag(argc, argv, flag, static_cast<uint64_t>(fallback));
+  if (value > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    std::fprintf(stderr, "ddr-trace: invalid value '%s' for %s\n",
+                 FlagValue(argc, argv, flag), flag);
+    std::exit(1);
+  }
+  return static_cast<int>(value);
 }
 
 bool HasFlag(int argc, char** argv, const char* flag) {
@@ -569,7 +583,7 @@ int CorpusBuild(const std::string& path, bool append, int argc, char** argv) {
     }
     options.models.push_back(*model);
   }
-  options.threads = static_cast<int>(ParseFlag(argc, argv, "--threads", 1));
+  options.threads = ParseIntFlag(argc, argv, "--threads", 1);
   options.corpus_path = path;
   options.resume = append;
   if (append) {
@@ -715,7 +729,7 @@ int CorpusVerify(const std::string& path, int argc, char** argv) {
 
 int CorpusReplay(const std::string& path, int argc, char** argv) {
   ReplayCorpusOptions options;
-  options.threads = static_cast<int>(ParseFlag(argc, argv, "--threads", 1));
+  options.threads = ParseIntFlag(argc, argv, "--threads", 1);
   options.reader = CorpusOptionsFromFlags(argc, argv);
   auto report = ReplayCorpus(path, AllBugScenarios(), options);
   if (!report.ok()) {
@@ -761,10 +775,9 @@ int Serve(const std::string& path, int argc, char** argv) {
     PrintUsage();
     return 1;
   }
-  options.workers = static_cast<int>(ParseFlag(argc, argv, "--threads", 4));
+  options.workers = ParseIntFlag(argc, argv, "--threads", 4);
   options.queue_capacity = ParseFlag(argc, argv, "--queue", 32);
-  options.watch_interval_ms =
-      static_cast<int>(ParseFlag(argc, argv, "--watch-ms", 0));
+  options.watch_interval_ms = ParseIntFlag(argc, argv, "--watch-ms", 0);
 
   auto server = CorpusServer::Start(path, options);
   if (!server.ok()) {
@@ -855,13 +868,10 @@ int Query(int argc, char** argv) {
     }
   }
   CorpusClientOptions client_options;
-  client_options.timeout_ms =
-      static_cast<int>(ParseFlag(argc, argv, "--timeout-ms", 0));
-  client_options.max_retries =
-      static_cast<int>(ParseFlag(argc, argv, "--retries", 0));
-  client_options.backoff_initial_ms = static_cast<int>(
-      ParseFlag(argc, argv, "--backoff-ms",
-                static_cast<uint64_t>(client_options.backoff_initial_ms)));
+  client_options.timeout_ms = ParseIntFlag(argc, argv, "--timeout-ms", 0);
+  client_options.max_retries = ParseIntFlag(argc, argv, "--retries", 0);
+  client_options.backoff_initial_ms = ParseIntFlag(
+      argc, argv, "--backoff-ms", client_options.backoff_initial_ms);
   auto client = socket != nullptr
                     ? CorpusClient::ConnectUnixSocket(socket, client_options)
                     : CorpusClient::ConnectTcpSocket(
@@ -1078,8 +1088,7 @@ int SchedExplore(int argc, char** argv) {
   options.dfs_budget = budget > options.random_budget
                            ? budget - options.random_budget
                            : 1;
-  options.preempt_bound =
-      static_cast<int>(ParseFlag(argc, argv, "--preempt", 2));
+  options.preempt_bound = ParseIntFlag(argc, argv, "--preempt", 2);
   options.seed = ParseFlag(argc, argv, "--seed", 1);
 
   bool any_findings = false;
