@@ -334,7 +334,10 @@ void RunAppendBench(BenchJsonWriter& json) {
 
 // Append scaling: one identical small entry appended to a small and a
 // large base bundle. The journal's bytes written must stay flat in the
-// base size — O(new entry) — never a copy of the existing file.
+// base size — O(new entry) — never a copy of the existing file. A second
+// append then resumes from the append base the first one left, so the
+// bytes it reads to prepare are flat in the base too, while the first
+// (cold) append reads the whole index.
 void RunAppendScalingBench(BenchJsonWriter& json) {
   constexpr uint64_t kAppendEvents = 2'000;
   TraceWriteOptions trace_options;
@@ -347,6 +350,8 @@ void RunAppendScalingBench(BenchJsonWriter& json) {
   };
 
   uint64_t written[2] = {0, 0};
+  uint64_t cold_read[2] = {0, 0};
+  uint64_t warm_read[2] = {0, 0};
   uint64_t base_sizes[2] = {0, 0};
   const uint64_t base_entry_counts[2] = {2, 8};
   for (int b = 0; b < 2; ++b) {
@@ -375,19 +380,33 @@ void RunAppendScalingBench(BenchJsonWriter& json) {
                 .ok());
       CHECK((*writer)->Finish().ok());
       written[b] = (*writer)->bytes_written();
+      cold_read[b] = (*writer)->bytes_read();
     }
     const double seconds = Seconds(start);
+    {
+      auto writer = CorpusWriter::AppendTo(path);
+      CHECK(writer.ok()) << writer.status();
+      warm_read[b] = (*writer)->bytes_read();
+      CHECK((*writer)
+                ->Add("appended/two", MakeRecording(kAppendEvents, 78),
+                      trace_options)
+                .ok());
+      CHECK((*writer)->Finish().ok());
+    }
     auto reader = CorpusReader::Open(path);
     CHECK(reader.ok()) << reader.status();
-    CHECK_EQ(reader->entries().size(), base_entries + 1);
+    CHECK_EQ(reader->entries().size(), base_entries + 2);
     CHECK(reader->VerifyAll().ok());
 
     std::printf(
         "append-scaling in-place: base %llu entries (%8llu B) + 1 entry -> "
-        "%8llu bytes written in %.4fs\n",
+        "%8llu bytes written in %.4fs; prepare reads %llu B cold, %llu B "
+        "warm\n",
         static_cast<unsigned long long>(base_entries),
         static_cast<unsigned long long>(base_sizes[b]),
-        static_cast<unsigned long long>(written[b]), seconds);
+        static_cast<unsigned long long>(written[b]), seconds,
+        static_cast<unsigned long long>(cold_read[b]),
+        static_cast<unsigned long long>(warm_read[b]));
 
     JsonLine line = json.Line();
     line.Str("section", "append-scaling")
@@ -396,7 +415,9 @@ void RunAppendScalingBench(BenchJsonWriter& json) {
         .Int("base_bytes", base_sizes[b])
         .Int("appended_events", kAppendEvents)
         .Int("bytes_written", written[b])
-        .Num("seconds", seconds);
+        .Num("seconds", seconds)
+        .Int("cold_append_bytes_read", cold_read[b])
+        .Int("append_bytes_read", warm_read[b]);
     json.Write(line);
     std::remove(path.c_str());
   }
@@ -405,6 +426,10 @@ void RunAppendScalingBench(BenchJsonWriter& json) {
   // the cost is flat in base size (the same bound CI asserts).
   CHECK(written[1] < written[0] + 256);
   CHECK(written[1] < base_sizes[1] / 2);
+  // A warm append reads the same bytes whatever the base holds (the same
+  // count corpus_test asserts over chain length); a cold one reads more.
+  CHECK_EQ(warm_read[0], warm_read[1]);
+  CHECK(cold_read[1] > warm_read[1]);
 }
 
 // Reopen scaling: a reader held at generation N picks up one more

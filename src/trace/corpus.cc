@@ -9,13 +9,16 @@
 #include <cerrno>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <span>
 #include <unordered_map>
+#include <utility>
 
 #include "src/util/crc32.h"
 #include "src/util/fault_injection.h"
 #include "src/util/file_lock.h"
 #include "src/util/string_util.h"
+#include "src/util/thread_annotations.h"
 
 namespace ddr {
 
@@ -302,10 +305,11 @@ Result<CorpusTrailerInfo> ReadPrevTrailer(const RandomAccessFile& file,
   return prev;
 }
 
-// A journal chain walked down from its latest trailer: the trailer the
-// walk stopped on, that trailer's own index, and the index of every delta
-// generation above it, newest first.
+// A journal chain walked down from its latest trailer: that trailer, the
+// trailer the walk stopped on, the stopping trailer's own index, and the
+// index of every delta generation above it, newest first.
 struct ChainWalk {
+  CorpusTrailerInfo latest;
   CorpusTrailerInfo base;
   std::vector<CorpusEntry> base_entries;  // empty when the walk hit `floor`
   std::vector<std::vector<CorpusEntry>> deltas;
@@ -324,6 +328,7 @@ Result<ChainWalk> WalkJournalChain(const RandomAccessFile& file,
                                    uint64_t floor) {
   std::vector<uint8_t> scratch;
   ChainWalk walk;
+  walk.latest = latest;
   walk.base = latest;
   walk.base_entries = std::move(latest_entries);
   while (walk.base.delta && walk.base.trailer_offset > floor) {
@@ -340,27 +345,42 @@ Result<ChainWalk> WalkJournalChain(const RandomAccessFile& file,
 }
 
 // Overlays delta generations (newest first, as WalkJournalChain collects
-// them) onto `entries` oldest-first, so the final order is add order and
-// a newer generation replaces a name in place. The name -> slot map keeps
-// the stitch linear in the entries touched.
+// them) onto `entries` as if applied oldest-first: a name already held is
+// replaced in place by its newest entry, and names new to the deltas are
+// appended in the order first listed, so the final order is add order.
+// The deltas are stitched among themselves first, so the name -> slot map
+// holds only their names, and each held entry is then probed once: no
+// allocation per held entry.
 void OverlayDeltas(std::vector<std::vector<CorpusEntry>> deltas,
                    std::vector<CorpusEntry>* entries) {
-  if (deltas.empty()) {
-    return;
-  }
+  std::vector<CorpusEntry> stitched;
   std::unordered_map<std::string, size_t> slots;
-  slots.reserve(entries->size());
-  for (size_t i = 0; i < entries->size(); ++i) {
-    slots.emplace((*entries)[i].name, i);
-  }
   for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
     for (CorpusEntry& entry : *it) {
-      const auto [slot, added] = slots.emplace(entry.name, entries->size());
+      const auto [slot, added] = slots.emplace(entry.name, stitched.size());
       if (added) {
-        entries->push_back(std::move(entry));
+        stitched.push_back(std::move(entry));
       } else {
-        (*entries)[slot->second] = std::move(entry);
+        stitched[slot->second] = std::move(entry);
       }
+    }
+  }
+  if (stitched.empty()) {
+    return;
+  }
+  // A held name replaces at most one slot (its first), as a name -> slot
+  // map over the held entries would.
+  std::vector<bool> placed(stitched.size(), false);
+  for (CorpusEntry& held : *entries) {
+    const auto slot = slots.find(held.name);
+    if (slot != slots.end() && !placed[slot->second]) {
+      placed[slot->second] = true;
+      held = std::move(stitched[slot->second]);
+    }
+  }
+  for (size_t i = 0; i < stitched.size(); ++i) {
+    if (!placed[i]) {
+      entries->push_back(std::move(stitched[i]));
     }
   }
 }
@@ -390,6 +410,82 @@ Result<std::shared_ptr<RandomAccessFile>> OpenCorpusFile(
     return NotFoundError("cannot open corpus file: " + path);
   }
   return file;
+}
+
+// The generations appended in place above one a caller already holds
+// (a reader, or the append base): `held` is the handle the holder
+// validated them through, `file` a fresh handle on the same path, and
+// `held_*` describe the holder's latest trailer. Returns the walk from
+// the latest valid trailer down to the held one (walk.base), or nullopt
+// when `file` is not an in-place extension of the held generation — a
+// different inode (the held handle keeps the inode from being reused),
+// a file shrunk below the held tail, a header that is not the journal
+// version, or a chain that no longer runs through the held trailer — and
+// the caller takes the full open. Every trailer and index read here is
+// new to the holder and goes through the same link, CRC and window
+// checks as a full open; the bytes up to the held trailer were validated
+// by the holder and appends never mutate them.
+Result<std::optional<ChainWalk>> WalkSinceHeld(const RandomAccessFile& held,
+                                               const RandomAccessFile& file,
+                                               uint64_t held_trailer_offset,
+                                               uint64_t held_tail,
+                                               uint32_t held_generation) {
+  // An in-place append only ever grows the file, and it flips the header
+  // to the journal version before its first byte lands.
+  if (!file.SameFile(held) || file.size() < held_tail) {
+    return std::optional<ChainWalk>();
+  }
+  ASSIGN_OR_RETURN(uint32_t version, ReadCorpusHeader(file));
+  if (version != kCorpusFormatVersionDelta) {
+    return std::optional<ChainWalk>();
+  }
+  std::vector<CorpusEntry> latest_entries;
+  ASSIGN_OR_RETURN(CorpusTrailerInfo latest,
+                   FindLatestValidTrailer(file, file.size(),
+                                          held_trailer_offset,
+                                          &latest_entries));
+  ASSIGN_OR_RETURN(ChainWalk walk,
+                   WalkJournalChain(file, file.size(), latest,
+                                    std::move(latest_entries),
+                                    held_trailer_offset));
+  if (walk.base.trailer_offset != held_trailer_offset ||
+      walk.base.generation != held_generation) {
+    return std::optional<ChainWalk>();  // the chain misses the held trailer
+  }
+  return std::optional<ChainWalk>(std::move(walk));
+}
+
+}  // namespace
+
+// What the last successful in-place append in this process published,
+// kept so the next AppendTo of the same file reads only the generations
+// appended since. It lives in one process-wide slot: AppendTo takes it
+// (a second appender finds the slot empty), a successful Commit puts it
+// back, and a failed or abandoned writer drops it with itself.
+struct CorpusAppendBase {
+  std::string path;
+  std::shared_ptr<RandomAccessFile> file;  // pins the inode
+  uint64_t trailer_offset = 0;             // the published trailer
+  uint64_t tail_offset = 0;                // and its end
+  uint32_t generation = 1;
+  std::unordered_set<std::string> names;  // every live entry name
+};
+
+namespace {
+
+struct AppendBaseSlot {
+  Mutex mu;
+  std::unique_ptr<CorpusAppendBase> base GUARDED_BY(mu);
+};
+
+// Puts `next` in the process-wide slot and returns what it held, so a
+// replaced base is released outside the lock.
+std::unique_ptr<CorpusAppendBase> ExchangeAppendBase(
+    std::unique_ptr<CorpusAppendBase> next) {
+  static AppendBaseSlot* slot = new AppendBaseSlot;
+  MutexLock lock(slot->mu);
+  std::swap(slot->base, next);
+  return next;
 }
 
 }  // namespace
@@ -545,11 +641,12 @@ Result<std::unique_ptr<CorpusJournalSink>> CorpusJournalSink::Open(
     RETURN_IF_ERROR(sink->WriteAt("corpus.journal.header", 4,
                                   encoder.buffer().data(), encoder.size()));
     sink->bytes_written_ += encoder.size();
+    // The version flip must be durable before any byte lands past the
+    // old trailer: a crash mid-append must leave a file the journal
+    // recovery path owns end to end. Without a flip there is nothing
+    // to order.
+    RETURN_IF_ERROR(sink->Sync());
   }
-  // The version flip must be durable before any byte lands past the old
-  // trailer: a crash mid-append must leave a file the journal recovery
-  // path owns end to end.
-  RETURN_IF_ERROR(sink->Sync());
   return sink;
 }
 
@@ -690,40 +787,61 @@ Status CorpusWriter::WriteBytes(const uint8_t* data, size_t size) {
 }
 
 Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
-  // Validate the existing bundle and lift its index through the normal
-  // reader path (header/trailer/CRC/window checks all apply, and a torn
-  // journal tail is scanned past). No chunk ever decodes here, so the
-  // cache is disabled.
-  CorpusReaderOptions read_options;
-  read_options.io = options.io;
-  read_options.cache_bytes = 0;
-  uint64_t observed_size = 0;
-  uint32_t observed_version = kCorpusFormatVersion;
-  {
-    ASSIGN_OR_RETURN(CorpusReader existing,
-                     CorpusReader::Open(path_, read_options));
-    if (existing.index_offset() < kCorpusHeaderBytes) {
-      return InvalidArgumentError("corpus index offset inside header: " +
-                                  path_);
-    }
-    // No existing byte is copied. Seed the entry set, remember the
-    // trailer being superseded, and release the reader's handle (scope
-    // end) before the sink starts mutating the file.
-    prev_trailer_offset_ = existing.trailer_offset();
-    generation_ = existing.generation() + 1;
-    offset_ = existing.tail_offset();
-    observed_size = existing.file_size();
-    observed_version = existing.format_version();
-    entries_ = existing.entries();
-    base_entry_count_ = entries_.size();
-    for (const CorpusEntry& entry : entries_) {
-      names_.insert(entry.name);
-    }
+  ASSIGN_OR_RETURN(std::shared_ptr<RandomAccessFile> file,
+                   OpenCorpusFile(path_, options.io));
+  // Resume from the base this process's last append published when the
+  // file is an in-place extension of it: only generations appended since
+  // (by another process) are read, and their names join the base's set.
+  std::unique_ptr<CorpusAppendBase> base = ExchangeAppendBase(nullptr);
+  std::optional<ChainWalk> walk;
+  if (base != nullptr && base->path == path_) {
+    ASSIGN_OR_RETURN(walk, WalkSinceHeld(*base->file, *file,
+                                         base->trailer_offset,
+                                         base->tail_offset, base->generation));
   }
+  uint32_t observed_version = kCorpusFormatVersionDelta;
+  if (walk.has_value()) {
+    for (const std::vector<CorpusEntry>& delta : walk->deltas) {
+      for (const CorpusEntry& entry : delta) {
+        base->names.insert(entry.name);
+      }
+    }
+    base->trailer_offset = walk->latest.trailer_offset;
+    base->tail_offset = walk->latest.end();
+    base->generation = walk->latest.generation;
+  } else {
+    // Validate the existing bundle and lift its names through the normal
+    // reader path (header/trailer/CRC/window checks all apply, and a torn
+    // journal tail is scanned past). No chunk ever decodes here, so the
+    // cache is disabled.
+    CorpusReaderOptions read_options;
+    read_options.io = options.io;
+    read_options.cache_bytes = 0;
+    ASSIGN_OR_RETURN(CorpusReader existing,
+                     CorpusReader::OpenImpl(path_, read_options, nullptr,
+                                            file));
+    base = std::make_unique<CorpusAppendBase>();
+    base->path = path_;
+    base->trailer_offset = existing.trailer_offset();
+    base->tail_offset = existing.tail_offset();
+    base->generation = existing.generation();
+    base->names.reserve(existing.entries().size());
+    for (const CorpusEntry& entry : existing.entries()) {
+      base->names.insert(entry.name);
+    }
+    observed_version = existing.format_version();
+  }
+  base->file = file;
+  // No existing byte is copied: the new generation starts at the held
+  // tail, and the duplicate-name check runs on the base's set.
+  bytes_read_ = file->bytes_read();
+  offset_ = base->tail_offset;
+  names_ = std::move(base->names);
+  base_ = std::move(base);
   begun_ = true;
   ASSIGN_OR_RETURN(journal_,
-                   CorpusJournalSink::Open(path_, offset_, observed_size,
-                                           prev_trailer_offset_,
+                   CorpusJournalSink::Open(path_, offset_, file->size(),
+                                           base_->trailer_offset,
                                            observed_version));
   return OkStatus();
 }
@@ -896,17 +1014,12 @@ Status CorpusWriter::Finish() {
   }
   finished_ = true;
 
-  // An in-place append publishes a *delta* index — only the entries this
-  // generation added — so the bytes written stay O(new entries) no
-  // matter how large the bundle's live entry set is. Every other path
-  // writes the canonical full index.
-  const std::vector<uint8_t> index_payload =
-      journal_ != nullptr
-          ? EncodeCorpusIndex(std::vector<CorpusEntry>(
-                entries_.begin() + base_entry_count_, entries_.end()))
-          : EncodeCorpusIndex(entries_);
+  // entries_ holds only what this writer added: for a build that is the
+  // canonical full index, for an in-place append the *delta* index, so
+  // the bytes written stay O(new entries) no matter how large the
+  // bundle's live entry set is.
   const std::vector<uint8_t> index_section = EncodeTraceSection(
-      TraceSection::kCorpusIndex, index_payload,
+      TraceSection::kCorpusIndex, EncodeCorpusIndex(entries_),
       /*allow_compress=*/true);
   RETURN_IF_ERROR(FaultPoint(journal_ != nullptr ? "corpus.journal.index"
                                                  : "corpus.index"));
@@ -921,12 +1034,21 @@ Status CorpusWriter::Finish() {
     // fsyncs recovers to the previous generation.
     RETURN_IF_ERROR(journal_->Sync());
     RETURN_IF_ERROR(FaultPoint("corpus.journal.trailer"));
+    const uint64_t trailer_offset = offset_;
+    const uint32_t generation = base_->generation + 1;
     const std::vector<uint8_t> trailer =
-        EncodeJournalTrailer(index_offset, prev_trailer_offset_, generation_,
+        EncodeJournalTrailer(index_offset, base_->trailer_offset, generation,
                              kCorpusDeltaTrailerMagic);
     RETURN_IF_ERROR(journal_->Append(trailer.data(), trailer.size()));
     offset_ += trailer.size();
-    return journal_->Commit();
+    RETURN_IF_ERROR(journal_->Commit());
+    // Published: the next AppendTo in this process resumes from here.
+    base_->trailer_offset = trailer_offset;
+    base_->tail_offset = offset_;
+    base_->generation = generation;
+    base_->names = std::move(names_);
+    ExchangeAppendBase(std::move(base_));
+    return OkStatus();
   }
 
   RETURN_IF_ERROR(FaultPoint("corpus.trailer"));
@@ -954,52 +1076,20 @@ Result<CorpusReader> CorpusReader::Open(const std::string& path,
 Result<CorpusReader> CorpusReader::Reopen() const {
   ASSIGN_OR_RETURN(std::shared_ptr<RandomAccessFile> file,
                    OpenCorpusFile(path_, options_.io));
-  if (file->SameFile(*file_)) {
-    std::optional<CorpusReader> next;
-    RETURN_IF_ERROR(Extend(file, &next));
-    if (next.has_value()) {
-      return std::move(*next);
-    }
+  ASSIGN_OR_RETURN(std::optional<ChainWalk> walk,
+                   WalkSinceHeld(*file_, *file, trailer_offset_, tail_offset_,
+                                 generation_));
+  if (!walk.has_value()) {
+    return OpenImpl(path_, options_, cache_, std::move(file));
   }
-  return OpenImpl(path_, options_, cache_, std::move(file));
-}
-
-Status CorpusReader::Extend(std::shared_ptr<RandomAccessFile> file,
-                            std::optional<CorpusReader>* next) const {
-  // An in-place append only ever grows the file, and it flips the header
-  // to the journal version before its first byte lands.
-  if (file->size() < tail_offset_) {
-    return OkStatus();
-  }
-  ASSIGN_OR_RETURN(uint32_t version, ReadCorpusHeader(*file));
-  if (version != kCorpusFormatVersionDelta) {
-    return OkStatus();
-  }
-  // Every trailer and index read below is new to this reader and goes
-  // through the same link, CRC and window checks as a full open; the
-  // bytes up to trailer_offset_ were validated when *this was opened and
-  // appends never mutate them.
-  std::vector<CorpusEntry> latest_entries;
-  ASSIGN_OR_RETURN(
-      CorpusTrailerInfo latest,
-      FindLatestValidTrailer(*file, file->size(), trailer_offset_,
-                             &latest_entries));
-  ASSIGN_OR_RETURN(ChainWalk walk,
-                   WalkJournalChain(*file, file->size(), latest,
-                                    std::move(latest_entries),
-                                    trailer_offset_));
-  if (walk.base.trailer_offset != trailer_offset_ ||
-      walk.base.generation != generation_) {
-    return OkStatus();  // the chain no longer runs through our trailer
-  }
-  CorpusReader& extended = next->emplace(*this);
-  extended.file_ = std::move(file);
-  extended.file_size_ = extended.file_->size();
-  extended.format_version_ = version;
-  extended.journaled_ = true;
-  extended.SetLatestTrailer(latest);
-  OverlayDeltas(std::move(walk.deltas), &extended.entries_);
-  return OkStatus();
+  CorpusReader next = *this;
+  next.file_ = std::move(file);
+  next.file_size_ = next.file_->size();
+  next.format_version_ = kCorpusFormatVersionDelta;
+  next.journaled_ = true;
+  next.SetLatestTrailer(walk->latest);
+  OverlayDeltas(std::move(walk->deltas), &next.entries_);
+  return next;
 }
 
 void CorpusReader::SetLatestTrailer(const CorpusTrailerInfo& trailer) {

@@ -58,7 +58,8 @@
 // `dead_bytes()` / `corpus info`, reclaimed by CompactCorpus). Header
 // version 2 (a retired full-index journal) is rejected, and the number
 // is never reused. A held reader's Reopen walks the chain only down to
-// its own trailer and overlays just the generations above it.
+// its own trailer and overlays just the generations above it; AppendTo
+// does the same from the append base the process's last append left.
 //
 // Crash durability is by write ordering, not rename:
 //
@@ -80,8 +81,8 @@
 // version 3 and fails with a clean "unsupported corpus format version",
 // never a garbage decode.
 //
-//   append   CorpusWriter::AppendTo re-opens an existing bundle and
-//            journals as above.
+//   append   CorpusWriter::AppendTo re-opens an existing bundle (from
+//            the held append base when it can) and journals as above.
 //   merge    MergeCorpora copies embedded images byte-for-byte through
 //            RandomAccessFile windows (zero decode, bounded memory) and
 //            rebuilds one canonical index, resolving name collisions by
@@ -99,9 +100,8 @@
 #define SRC_TRACE_CORPUS_H_
 
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/trace/chunk_cache.h"
@@ -144,6 +144,7 @@ struct CorpusEntry {
 
 class CorpusReader;
 class CorpusJournalSink;
+struct CorpusAppendBase;
 struct CorpusTrailerInfo;
 
 struct CorpusAppendOptions {
@@ -160,12 +161,12 @@ class CorpusWriter {
   CorpusWriter& operator=(const CorpusWriter&) = delete;
 
   // Re-opens the existing bundle at `path` for appending: the returned
-  // writer carries the old entries (so duplicate-name detection spans
-  // old + new) and accepts Add/AddImage/BeginRecording exactly like a
-  // writer after Begin(). Nothing is published until Finish(), which
-  // appends a delta index generation and fsync-ordered journal trailer
-  // after the existing bytes; no existing byte is copied, so
-  // bytes_written() is O(new entries). Abandoning the writer before
+  // writer holds the bundle's live entry names (so duplicate-name
+  // detection spans old + new) and accepts Add/AddImage/BeginRecording
+  // exactly like a writer after Begin(). Nothing is published until
+  // Finish(), which appends a delta index generation and fsync-ordered
+  // journal trailer after the existing bytes; no existing byte is copied,
+  // so bytes_written() is O(new entries). Abandoning the writer before
   // Finish is crash-equivalent: nothing is published (the previous
   // trailer stays the latest valid one) and the staged bytes remain as
   // an unpublished torn tail — the file is never truncated, because a
@@ -182,6 +183,20 @@ class CorpusWriter {
   // FailedPrecondition instead of truncating published bytes. Readers
   // holding an open handle keep serving the old index (appends never
   // mutate bytes a published index points at).
+  //
+  // Preparing an append reads O(new generations), not O(bundle), when
+  // the same process appended to the same file last: a successful Finish
+  // leaves an *append base* (the published trailer, the live names and
+  // an open handle that pins the file's inode until the next append) in
+  // one process-wide slot. The next AppendTo takes the slot — it is never
+  // shared, so a concurrent second appender finds it empty, takes the
+  // full open and then fails on the lock — and, when the path names the
+  // same inode and the journal chain still runs through the held
+  // trailer, reads only the generations other processes appended since,
+  // through the same checks as CorpusReader::Reopen. Anything else (a
+  // compacted or rewritten file, another path) takes the full open, as
+  // does the first append of every process. A failed or abandoned writer
+  // drops the base.
   [[nodiscard]] static Result<std::unique_ptr<CorpusWriter>> AppendTo(
       const std::string& path, const CorpusAppendOptions& options = {});
 
@@ -221,13 +236,15 @@ class CorpusWriter {
   // build, ordered fsyncs for an append).
   [[nodiscard]] Status Finish();
 
-  const std::vector<CorpusEntry>& entries() const { return entries_; }
-
   // Physical bytes this writer has pushed to disk so far: the whole file
   // for a build, only the delta (new images + index + trailer + the
   // 4-byte header flip) for an append — the number the O(delta) append
   // guarantee is asserted on.
   uint64_t bytes_written() const;
+  // Bytes AppendTo read through the bundle's handle to prepare this
+  // append (0 for a build): flat in the chain length when resuming from
+  // the append base, a full open otherwise.
+  uint64_t bytes_read() const { return bytes_read_; }
 
  private:
   friend class CorpusEmbeddedSink;
@@ -236,8 +253,8 @@ class CorpusWriter {
   CorpusWriter(std::string path, AppendTag);
 
   Status CheckOpenForNewEntry(const std::string& name);
-  // AppendTo's instance half: seeds entries_/names_/offset_ from the
-  // existing bundle and opens the journal sink.
+  // AppendTo's instance half: takes or rebuilds the append base, seeds
+  // names_/offset_ from it and opens the journal sink.
   Status BeginAppend(const CorpusAppendOptions& options);
   // Routes bytes to whichever sink this writer runs on.
   Status WriteBytes(const uint8_t* data, size_t size);
@@ -253,16 +270,14 @@ class CorpusWriter {
   Status status_;  // first error, sticky
   uint64_t offset_ = 0;
 
-  // In-place append bookkeeping: the trailer being superseded, the
-  // generation number the new trailer will carry, and how many of
-  // entries_ were inherited from the existing bundle — Finish()'s delta
-  // index covers only entries_[base_entry_count_..].
-  uint64_t prev_trailer_offset_ = 0;
-  uint32_t generation_ = 1;
-  size_t base_entry_count_ = 0;
+  // In-place append only: the generation being superseded (its names
+  // are moved into names_ for the duplicate check, and back on commit).
+  std::unique_ptr<CorpusAppendBase> base_;
+  uint64_t bytes_read_ = 0;
 
+  // The entries this writer added, and every name it must not reuse.
   std::vector<CorpusEntry> entries_;
-  std::set<std::string> names_;
+  std::unordered_set<std::string> names_;
 
   // Active streaming recording, if any.
   std::unique_ptr<TraceByteSink> active_sink_;
@@ -372,7 +387,9 @@ class CorpusReader {
   void AdviseReadahead(ReadaheadMode mode) const;
 
  private:
-  friend class CorpusWriter;  // AddImageWindow copies bytes through file_
+  // AddImageWindow copies bytes through file_; BeginAppend opens through
+  // OpenImpl on the handle it already holds.
+  friend class CorpusWriter;
 
   CorpusReader() = default;
 
@@ -382,11 +399,6 @@ class CorpusReader {
                                        const CorpusReaderOptions& options,
                                        std::shared_ptr<ChunkCache> cache,
                                        std::shared_ptr<RandomAccessFile> file);
-  // Reopen's incremental path: sets *next to this reader extended by the
-  // generations appended to `file`, or leaves it empty when `file` is
-  // not an in-place extension of this reader's generation.
-  Status Extend(std::shared_ptr<RandomAccessFile> file,
-                std::optional<CorpusReader>* next) const;
   void SetLatestTrailer(const CorpusTrailerInfo& trailer);
 
   std::string path_;

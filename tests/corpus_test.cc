@@ -8,6 +8,8 @@
 // record->replay path.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -25,6 +27,7 @@
 #include "src/trace/trace_format.h"
 #include "src/util/codec.h"
 #include "src/util/crc32.h"
+#include "src/util/fault_injection.h"
 #include "src/util/random_access_file.h"
 #include "src/util/rng.h"
 #include "src/util/string_util.h"
@@ -87,6 +90,39 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) 
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good()) << path;
+}
+
+// Appends one hand-rolled generation to `bytes`: an index section
+// listing `entries` plus a CRC'd 28-byte trailer ending in `magic`.
+// Returns the trailer's offset.
+uint64_t AppendCraftedGeneration(std::vector<uint8_t>* bytes,
+                                 const std::vector<CorpusEntry>& entries,
+                                 uint64_t prev_trailer_offset,
+                                 uint32_t generation, uint32_t magic) {
+  Encoder index;
+  index.PutVarint64(entries.size());
+  for (const CorpusEntry& entry : entries) {
+    index.PutString(entry.name);
+    index.PutVarint64(entry.offset);
+    index.PutVarint64(entry.length);
+    index.PutString(entry.model);
+    index.PutString(entry.scenario);
+    index.PutVarint64(entry.event_count);
+    index.PutDouble(entry.original_wall_seconds);
+  }
+  const uint64_t index_offset = bytes->size();
+  const std::vector<uint8_t> section = EncodeTraceSection(
+      TraceSection::kCorpusIndex, index.buffer(), /*allow_compress=*/true);
+  bytes->insert(bytes->end(), section.begin(), section.end());
+  Encoder trailer;
+  trailer.PutFixed64(index_offset);
+  trailer.PutFixed64(prev_trailer_offset);
+  trailer.PutFixed32(generation);
+  trailer.PutFixed32(Crc32(trailer.buffer().data(), trailer.size()));
+  trailer.PutFixed32(magic);
+  const uint64_t trailer_offset = bytes->size();
+  bytes->insert(bytes->end(), trailer.buffer().begin(), trailer.buffer().end());
+  return trailer_offset;
 }
 
 // ----------------------------------------------------------------- Corpus
@@ -894,6 +930,40 @@ TEST(CorpusJournalTest, HeaderFlipAloneStaysReadable) {
   EXPECT_TRUE(corpus->VerifyAll().ok());
 }
 
+// The sink fsyncs at open only to make the header flip durable: the
+// first append of a v1 bundle syncs three times (flip, data, trailer),
+// every later one twice. An EIO on the third sync therefore fails only
+// the flipping append — after its trailer landed, so it still publishes.
+TEST(CorpusJournalTest, OnlyTheHeaderFlipAddsAnOpenFsync) {
+  ScopedPath path("journalsyncs");
+  {
+    CorpusWriter writer(path.get());
+    ASSERT_TRUE(writer.Begin().ok());
+    ASSERT_TRUE(writer.Add("base/a", MakeSyntheticRecording(200, 1)).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  const auto append_with_third_sync_failing = [&](const std::string& name) {
+    EXPECT_TRUE(SetFaultPlan("corpus.journal.sync:eio@3").ok());
+    auto writer = CorpusWriter::AppendTo(path.get());
+    Status status = writer.status();
+    if (writer.ok()) {
+      status = (*writer)->Add(name, MakeSyntheticRecording(100));
+    }
+    if (status.ok()) {
+      status = (*writer)->Finish();
+    }
+    ClearFaultPlan();
+    return status;
+  };
+  EXPECT_FALSE(append_with_third_sync_failing("flip").ok());
+  EXPECT_TRUE(append_with_third_sync_failing("second").ok());
+  EXPECT_TRUE(append_with_third_sync_failing("third").ok());
+  auto corpus = CorpusReader::Open(path.get());
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  EXPECT_EQ(corpus->generation(), 4u);
+  EXPECT_TRUE(corpus->VerifyAll().ok());
+}
+
 // In-place appends are single-writer: a second concurrent in-place
 // appender must fail loudly (racing journal writers would truncate and
 // interleave each other's bytes — corruption, not just a lost update),
@@ -1152,38 +1222,6 @@ TEST(CorpusJournalTest, RetiredV2JournalsAreRejected) {
   const std::vector<uint8_t> v1_bytes = ReadFileBytes(path.get());
   const uint64_t v1_trailer_offset = v1_bytes.size() - kCorpusTrailerBytes;
 
-  // Appends one generation (index section listing `entries` + a CRC'd
-  // 28-byte trailer ending in `magic`); returns the trailer's offset.
-  const auto append_generation = [](std::vector<uint8_t>* bytes,
-                                    const std::vector<CorpusEntry>& entries,
-                                    uint64_t prev_trailer_offset,
-                                    uint32_t generation, uint32_t magic) {
-    Encoder index;
-    index.PutVarint64(entries.size());
-    for (const CorpusEntry& entry : entries) {
-      index.PutString(entry.name);
-      index.PutVarint64(entry.offset);
-      index.PutVarint64(entry.length);
-      index.PutString(entry.model);
-      index.PutString(entry.scenario);
-      index.PutVarint64(entry.event_count);
-      index.PutDouble(entry.original_wall_seconds);
-    }
-    const uint64_t index_offset = bytes->size();
-    const std::vector<uint8_t> section = EncodeTraceSection(
-        TraceSection::kCorpusIndex, index.buffer(), /*allow_compress=*/true);
-    bytes->insert(bytes->end(), section.begin(), section.end());
-    Encoder trailer;
-    trailer.PutFixed64(index_offset);
-    trailer.PutFixed64(prev_trailer_offset);
-    trailer.PutFixed32(generation);
-    trailer.PutFixed32(Crc32(trailer.buffer().data(), trailer.size()));
-    trailer.PutFixed32(magic);
-    const uint64_t trailer_offset = bytes->size();
-    bytes->insert(bytes->end(), trailer.buffer().begin(),
-                  trailer.buffer().end());
-    return trailer_offset;
-  };
   // Opening and appending must both fail with `want` in the message,
   // and neither may change a byte of the file.
   const auto expect_rejected = [&](const std::vector<uint8_t>& bytes,
@@ -1207,8 +1245,8 @@ TEST(CorpusJournalTest, RetiredV2JournalsAreRejected) {
   // generation-2 full index published by a "CRDJ" trailer.
   std::vector<uint8_t> v2 = v1_bytes;
   v2[4] = 2;
-  append_generation(&v2, base_entries, v1_trailer_offset, 2,
-                    kRetiredFullIndexMagic);
+  AppendCraftedGeneration(&v2, base_entries, v1_trailer_offset, 2,
+                          kRetiredFullIndexMagic);
   expect_rejected(v2, "unsupported corpus format version 2");
 
   // Case 2: a v3 header whose newest (valid) delta trailer chains onto a
@@ -1216,9 +1254,9 @@ TEST(CorpusJournalTest, RetiredV2JournalsAreRejected) {
   const auto v3_chain_via = [&](uint32_t link_magic) {
     std::vector<uint8_t> bytes = v1_bytes;
     bytes[4] = kCorpusFormatVersionDelta;
-    const uint64_t link = append_generation(&bytes, base_entries,
-                                            v1_trailer_offset, 2, link_magic);
-    append_generation(&bytes, {}, link, 3, kCorpusDeltaTrailerMagic);
+    const uint64_t link = AppendCraftedGeneration(
+        &bytes, base_entries, v1_trailer_offset, 2, link_magic);
+    AppendCraftedGeneration(&bytes, {}, link, 3, kCorpusDeltaTrailerMagic);
     return bytes;
   };
   expect_rejected(v3_chain_via(kRetiredFullIndexMagic),
@@ -1968,6 +2006,368 @@ TEST(CorpusReopenTest, PickupBytesAreFlatInChainLength) {
   }
   EXPECT_GT(pickup_bytes[0], 0u);
   EXPECT_EQ(pickup_bytes[0], pickup_bytes[1]);
+}
+
+// Pins the stitch: when two later deltas both re-list a held name (no
+// writer does this; the chain is hand-rolled), the newest generation's
+// entry replaces the held slot in place, names new to the deltas follow
+// in first-listed order, and a fresh Open, an incremental Reopen from
+// either held generation, and AppendTo's duplicate check all agree.
+TEST(CorpusReopenTest, RelistedNamesReplaceInPlaceOnOpenAndReopen) {
+  ScopedPath path("reopen_relist");
+  BuildSingleShot(path.get(), {"a", "b"});
+  const std::vector<uint8_t> v1_bytes = ReadFileBytes(path.get());
+  const uint64_t v1_trailer_offset = v1_bytes.size() - kCorpusTrailerBytes;
+  auto held1 = CorpusReader::Open(path.get());
+  ASSERT_TRUE(held1.ok()) << held1.status();
+  const CorpusEntry a = held1->entries()[0];
+  const CorpusEntry b = held1->entries()[1];
+  const auto relabel = [](CorpusEntry entry, const std::string& name,
+                          const std::string& model) {
+    entry.name = name;
+    entry.model = model;
+    return entry;
+  };
+
+  // Generations land in place (same inode, never shrinking) so both held
+  // readers can take the incremental path.
+  std::vector<uint8_t> bytes = v1_bytes;
+  const auto write_tail = [&](size_t from) {
+    std::fstream file(path.get(),
+                      std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(static_cast<std::streamoff>(from));
+    file.write(reinterpret_cast<const char*>(bytes.data() + from),
+               static_cast<std::streamsize>(bytes.size() - from));
+    ASSERT_TRUE(file.good()) << path.get();
+  };
+  bytes[4] = kCorpusFormatVersionDelta;
+  const uint64_t gen2 = AppendCraftedGeneration(
+      &bytes, {relabel(a, "a", "gen2"), relabel(a, "d", "gen2")},
+      v1_trailer_offset, 2, kCorpusDeltaTrailerMagic);
+  write_tail(4);
+  auto held2 = CorpusReader::Open(path.get());
+  ASSERT_TRUE(held2.ok()) << held2.status();
+  const size_t gen3_from = bytes.size();
+  AppendCraftedGeneration(&bytes,
+                          {relabel(b, "c", "gen3"), relabel(b, "a", "gen3"),
+                           relabel(b, "d", "gen3")},
+                          gen2, 3, kCorpusDeltaTrailerMagic);
+  write_tail(gen3_from);
+
+  auto fresh = CorpusReader::Open(path.get());
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"a", "gen3"}, {"b", "synthetic"}, {"d", "gen3"}, {"c", "gen3"}};
+  ASSERT_EQ(fresh->entries().size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(fresh->entries()[i].name, want[i].first) << i;
+    EXPECT_EQ(fresh->entries()[i].model, want[i].second) << i;
+    // Every surviving slot holds b's window: gen3's entries carry it,
+    // and b itself was never re-listed.
+    EXPECT_EQ(fresh->entries()[i].offset, b.offset) << i;
+  }
+  for (const CorpusReader* held : {&*held1, &*held2}) {
+    auto next = held->Reopen();
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_EQ(next->generation(), 3u);
+    EXPECT_LT(next->bytes_read(), ExpectMatchesFreshOpen(*next))
+        << "held generation " << held->generation();
+  }
+
+  auto writer = CorpusWriter::AppendTo(path.get());
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  for (const char* name : {"a", "b", "c", "d"}) {
+    EXPECT_EQ((*writer)->Add(name, MakeSyntheticRecording(10)).code(),
+              StatusCode::kAlreadyExists)
+        << name;
+  }
+  EXPECT_TRUE((*writer)->Add("e", MakeSyntheticRecording(10)).ok());
+}
+
+// ------------------------------------------------------ Append base
+
+// Appends one generation from a forked child: to this process it is a
+// foreign generation its append base has not seen.
+void AppendGenerationInChild(const std::string& path,
+                             const std::vector<std::string>& names) {
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    auto writer = CorpusWriter::AppendTo(path);
+    bool ok = writer.ok();
+    for (const std::string& name : names) {
+      ok = ok && (*writer)->Add(name, MakeSyntheticRecording(300, 5)).ok();
+    }
+    ok = ok && (*writer)->Finish().ok();
+    _exit(ok ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+}
+
+// Opens an append writer and returns the bytes it read to prepare.
+uint64_t AppendOpenBytes(const std::string& path) {
+  auto writer = CorpusWriter::AppendTo(path);
+  EXPECT_TRUE(writer.ok()) << writer.status();
+  return writer.ok() ? (*writer)->bytes_read() : 0;
+}
+
+// The append cost is a count, not a timing: with equal-length names, an
+// append that resumes from the append base reads the same bytes at chain
+// lengths 16 and 512, and the first append after the base was dropped
+// (here by an abandoned writer) reads more — the full open.
+TEST(CorpusAppendTest, WarmAppendReadsAreFlatInChainLength) {
+  uint64_t warm_bytes[2] = {0, 0};
+  const uint32_t chains[2] = {16, 512};
+  for (int c = 0; c < 2; ++c) {
+    ScopedPath path("append_flat_" + std::to_string(chains[c]));
+    const auto name = [](uint32_t generation) {
+      return StrPrintf("gen/%05u", generation);
+    };
+    BuildSingleShot(path.get(), {name(1)});
+    for (uint32_t g = 2; g <= chains[c]; ++g) {
+      AppendGeneration(path.get(), {name(g)});
+    }
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    warm_bytes[c] = (*writer)->bytes_read();
+    EXPECT_EQ((*writer)->Add(name(1), MakeSyntheticRecording(10)).code(),
+              StatusCode::kAlreadyExists);
+    writer->reset();  // abandoned: the base is dropped
+
+    auto cold = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    EXPECT_GT((*cold)->bytes_read(), warm_bytes[c]) << "chain " << chains[c];
+    EXPECT_EQ((*cold)->Add(name(chains[c]), MakeSyntheticRecording(10)).code(),
+              StatusCode::kAlreadyExists);
+    ASSERT_TRUE(
+        (*cold)->Add(name(chains[c] + 1), MakeSyntheticRecording(300, 5)).ok());
+    ASSERT_TRUE((*cold)->Finish().ok());
+    auto corpus = CorpusReader::Open(path.get());
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    EXPECT_EQ(corpus->generation(), chains[c] + 1);
+    EXPECT_EQ(corpus->entries().size(), chains[c] + 1);
+  }
+  EXPECT_GT(warm_bytes[0], 0u);
+  EXPECT_EQ(warm_bytes[0], warm_bytes[1]);
+}
+
+// A generation another process appended joins the held base on the
+// incremental path: its names are duplicates from then on, and the file
+// this process then appends matches a fresh Open.
+TEST(CorpusAppendTest, ForeignGenerationJoinsTheHeldBase) {
+  ScopedPath path("append_foreign");
+  BuildSingleShot(path.get(), {"base/a"});
+  AppendGeneration(path.get(), {"parent/1"});
+  AppendGenerationInChild(path.get(), {"child/x"});
+  uint64_t full_open_bytes = 0;
+  {
+    auto fresh = CorpusReader::Open(path.get());
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    full_open_bytes = fresh->bytes_read();
+  }
+
+  auto writer = CorpusWriter::AppendTo(path.get());
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  EXPECT_LT((*writer)->bytes_read(), full_open_bytes);
+  const Status duplicate =
+      (*writer)->Add("child/x", MakeSyntheticRecording(10));
+  EXPECT_EQ(duplicate.code(), StatusCode::kAlreadyExists) << duplicate;
+  ASSERT_TRUE((*writer)->Add("parent/2", MakeSyntheticRecording(300, 5)).ok());
+  ASSERT_TRUE((*writer)->Finish().ok());
+  writer->reset();
+
+  auto corpus = CorpusReader::Open(path.get());
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  EXPECT_EQ(corpus->generation(), 4u);
+  std::vector<std::string> names;
+  for (const CorpusEntry& entry : corpus->entries()) {
+    names.push_back(entry.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"base/a", "parent/1", "child/x",
+                                             "parent/2"}));
+  EXPECT_TRUE(corpus->VerifyAll().ok());
+  // The base now holds the child's name too.
+  auto next = CorpusWriter::AppendTo(path.get());
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_LT((*next)->bytes_read(), corpus->bytes_read());
+  EXPECT_EQ((*next)->Add("child/x", MakeSyntheticRecording(10)).code(),
+            StatusCode::kAlreadyExists);
+}
+
+// A writer that fails or is abandoned drops the base, so names it staged
+// but never published are free again, and the next append takes the
+// full open.
+TEST(CorpusAppendTest, FailedOrAbandonedWriterDropsTheBase) {
+  ScopedPath path("append_dropped");
+  BuildSingleShot(path.get(), {"base/a"});
+  AppendGeneration(path.get(), {"gen2/a"});
+  const uint64_t warm = AppendOpenBytes(path.get());  // abandoned, too
+  const uint64_t cold = AppendOpenBytes(path.get());
+  EXPECT_GT(cold, warm);
+  AppendGeneration(path.get(), {"gen3/a"});
+
+  // Abandoned before Finish.
+  {
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Add("lost/1", MakeSyntheticRecording(300)).ok());
+  }
+  {
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    EXPECT_GT((*writer)->bytes_read(), warm);
+    ASSERT_TRUE((*writer)->Add("lost/1", MakeSyntheticRecording(300)).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+
+  // Failed before the trailer: nothing is published, the name is free.
+  {
+    ASSERT_TRUE(SetFaultPlan("corpus.journal.trailer:eio").ok());
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Add("lost/2", MakeSyntheticRecording(300)).ok());
+    EXPECT_FALSE((*writer)->Finish().ok());
+    ClearFaultPlan();
+  }
+  {
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    EXPECT_GT((*writer)->bytes_read(), warm);
+    ASSERT_TRUE((*writer)->Add("lost/2", MakeSyntheticRecording(300)).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+
+  // Failed at the final sync: the trailer already landed, so the
+  // generation is visible, and the next append — a full open — sees the
+  // name exactly as a fresh Open does.
+  {
+    ASSERT_TRUE(SetFaultPlan("corpus.journal.commit:eio").ok());
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Add("lost/3", MakeSyntheticRecording(300)).ok());
+    EXPECT_FALSE((*writer)->Finish().ok());
+    ClearFaultPlan();
+  }
+  auto fresh = CorpusReader::Open(path.get());
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_NE(fresh->Find("lost/3"), nullptr);
+  EXPECT_TRUE(fresh->VerifyAll().ok());
+  {
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    EXPECT_GT((*writer)->bytes_read(), warm);
+    EXPECT_EQ((*writer)->Add("lost/3", MakeSyntheticRecording(300)).code(),
+              StatusCode::kAlreadyExists);
+  }
+}
+
+// Mirrors CorpusReopenTest.ReplacedOrRewrittenFileTakesTheFullOpen: a
+// path replaced by CompactCorpus (or by a byte-identical copy) is a new
+// inode, and a bundle rewritten in place whose chain no longer runs
+// through the held trailer is not an extension of the base; all take
+// the full open.
+TEST(CorpusAppendTest, CompactedOrRewrittenFileTakesTheFullOpen) {
+  ScopedPath path("append_replaced");
+  // The replacement is built first: appending to another path would take
+  // (and drop) this path's base.
+  const std::string other = path.get() + ".other";
+  BuildSingleShot(other, {"other/a"});
+  for (int g = 2; g <= 6; ++g) {
+    AppendGeneration(other, {"other/gen" + std::to_string(g)}, 400);
+  }
+  const std::vector<uint8_t> replacement = ReadFileBytes(other);
+  std::remove(other.c_str());
+
+  BuildSingleShot(path.get(), {"base/a", "base/b"});
+  AppendGeneration(path.get(), {"gen2/a"});
+  {
+    const std::string copy = path.get() + ".copy";
+    WriteFileBytes(copy, ReadFileBytes(path.get()));
+    ASSERT_EQ(std::rename(copy.c_str(), path.get().c_str()), 0);
+    auto fresh = CorpusReader::Open(path.get());
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    EXPECT_EQ(AppendOpenBytes(path.get()), fresh->bytes_read());
+  }
+  AppendGeneration(path.get(), {"gen3/a"});
+  auto compacted = CompactCorpus(path.get(), {"base/b"});
+  ASSERT_TRUE(compacted.ok()) << compacted.status();
+  uint64_t full_open_bytes = 0;
+  {
+    auto fresh = CorpusReader::Open(path.get());
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    full_open_bytes = fresh->bytes_read();
+  }
+  {
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    EXPECT_EQ((*writer)->bytes_read(), full_open_bytes);
+    ASSERT_TRUE((*writer)->Add("base/b", MakeSyntheticRecording(300)).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+
+  // Same inode, different chain.
+  ASSERT_GT(replacement.size(), FileSizeBytes(path.get()));
+  {
+    std::fstream file(path.get(),
+                      std::ios::binary | std::ios::in | std::ios::out);
+    file.write(reinterpret_cast<const char*>(replacement.data()),
+               static_cast<std::streamsize>(replacement.size()));
+    ASSERT_TRUE(file.good());
+  }
+  {
+    auto fresh = CorpusReader::Open(path.get());
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    full_open_bytes = fresh->bytes_read();
+  }
+  {
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    // The abandoned walk's reads land on the handle before the full
+    // open's.
+    EXPECT_GT((*writer)->bytes_read(), full_open_bytes);
+    EXPECT_EQ((*writer)->Add("other/gen6", MakeSyntheticRecording(10)).code(),
+              StatusCode::kAlreadyExists);
+    ASSERT_TRUE((*writer)->Add("base/a", MakeSyntheticRecording(300)).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  auto corpus = CorpusReader::Open(path.get());
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  EXPECT_EQ(corpus->generation(), 7u);
+  EXPECT_EQ(corpus->entries().size(), 7u);
+  EXPECT_EQ(corpus->Find("gen2/a"), nullptr);
+  EXPECT_NE(corpus->Find("base/a"), nullptr);
+  EXPECT_TRUE(corpus->VerifyAll().ok());
+}
+
+// A corrupt delta index in a generation another process appended fails
+// the append loudly, before the sink opens: not a byte of the file moves.
+TEST(CorpusAppendTest, CorruptForeignIndexFailsAndLeavesTheFileAlone) {
+  ScopedPath path("append_corrupt");
+  BuildSingleShot(path.get(), {"base/a"});
+  AppendGeneration(path.get(), {"gen2/a"});
+  AppendGenerationInChild(path.get(), {"gen3/a"});
+  uint64_t index_offset = 0;
+  uint64_t trailer_offset = 0;
+  {
+    auto gen3 = CorpusReader::Open(path.get());
+    ASSERT_TRUE(gen3.ok()) << gen3.status();
+    index_offset = gen3->index_offset();
+    trailer_offset = gen3->trailer_offset();
+  }
+  AppendGenerationInChild(path.get(), {"gen4/a"});
+  FlipByteInPlace(path.get(), (index_offset + trailer_offset) / 2);
+  const std::vector<uint8_t> before = ReadFileBytes(path.get());
+
+  auto writer = CorpusWriter::AppendTo(path.get());
+  ASSERT_FALSE(writer.ok());
+  EXPECT_EQ(writer.status().code(), StatusCode::kInvalidArgument)
+      << writer.status();
+  auto fresh = CorpusReader::Open(path.get());
+  ASSERT_FALSE(fresh.ok());
+  EXPECT_EQ(fresh.status().code(), writer.status().code());
+  EXPECT_EQ(ReadFileBytes(path.get()), before);
 }
 
 // ------------------------------------------- Writer state-machine holes
