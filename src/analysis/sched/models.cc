@@ -1,10 +1,17 @@
 #include "src/analysis/sched/models.h"
 
-#include <deque>
+#include <stdlib.h>
+
+#include <filesystem>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "src/server/admission.h"
 #include "src/trace/chunk_cache.h"
+#include "src/trace/corpus.h"
+#include "src/trace/streaming_writer.h"
 #include "src/util/logging.h"
 #include "src/util/thread_annotations.h"
 
@@ -50,96 +57,104 @@ void CacheLruBody() {
   CHECK_GT(stats.evictions, 0u);
 }
 
-// Corpus server admission queue + stop/drain (src/server/corpus_server.cc
-// post-PR9): a bounded task queue with condvar-waiting workers, a stop
-// flag readable without the stop mutex, and the PR 9 fix — RequestStop
-// pairs its notify with the waiter's mutex via an empty critical section
-// so the store/notify can never slide into the waiter's check-then-wait
-// window.
+// The corpus server's real AdmissionQueue and StopLatch
+// (src/server/admission.h): two workers drain a two-slot queue while a
+// waiter blocks on the latch; t0 pushes three items, then stops and
+// closes the way CorpusServer's drain does.
 void ServerQueueBody() {
   struct State {
-    Mutex queue_mu;
-    CondVar queue_cv;
-    std::deque<int> queue;
-    bool queue_closed = false;
-    int processed = 0;
-
-    Mutex stop_mu;
-    CondVar stop_cv;
-    SharedVar<bool> stop;
+    AdmissionQueue<int> queue{2};
+    StopLatch stop;
+    int popped[2] = {0, 0};  // one slot per worker, read after the joins
   };
   auto st = std::make_shared<State>();
-  auto worker = [st] {
-    for (;;) {
-      {
-        MutexLock lock(st->queue_mu);
-        while (st->queue.empty() && !st->queue_closed) {
-          st->queue_cv.Wait(st->queue_mu);
-        }
-        if (st->queue.empty()) return;  // closed and drained
-        st->queue.pop_front();
-        ++st->processed;
-      }
+  auto worker = [st](int slot) {
+    while (st->queue.Pop().has_value()) {
+      ++st->popped[slot];
     }
   };
-  SchedThread w1 = Spawn(worker);
-  SchedThread w2 = Spawn(worker);
-  SchedThread waiter = Spawn([st] {
-    // Wait(): parks until RequestStop flips the flag.
-    MutexLock lock(st->stop_mu);
-    while (!st->stop.Load()) {
-      st->stop_cv.Wait(st->stop_mu);
-    }
-  });
-  for (int task = 0; task < 2; ++task) {
-    MutexLock lock(st->queue_mu);
-    st->queue.push_back(task);
-    st->queue_cv.NotifyOne();
+  SchedThread w1 = Spawn([=] { worker(0); });
+  SchedThread w2 = Spawn([=] { worker(1); });
+  SchedThread waiter = Spawn([st] { st->stop.Wait(); });
+  int accepted = 0;
+  int full = 0;
+  for (int item = 0; item < 3; ++item) {
+    const PushResult pushed = st->queue.TryPush(item);
+    CHECK(pushed != PushResult::kClosed) << "push before Close refused";
+    (pushed == PushResult::kAccepted ? accepted : full) += 1;
   }
-  // RequestStop, fixed shape: the empty stop_mu critical section orders
-  // the store before any in-flight check-then-wait completes.
-  st->stop.Store(true);
-  { MutexLock lock(st->stop_mu); }
-  st->stop_cv.NotifyAll();
-  // Drain: close the queue and wake every idle worker.
-  {
-    MutexLock lock(st->queue_mu);
-    st->queue_closed = true;
-  }
-  st->queue_cv.NotifyAll();
+  st->stop.Request();
+  st->queue.Close();
   w1.Join();
   w2.Join();
   waiter.Join();
+  CHECK_EQ(st->popped[0] + st->popped[1], accepted);
+  CHECK_EQ(accepted + full, 3);
+  CHECK(st->queue.TryPush(3) == PushResult::kClosed)
+      << "push after Close admitted";
 }
 
-// Single-writer flock append (src/util/file_lock.h + the corpus journal
-// append path): the file lock is a try-lock — a losing appender reports
-// Unavailable instead of queueing — and in-process state publishes under
-// a separate mutex nested strictly inside the writer lock.
+// The real CorpusWriter::AppendTo: two appenders race to add one entry
+// each to a fresh bundle. They meet at the append-base slot's ddr::Mutex
+// and at flock(2), which two descriptors contend for even in one process.
+// Each reports under a harness mutex while it holds its writer, so the
+// other can run inside that window. A loser must fail with Unavailable,
+// and the bundle must list exactly the committed names.
 void FlockAppendBody() {
+  static const std::vector<uint8_t>* const empty_trace =
+      new std::vector<uint8_t>(SerializeTrace(RecordedExecution{}));
   struct State {
-    Mutex flock;  // TryFlockExclusive: non-blocking, single writer
-    Mutex state_mu;
-    int journal_len = 0;
-    int refused = 0;
+    std::string dir = (std::filesystem::temp_directory_path() /
+                       "ddr-sched-append-XXXXXX").string();
+    Mutex mu;
+    Status outcome[2] GUARDED_BY(mu);
+    ~State() {
+      std::error_code ignored;
+      std::filesystem::remove_all(dir, ignored);
+    }
   };
   auto st = std::make_shared<State>();
-  auto append = [st] {
-    if (!st->flock.try_lock()) {
-      MutexLock lock(st->state_mu);
-      ++st->refused;  // loud Unavailable, never a queued wait
-      return;
-    }
-    {
-      MutexLock lock(st->state_mu);
-      ++st->journal_len;
-    }
-    st->flock.unlock();
+  CHECK(::mkdtemp(st->dir.data()) != nullptr) << "mkdtemp " << st->dir;
+  const std::string bundle = st->dir + "/bundle.ddrc";
+  {
+    CorpusWriter writer(bundle);
+    CHECK(writer.Begin().ok() && writer.Finish().ok()) << bundle;
+  }
+  const std::string names[2] = {"a", "b"};
+  auto report = [st](int slot, const Status& status) {
+    MutexLock lock(st->mu);
+    st->outcome[slot] = status;
   };
-  SchedThread a = Spawn(append);
-  SchedThread b = Spawn(append);
+  auto append = [=](int slot) {
+    auto writer = CorpusWriter::AppendTo(bundle);
+    report(slot, writer.status());
+    if (!writer.ok()) return;
+    Status status = (*writer)->AddImage(names[slot], *empty_trace, "perfect",
+                                        "", 0, 0.0);
+    if (status.ok()) status = (*writer)->Finish();
+    report(slot, status);
+  };
+  SchedThread a = Spawn([=] { append(0); });
+  SchedThread b = Spawn([=] { append(1); });
   a.Join();
   b.Join();
+  std::set<std::string> committed;
+  for (int slot = 0; slot < 2; ++slot) {
+    MutexLock lock(st->mu);
+    const Status& status = st->outcome[slot];
+    CHECK(status.ok() || status.code() == StatusCode::kUnavailable)
+        << "appender " << names[slot] << ": " << status.ToString();
+    if (status.ok()) committed.insert(names[slot]);
+  }
+  CorpusReaderOptions read_options;
+  read_options.cache_bytes = 0;
+  auto reader = CorpusReader::Open(bundle, read_options);
+  CHECK(reader.ok()) << reader.status().ToString();
+  std::set<std::string> listed;
+  for (const CorpusEntry& entry : reader->entries()) listed.insert(entry.name);
+  CHECK(listed == committed) << "bundle lists " << listed.size()
+                             << " names, " << committed.size()
+                             << " appends committed";
 }
 
 // ------------------------------------------------------ expect_finding
@@ -217,12 +232,12 @@ const std::vector<SchedModel>& Models() {
        "readers, a filler forcing evictions",
        &CacheLruBody, SchedModel::Expect::kClean},
       {"server-queue",
-       "corpus server admission queue + stop/drain with the PR 9 "
-       "notify-under-mutex fix",
+       "the real AdmissionQueue and StopLatch: two workers, a stop "
+       "waiter, three pushes into two slots, then stop and close",
        &ServerQueueBody, SchedModel::Expect::kClean},
       {"flock-append",
-       "single-writer flock append: try-lock writer gate, nested state "
-       "publish, loud Unavailable on contention",
+       "the real CorpusWriter::AppendTo: two appenders race on one "
+       "bundle, a loser fails Unavailable, the index lists the winners",
        &FlockAppendBody, SchedModel::Expect::kClean},
       {"deadlock-inversion",
        "deliberate AB/BA lock-order inversion: deadlocks under the right "

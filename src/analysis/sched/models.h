@@ -1,15 +1,16 @@
-// Small deterministic concurrency models of real subsystems, run under
-// the schedule explorer (sched.h).
+// Small deterministic concurrency models, run under the schedule
+// explorer (sched.h).
 //
 // Each model is a self-contained body: it spawns participant threads
 // with sched::Spawn and does all cross-thread communication through
 // sched-point operations (ddr::Mutex/CondVar, SharedVar).
-// The clean models are expected to be deadlock- and lost-wakeup-free
-// under full bounded exploration: cache-lru drives the real ChunkCache,
-// the others mirror the locking structure of a shipped subsystem. The
-// expect_finding models carry a deliberate bug (lock-order inversion,
-// pre-PR9 stop-path lost wakeup) so tests and the CI smoke can assert the
-// explorer actually finds and replays it.
+// Every clean model drives shipped classes, not a copy of them
+// (cache-lru: ChunkCache; server-queue: AdmissionQueue + StopLatch;
+// flock-append: CorpusWriter::AppendTo) and is expected to be deadlock-
+// and lost-wakeup-free under full bounded exploration. The hand-written
+// expect_finding fixtures carry a deliberate bug (lock-order inversion,
+// a stop notify without the waiter's mutex) so tests and the CI smoke
+// can assert the explorer actually finds and replays it.
 
 #ifndef SRC_ANALYSIS_SCHED_MODELS_H_
 #define SRC_ANALYSIS_SCHED_MODELS_H_

@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "src/apps/scenarios.h"
+#include "src/server/admission.h"
 #include "src/util/codec.h"
 #include "src/util/fault_injection.h"
 #include "src/util/file_lock.h"
@@ -47,12 +47,6 @@ struct Task {
   RpcRequest request;
 };
 
-enum class PushResult : uint8_t {
-  kAccepted = 0,
-  kFull = 1,    // bounded queue overflow -> loud Unavailable
-  kClosed = 2,  // server draining -> Unavailable, but not an overload
-};
-
 RpcResponse ErrorResponse(const Status& status) {
   RpcResponse response;
   response.code = status.code();
@@ -73,6 +67,9 @@ RpcResponse OkResponse(std::vector<uint8_t> payload = {}) {
 }  // namespace
 
 struct CorpusServer::Impl {
+  explicit Impl(const CorpusServerOptions& opts)
+      : options(opts), queue(opts.queue_capacity) {}
+
   std::string bundle_path;
   CorpusServerOptions options;
   uint16_t tcp_port = 0;  // resolved after a port-0 bind
@@ -99,11 +96,7 @@ struct CorpusServer::Impl {
   // behind its own mutex), so not guarded by snapshot_mu.
   std::optional<CorpusEntryScorer> scorer;
 
-  // Bounded admission queue.
-  Mutex queue_mu;
-  CondVar queue_cv;
-  std::deque<Task> queue GUARDED_BY(queue_mu);
-  bool queue_closed GUARDED_BY(queue_mu) = false;
+  AdmissionQueue<Task> queue;
 
   // Connection registry (for drain wakeups) + reader threads.
   Mutex conn_mu;
@@ -115,9 +108,7 @@ struct CorpusServer::Impl {
   std::vector<OsThread> workers;
   OsThread watcher;
 
-  std::atomic<bool> stop{false};
-  Mutex stop_mu;
-  CondVar stop_cv;
+  StopLatch stop;
   std::once_flag drain_once;
 
   // Counters (see ServeStats).
@@ -129,37 +120,6 @@ struct CorpusServer::Impl {
   std::atomic<uint64_t> generations_picked_up{0};
   std::atomic<uint64_t> clients_total{0};
   std::atomic<uint64_t> clients_active{0};
-
-  // --- queue ---------------------------------------------------------
-
-  PushResult TryPush(Task task) {
-    {
-      MutexLock lock(queue_mu);
-      if (queue_closed) {
-        return PushResult::kClosed;
-      }
-      if (queue.size() >= std::max<size_t>(options.queue_capacity, 1)) {
-        return PushResult::kFull;
-      }
-      queue.push_back(std::move(task));
-    }
-    queue_cv.NotifyOne();
-    return PushResult::kAccepted;
-  }
-
-  // Blocks for work; nullopt once the queue is closed and drained.
-  std::optional<Task> Pop() {
-    MutexLock lock(queue_mu);
-    while (queue.empty() && !queue_closed) {
-      queue_cv.Wait(queue_mu);
-    }
-    if (queue.empty()) {
-      return std::nullopt;
-    }
-    Task task = std::move(queue.front());
-    queue.pop_front();
-    return task;
-  }
 
   // --- responses -----------------------------------------------------
 
@@ -357,7 +317,7 @@ struct CorpusServer::Impl {
   // --- threads -------------------------------------------------------
 
   void AcceptLoop() {
-    while (!stop.load(std::memory_order_acquire)) {
+    while (!stop.requested()) {
       // Short poll timeout keeps the loop responsive to RequestStop
       // without busy-waiting.
       auto readable = WaitReadable(listener, 200);
@@ -390,7 +350,7 @@ struct CorpusServer::Impl {
       // not dropped with the connection.
       bool readable = false;
       while (true) {
-        const bool stopping = stop.load(std::memory_order_acquire);
+        const bool stopping = stop.requested();
         auto wait = WaitReadable(conn->socket, stopping ? 0 : 200);
         if (!wait.ok()) {
           break;  // poll error: treat the connection as gone
@@ -435,16 +395,15 @@ struct CorpusServer::Impl {
       // without waiting for in-flight requests.
       if (request->command == RpcCommand::kShutdown) {
         WriteResponse(*conn, OkResponse());
-        RequestStop();
+        stop.Request();
         continue;
       }
       if (request->command == RpcCommand::kRefresh) {
-        WriteResponse(*conn, stop.load(std::memory_order_acquire)
-                                 ? ErrorResponse(DrainingError())
-                                 : HandleRefresh());
+        WriteResponse(*conn, stop.requested() ? ErrorResponse(DrainingError())
+                                              : HandleRefresh());
         continue;
       }
-      switch (TryPush(Task{conn, std::move(*request)})) {
+      switch (queue.TryPush(Task{conn, std::move(*request)})) {
         case PushResult::kAccepted:
           break;
         case PushResult::kFull:
@@ -453,7 +412,7 @@ struct CorpusServer::Impl {
               *conn,
               ErrorResponse(UnavailableError(StrPrintf(
                   "server overloaded: admission queue is full (%zu)",
-                  std::max<size_t>(options.queue_capacity, 1)))));
+                  queue.capacity()))));
           break;
         case PushResult::kClosed:
           WriteResponse(*conn, ErrorResponse(DrainingError()));
@@ -471,11 +430,7 @@ struct CorpusServer::Impl {
   }
 
   void WorkerLoop() {
-    while (auto task = Pop()) {
-      if (options.debug_handler_delay_ms > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(options.debug_handler_delay_ms));
-      }
+    while (auto task = queue.Pop()) {
       WriteResponse(*task->conn, Handle(task->request));
     }
   }
@@ -484,7 +439,7 @@ struct CorpusServer::Impl {
     using Clock = std::chrono::steady_clock;
     auto next_probe =
         Clock::now() + std::chrono::milliseconds(options.watch_interval_ms);
-    while (!stop.load(std::memory_order_acquire)) {
+    while (!stop.requested()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       if (Clock::now() < next_probe) {
         continue;
@@ -505,21 +460,9 @@ struct CorpusServer::Impl {
     }
   }
 
-  void RequestStop() {
-    stop.store(true, std::memory_order_release);
-    // Pair the notify with the waiter's predicate check: without taking
-    // stop_mu here, the store + notify could both land in the window
-    // between Wait()'s check (under the mutex) and its sleep, and the
-    // wakeup would be lost — Wait() would hang until process exit. An
-    // empty critical section is enough; RequestStop is never called from
-    // a signal handler (handlers set their own sig_atomic_t flag).
-    { MutexLock lock(stop_mu); }
-    stop_cv.NotifyAll();
-  }
-
   void Drain() {
     std::call_once(drain_once, [&] {
-      stop.store(true, std::memory_order_release);
+      stop.Request();
       // 1. Stop accepting; release the endpoint.
       if (accept_thread.joinable()) {
         accept_thread.join();
@@ -535,11 +478,7 @@ struct CorpusServer::Impl {
       }
       // 2. Close the queue: reader threads answer "draining" from here
       // on; workers finish everything already admitted, then exit.
-      {
-        MutexLock lock(queue_mu);
-        queue_closed = true;
-      }
-      queue_cv.NotifyAll();
+      queue.Close();
       for (OsThread& worker : workers) {
         if (worker.joinable()) {
           worker.join();
@@ -575,7 +514,6 @@ CorpusServer::CorpusServer(std::unique_ptr<Impl> impl)
     : impl_(std::move(impl)) {}
 
 CorpusServer::~CorpusServer() {
-  impl_->RequestStop();
   impl_->Drain();
 }
 
@@ -586,9 +524,8 @@ Result<std::unique_ptr<CorpusServer>> CorpusServer::Start(
     return InvalidArgumentError(
         "serve needs exactly one endpoint: --socket <path> or --port <n>");
   }
-  auto impl = std::make_unique<Impl>();
+  auto impl = std::make_unique<Impl>(options);
   impl->bundle_path = bundle_path;
-  impl->options = options;
   impl->unix_endpoint = unix_endpoint;
 
   // Open the bundle first — a server with nothing to serve must fail
@@ -634,19 +571,12 @@ const std::string& CorpusServer::socket_path() const {
 
 uint16_t CorpusServer::tcp_port() const { return impl_->tcp_port; }
 
-bool CorpusServer::running() const {
-  return !impl_->stop.load(std::memory_order_acquire);
-}
+bool CorpusServer::running() const { return !impl_->stop.requested(); }
 
-void CorpusServer::RequestStop() { impl_->RequestStop(); }
+void CorpusServer::RequestStop() { impl_->stop.Request(); }
 
 void CorpusServer::Wait() {
-  {
-    MutexLock lock(impl_->stop_mu);
-    while (!impl_->stop.load(std::memory_order_acquire)) {
-      impl_->stop_cv.Wait(impl_->stop_mu);
-    }
-  }
+  impl_->stop.Wait();
   impl_->Drain();
 }
 

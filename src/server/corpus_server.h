@@ -13,7 +13,7 @@
 //   accept loop     polls the listener (stoppable), spawns one reader
 //                   thread per connection;
 //   reader threads  decode frames and TryPush {connection, request} into
-//                   a bounded admission queue — on overflow the reader
+//                   the bounded AdmissionQueue — on overflow the reader
 //                   itself answers Unavailable immediately (loud
 //                   overload, never silent unbounded queuing);
 //   worker pool     pops requests, pins the current reader snapshot (a
@@ -40,8 +40,9 @@
 //
 // Graceful drain (SIGTERM path): stop accepting, answer new requests
 // with Unavailable, finish everything already admitted, then unblock and
-// join every thread. RequestStop is async-signal-compatible in effect
-// (sets a flag the loops poll); Wait() performs the actual drain.
+// join every thread. RequestStop sets a StopLatch (admission.h) the
+// loops poll; Wait() blocks on it, then drains: closing the
+// AdmissionQueue lets the workers finish what it admitted and exit.
 
 #ifndef SRC_SERVER_CORPUS_SERVER_H_
 #define SRC_SERVER_CORPUS_SERVER_H_
@@ -86,10 +87,6 @@ struct CorpusServerOptions {
   // loose after this long instead of pinning its reader thread forever.
   // <= 0 disables the deadline.
   int request_timeout_ms = 10000;
-
-  // Test hook: stall every worker this long before executing a request,
-  // making queue overflow deterministic. Never set it in production.
-  int debug_handler_delay_ms = 0;
 };
 
 class CorpusServer {

@@ -787,12 +787,14 @@ Status CorpusWriter::WriteBytes(const uint8_t* data, size_t size) {
 }
 
 Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
-  ASSIGN_OR_RETURN(std::shared_ptr<RandomAccessFile> file,
-                   OpenCorpusFile(path_, options.io));
   // Resume from the base this process's last append published when the
   // file is an in-place extension of it: only generations appended since
   // (by another process) are read, and their names join the base's set.
+  // Taken before the handle opens, so the handle never predates the base
+  // (a concurrent append could publish one in between).
   std::unique_ptr<CorpusAppendBase> base = ExchangeAppendBase(nullptr);
+  ASSIGN_OR_RETURN(std::shared_ptr<RandomAccessFile> file,
+                   OpenCorpusFile(path_, options.io));
   std::optional<ChainWalk> walk;
   if (base != nullptr && base->path == path_) {
     ASSIGN_OR_RETURN(walk, WalkSinceHeld(*base->file, *file,
@@ -1190,18 +1192,14 @@ Result<RecordedExecution> CorpusReader::LoadRecording(
   return trace.ReadRecordedExecution();
 }
 
-void CorpusReader::AdviseReadahead(ReadaheadMode mode) const {
-  file_->Advise(mode);
-}
-
 Status CorpusReader::VerifyAll() const {
   // A full verify is the canonical cold sequential scan — every image
   // front to back — so widen kernel readahead for its duration and
-  // restore the handle's open-time hint after (serving traffic is
-  // point-lookup shaped; a sticky sequential hint would hurt it).
+  // restore the kernel default after (serving traffic is point-lookup
+  // shaped; a sticky sequential hint would hurt it).
   file_->Advise(ReadaheadMode::kSequential);
   const Status status = VerifyAllImpl();
-  file_->Advise(file_->readahead());
+  file_->Advise(ReadaheadMode::kNormal);
   return status;
 }
 

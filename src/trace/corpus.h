@@ -378,13 +378,8 @@ class CorpusReader {
   // of the index itself and the journal chain), plus index-vs-embedded-
   // metadata consistency. Hints kernel readahead sequential for the
   // duration of the scan (the one front-to-back read path) and restores
-  // the handle's open-time hint after.
+  // the kernel default after.
   [[nodiscard]] Status VerifyAll() const;
-
-  // Forwards an access-pattern hint to the underlying handle (advisory;
-  // see RandomAccessFile::Advise). Cold full-bundle scans want
-  // kSequential; point-lookup serving wants the open-time default.
-  void AdviseReadahead(ReadaheadMode mode) const;
 
  private:
   // AddImageWindow copies bytes through file_; BeginAppend opens through

@@ -81,18 +81,9 @@ class PreadFile final : public RandomAccessFile {
 
   void AdviseImpl(ReadaheadMode mode) const override {
 #if defined(POSIX_FADV_SEQUENTIAL)
-    int advice = POSIX_FADV_NORMAL;
-    switch (mode) {
-      case ReadaheadMode::kNormal:
-        advice = POSIX_FADV_NORMAL;
-        break;
-      case ReadaheadMode::kSequential:
-        advice = POSIX_FADV_SEQUENTIAL;
-        break;
-      case ReadaheadMode::kRandom:
-        advice = POSIX_FADV_RANDOM;
-        break;
-    }
+    const int advice = mode == ReadaheadMode::kSequential
+                           ? POSIX_FADV_SEQUENTIAL
+                           : POSIX_FADV_NORMAL;
     // Advisory: failure (e.g. an fs that ignores hints) changes nothing.
     (void)::posix_fadvise(fd_, 0, 0, advice);
 #else
@@ -106,6 +97,9 @@ class PreadFile final : public RandomAccessFile {
 
 // --------------------------------------------------------------- kMmap
 
+// An empty file has no mapping (mmap(2) rejects zero lengths): data_
+// stays null, the only valid read is the zero-length one at 0, and there
+// is nothing to advise or unmap.
 class MmapFile final : public RandomAccessFile {
  public:
   MmapFile(std::string path, const FileStat& stat, const uint8_t* data)
@@ -121,22 +115,18 @@ class MmapFile final : public RandomAccessFile {
   Result<std::span<const uint8_t>> ReadImpl(
       uint64_t offset, size_t length,
       std::vector<uint8_t>* /*scratch*/) const override {
+    if (data_ == nullptr) {
+      return std::span<const uint8_t>();
+    }
     return std::span<const uint8_t>(data_ + offset, length);
   }
 
   void AdviseImpl(ReadaheadMode mode) const override {
-    int advice = MADV_NORMAL;
-    switch (mode) {
-      case ReadaheadMode::kNormal:
-        advice = MADV_NORMAL;
-        break;
-      case ReadaheadMode::kSequential:
-        advice = MADV_SEQUENTIAL;
-        break;
-      case ReadaheadMode::kRandom:
-        advice = MADV_RANDOM;
-        break;
+    if (data_ == nullptr) {
+      return;
     }
+    const int advice =
+        mode == ReadaheadMode::kSequential ? MADV_SEQUENTIAL : MADV_NORMAL;
     (void)::madvise(const_cast<uint8_t*>(data_), static_cast<size_t>(size()),
                     advice);
   }
@@ -174,10 +164,8 @@ Result<std::shared_ptr<RandomAccessFile>> OpenMmap(const std::string& path) {
   RandomAccessFile::FileStat stat;
   ASSIGN_OR_RETURN(int fd, OpenFd(path, &stat));
   if (stat.size == 0) {
-    // mmap(2) rejects zero-length mappings; an empty file has nothing to
-    // map anyway. Callers with allow_fallback land on pread.
     ::close(fd);
-    return UnavailableError("cannot mmap empty file: " + path);
+    return std::shared_ptr<RandomAccessFile>(new MmapFile(path, stat, nullptr));
   }
   void* mapped =
       ::mmap(nullptr, static_cast<size_t>(stat.size), PROT_READ, MAP_PRIVATE,
@@ -215,18 +203,6 @@ Result<IoBackend> ParseIoBackend(const std::string& name) {
                               "' (expected pread|mmap)");
 }
 
-std::string_view ReadaheadModeName(ReadaheadMode mode) {
-  switch (mode) {
-    case ReadaheadMode::kNormal:
-      return "normal";
-    case ReadaheadMode::kSequential:
-      return "sequential";
-    case ReadaheadMode::kRandom:
-      return "random";
-  }
-  return "unknown";
-}
-
 uint64_t RandomAccessFile::NextId() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -248,24 +224,10 @@ Result<std::span<const uint8_t>> RandomAccessFile::Read(
 Result<std::shared_ptr<RandomAccessFile>> RandomAccessFile::Open(
     const std::string& path, const RandomAccessFileOptions& options) {
   RETURN_IF_ERROR(FaultPoint("file.open"));
-  auto open_backend = [&]() -> Result<std::shared_ptr<RandomAccessFile>> {
-    if (options.backend == IoBackend::kPread) {
-      return OpenPread(path);
-    }
-    auto opened = OpenMmap(path);
-    if (opened.ok() || !options.allow_fallback ||
-        opened.status().code() == StatusCode::kNotFound) {
-      return opened;
-    }
+  if (options.backend == IoBackend::kPread) {
     return OpenPread(path);
-  };
-  ASSIGN_OR_RETURN(std::shared_ptr<RandomAccessFile> file, open_backend());
-  // Stamp + apply the open-time hint before the handle is shared.
-  file->readahead_ = options.readahead;
-  if (options.readahead != ReadaheadMode::kNormal) {
-    file->Advise(options.readahead);
   }
-  return file;
+  return OpenMmap(path);
 }
 
 }  // namespace ddr

@@ -7,11 +7,11 @@
 //            cache does the buffering.
 //   kMmap    read-only mmap (the default): Read() returns a span straight
 //            into the mapping — zero copy, and decoders can decompress
-//            directly from the mapped region. Falls back to pread (see
-//            RandomAccessFileOptions::allow_fallback) when mapping is
-//            unavailable (empty file, exotic filesystem).
+//            directly from the mapped region. An empty file is served
+//            without a mapping; any other mmap(2) failure fails the open.
 //
-// Both backends are safe for concurrent Read() calls on one const handle.
+// The handle is the backend asked for, never a silent substitute. Both
+// backends are safe for concurrent Read() calls on one const handle.
 
 #ifndef SRC_UTIL_RANDOM_ACCESS_FILE_H_
 #define SRC_UTIL_RANDOM_ACCESS_FILE_H_
@@ -41,26 +41,16 @@ constexpr IoBackend DefaultIoBackend() { return IoBackend::kMmap; }
 // Access-pattern hint forwarded to the kernel: posix_fadvise(2) for the
 // pread backend, madvise(2) for mmap.
 // Purely advisory — reads return identical bytes under every mode;
-// only prefetch behavior changes. kSequential widens readahead for cold
-// front-to-back scans (corpus verify, bench cold passes); kRandom turns
-// it off for point lookups; kNormal restores the kernel default.
+// only prefetch behavior changes. kSequential widens readahead for a cold
+// front-to-back scan (corpus verify); kNormal, every handle's state at
+// open, restores the kernel default.
 enum class ReadaheadMode : uint8_t {
   kNormal = 0,
   kSequential = 1,
-  kRandom = 2,
 };
-
-std::string_view ReadaheadModeName(ReadaheadMode mode);
 
 struct RandomAccessFileOptions {
   IoBackend backend = DefaultIoBackend();
-  // When mmap cannot be set up (an empty file, a filesystem without
-  // mapping support), degrade to pread instead of failing the open. A
-  // missing file is always an error.
-  bool allow_fallback = true;
-  // Readahead hint applied to the whole file at open (and restored by
-  // Advise(readahead()) after a temporary override).
-  ReadaheadMode readahead = ReadaheadMode::kNormal;
 };
 
 class RandomAccessFile {
@@ -113,9 +103,6 @@ class RandomAccessFile {
   uint64_t bytes_read() const {
     return bytes_read_.load(std::memory_order_relaxed);
   }
-  // The open-time readahead hint (what Advise restores after an override).
-  ReadaheadMode readahead() const { return readahead_; }
-
   // Re-hints the whole file's expected access pattern. Advisory and
   // infallible: a kernel that ignores the hint changes nothing. Safe to
   // call concurrently with reads.
@@ -144,8 +131,6 @@ class RandomAccessFile {
   uint64_t inode_ = 0;
   IoBackend backend_ = IoBackend::kPread;
   uint64_t id_ = 0;
-  // Set once by Open before the handle is shared; immutable afterwards.
-  ReadaheadMode readahead_ = ReadaheadMode::kNormal;
   mutable std::atomic<uint64_t> bytes_read_{0};
 };
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/trace/chunk_cache.h"
+#include "src/trace/corpus.h"
 #include "src/util/random_access_file.h"
 
 namespace ddr {
@@ -67,7 +68,6 @@ TEST(RandomAccessFileTest, AllBackendsServeIdenticalBytes) {
   for (IoBackend backend : kAllBackends) {
     RandomAccessFileOptions options;
     options.backend = backend;
-    options.allow_fallback = false;
     auto opened = RandomAccessFile::Open(file.get(), options);
     ASSERT_TRUE(opened.ok()) << opened.status();
     const RandomAccessFile& raf = **opened;
@@ -98,41 +98,25 @@ TEST(RandomAccessFileTest, ReadaheadHintsAreAdvisoryAndPreserveBytes) {
   const std::vector<uint8_t> bytes = PatternBytes(10000);
   ScopedFile file("readahead", bytes);
   for (IoBackend backend : kAllBackends) {
-    for (ReadaheadMode mode : {ReadaheadMode::kNormal,
-                               ReadaheadMode::kSequential,
-                               ReadaheadMode::kRandom}) {
-      RandomAccessFileOptions options;
-      options.backend = backend;
-      options.allow_fallback = false;
-      options.readahead = mode;
-      auto opened = RandomAccessFile::Open(file.get(), options);
-      ASSERT_TRUE(opened.ok())
-          << IoBackendName(backend) << "/" << ReadaheadModeName(mode) << ": "
-          << opened.status();
-      EXPECT_EQ((*opened)->readahead(), mode);
-
-      std::vector<uint8_t> scratch;
+    RandomAccessFileOptions options;
+    options.backend = backend;
+    auto opened = RandomAccessFile::Open(file.get(), options);
+    ASSERT_TRUE(opened.ok()) << IoBackendName(backend) << ": "
+                             << opened.status();
+    std::vector<uint8_t> scratch;
+    for (ReadaheadMode mode :
+         {ReadaheadMode::kSequential, ReadaheadMode::kNormal}) {
+      (*opened)->Advise(mode);
       auto view = (*opened)->Read(0, bytes.size(), &scratch);
       ASSERT_TRUE(view.ok()) << view.status();
       EXPECT_TRUE(std::equal(view->begin(), view->end(), bytes.begin()))
-          << IoBackendName(backend) << "/" << ReadaheadModeName(mode);
-
-      // Re-advising mid-life (the sequential-scan bracket) is safe and
-      // leaves the opening mode reported unchanged.
-      (*opened)->Advise(ReadaheadMode::kSequential);
-      (*opened)->Advise((*opened)->readahead());
+          << IoBackendName(backend) << "/" << static_cast<int>(mode);
       auto again = (*opened)->Read(1234, 4096, &scratch);
       ASSERT_TRUE(again.ok()) << again.status();
       EXPECT_TRUE(std::equal(again->begin(), again->end(),
                              bytes.begin() + 1234));
     }
   }
-}
-
-TEST(IoBackendTest, ReadaheadModeNamesAreDistinct) {
-  EXPECT_EQ(ReadaheadModeName(ReadaheadMode::kNormal), "normal");
-  EXPECT_EQ(ReadaheadModeName(ReadaheadMode::kSequential), "sequential");
-  EXPECT_EQ(ReadaheadModeName(ReadaheadMode::kRandom), "random");
 }
 
 TEST(RandomAccessFileTest, ReadsPastEofFailWithOutOfRange) {
@@ -185,12 +169,11 @@ TEST(RandomAccessFileTest, SameFileTracksTheInodeNotThePath) {
   EXPECT_FALSE((*first)->SameFile(**replaced));
 }
 
-TEST(RandomAccessFileTest, MmapIsZeroCopyAndFallsBackOnEmptyFiles) {
+TEST(RandomAccessFileTest, MmapIsZeroCopyAndServesEmptyFiles) {
   const std::vector<uint8_t> bytes = PatternBytes(64);
   ScopedFile file("zerocopy", bytes);
   RandomAccessFileOptions options;
   options.backend = IoBackend::kMmap;
-  options.allow_fallback = false;
   auto mapped = RandomAccessFile::Open(file.get(), options);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   EXPECT_TRUE((*mapped)->zero_copy());
@@ -200,16 +183,29 @@ TEST(RandomAccessFileTest, MmapIsZeroCopyAndFallsBackOnEmptyFiles) {
   // Zero copy: scratch was never touched, the view aliases the mapping.
   EXPECT_TRUE(scratch.empty());
 
-  // mmap cannot map an empty file; with fallback the open still succeeds
-  // on a copying backend, without it the open fails.
+  // An empty file opens on the backend asked for, with nothing mapped:
+  // the zero-length read at 0 succeeds, anything longer is out of range,
+  // and a re-hint is a no-op.
   ScopedFile empty("empty", {});
-  auto strict = RandomAccessFile::Open(empty.get(), options);
-  EXPECT_FALSE(strict.ok());
-  options.allow_fallback = true;
-  auto fallback = RandomAccessFile::Open(empty.get(), options);
-  ASSERT_TRUE(fallback.ok()) << fallback.status();
-  EXPECT_NE((*fallback)->backend(), IoBackend::kMmap);
-  EXPECT_EQ((*fallback)->size(), 0u);
+  auto opened = RandomAccessFile::Open(empty.get(), options);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  EXPECT_EQ((*opened)->backend(), IoBackend::kMmap);
+  EXPECT_EQ((*opened)->size(), 0u);
+  auto nothing = (*opened)->Read(0, 0, &scratch);
+  ASSERT_TRUE(nothing.ok()) << nothing.status();
+  EXPECT_TRUE(nothing->empty());
+  EXPECT_EQ((*opened)->Read(0, 1, &scratch).status().code(),
+            StatusCode::kOutOfRange);
+  (*opened)->Advise(ReadaheadMode::kSequential);
+
+  // An empty corpus still fails loudly, as too small to be one.
+  CorpusReaderOptions corpus_options;
+  corpus_options.io = options;
+  auto corpus = CorpusReader::Open(empty.get(), corpus_options);
+  ASSERT_FALSE(corpus.ok());
+  EXPECT_NE(corpus.status().message().find("corpus file too small"),
+            std::string::npos)
+      << corpus.status();
 }
 
 TEST(RandomAccessFileTest, ConcurrentReadsOnOneHandleAreSafe) {

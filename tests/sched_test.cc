@@ -292,6 +292,9 @@ TEST(SchedModels, RegistryIsStableAndLookupWorks) {
 // Exploration results pinned from the engine as first shipped: a change
 // of substrate must not move a single run count, finding or event. Every
 // finding's schedule is also replayed and its full event log compared.
+// The server-queue and flock-append entries were re-pinned when those
+// models became harnesses over the shipped classes; the three buggy
+// fixtures are unchanged since the engine first shipped.
 struct GoldenFinding {
   FindingKind kind;
   const char* message;
@@ -310,7 +313,7 @@ struct GoldenExploration {
 TEST(SchedModels, ExplorationMatchesGolden) {
   const std::vector<GoldenExploration> golden = {
       {"server-queue", 160, 128, false, {}},
-      {"flock-append", 60, 28, true, {}},
+      {"flock-append", 96, 64, true, {}},
       {"deadlock-inversion", 65, 33, true, {
            {FindingKind::kLockOrderCycle,
             "lock-order cycle: t2 locks m0 while holding m1, but m1 is also "

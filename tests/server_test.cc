@@ -536,18 +536,27 @@ TEST(CorpusServerTest, WatcherPicksUpAppendWithoutExplicitRefresh) {
   EXPECT_EQ(RowSignature(*cell), BaselineSignatures(bundle.get()).at("sum/failure"));
 }
 
+// Clears the process-wide fault plan even when an ASSERT bails out of
+// the test early — an armed plan must never leak into the next test.
+struct ScopedFaultPlan {
+  explicit ScopedFaultPlan(const std::string& plan) {
+    EXPECT_TRUE(SetFaultPlan(plan).ok());
+  }
+  ~ScopedFaultPlan() { ClearFaultPlan(); }
+};
+
 TEST(CorpusServerTest, OverloadAnswersUnavailableLoudly) {
   ScopedPath bundle("server_test_overload.ddrc");
   ScopedPath socket_path("server_test_overload.sock");
   BuildBundle(bundle.get(), {DeterminismModel::kPerfect});
 
-  // One worker, a one-slot queue, and a deliberate per-request stall:
-  // request 1 occupies the worker, request 2 fills the queue, request 3
-  // must bounce with Unavailable instead of queuing silently.
+  // One worker, a one-slot queue, and a stalled first response: request
+  // 1 occupies the worker, request 2 fills the queue, request 3 must
+  // bounce with Unavailable instead of queuing silently.
   CorpusServerOptions options = UnixOptions(socket_path.get());
   options.workers = 1;
   options.queue_capacity = 1;
-  options.debug_handler_delay_ms = 400;
+  ScopedFaultPlan plan("server.respond:stall@1=400");
   auto server = CorpusServer::Start(bundle.get(), options);
   ASSERT_TRUE(server.ok()) << server.status();
 
@@ -598,7 +607,6 @@ TEST(CorpusServerTest, RefreshDoesNotWaitBehindAStalledReplay) {
 
   CorpusServerOptions options = UnixOptions(socket_path.get());
   options.workers = 1;
-  options.debug_handler_delay_ms = 1500;
   auto server = CorpusServer::Start(bundle.get(), options);
   ASSERT_TRUE(server.ok()) << server.status();
   BuildBundle(bundle.get(),
@@ -608,6 +616,8 @@ TEST(CorpusServerTest, RefreshDoesNotWaitBehindAStalledReplay) {
   auto replayer = CorpusClient::ConnectUnixSocket(socket_path.get());
   auto refresher = CorpusClient::ConnectUnixSocket(socket_path.get());
   ASSERT_TRUE(replayer.ok() && refresher.ok());
+  // Only the first response, the replay's, stalls.
+  ScopedFaultPlan plan("server.respond:stall@1=1500");
   std::atomic<bool> replay_answered{false};
   std::thread replay([&] {
     auto cell = replayer->Replay("sum/perfect");
@@ -924,15 +934,6 @@ TEST(CorpusServerTest, InfoReportsActiveWriterDuringInPlaceAppend) {
 }
 
 // ----------------------------------------------------------- resilience
-
-// Clears the process-wide fault plan even when an ASSERT bails out of
-// the test early — an armed plan must never leak into the next test.
-struct ScopedFaultPlan {
-  explicit ScopedFaultPlan(const std::string& plan) {
-    EXPECT_TRUE(SetFaultPlan(plan).ok());
-  }
-  ~ScopedFaultPlan() { ClearFaultPlan(); }
-};
 
 TEST(ResilienceTest, FrameDeadlineIsDistinctFromSocketErrors) {
   // Nothing ever arrives: the poll-based read must answer

@@ -255,8 +255,6 @@ RandomAccessFileOptions IoOptionsFromFlags(int argc, char** argv) {
       std::exit(1);
     }
     io.backend = *backend;
-    // An explicit backend request should fail loudly, not silently degrade.
-    io.allow_fallback = false;
   }
   return io;
 }
