@@ -10,6 +10,9 @@
 // (warm_vs_cold_pread_speedup), and every backend must decode the exact
 // same bytes (fingerprint-checked here, bit-asserted in tests).
 
+#include <time.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -507,6 +510,87 @@ void RunReopenScalingBench(BenchJsonWriter& json) {
   CHECK_EQ(reopen_bytes[0], reopen_bytes[1]);
 }
 
+// Reopen CPU in the entry count: a reader held over N entries, built in
+// one generation, picks up one appended generation. The next reader
+// shares the held entry blocks and name shards and copies only what the
+// new name touches, so the CPU time per Reopen is flat in N. Each sample
+// is one Reopen on the same held reader plus the drop of the reader it
+// returns (a server's swap retires one per refresh), timed on the
+// thread's CPU clock so a preempted sample does not count its wait; the
+// row reports the median.
+void RunReopenEntriesBench(BenchJsonWriter& json) {
+  constexpr int kReopens = 201;
+  const std::string path = "micro_corpus_serve_entries.tmp.ddrc";
+  const RecordedExecution recording = MakeRecording(10, 77);
+  const auto thread_cpu_us = [] {
+    timespec now{};
+    CHECK_EQ(clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now), 0);
+    return static_cast<double>(now.tv_sec) * 1e6 +
+           static_cast<double>(now.tv_nsec) / 1e3;
+  };
+
+  const uint64_t entry_counts[2] = {16, 4096};
+  double median_us[2] = {0, 0};
+  for (int c = 0; c < 2; ++c) {
+    {
+      CorpusWriter writer(path);
+      CHECK(writer.Begin().ok());
+      for (uint64_t i = 0; i < entry_counts[c]; ++i) {
+        CHECK(writer
+                  .Add(StrPrintf("held/%05llu",
+                                 static_cast<unsigned long long>(i)),
+                       recording)
+                  .ok());
+      }
+      CHECK(writer.Finish().ok());
+    }
+    auto held = CorpusReader::Open(path, Options(IoBackend::kMmap, 0));
+    CHECK(held.ok()) << held.status();
+    {
+      auto writer = CorpusWriter::AppendTo(path);
+      CHECK(writer.ok()) << writer.status();
+      CHECK((*writer)->Add("new/00000", recording).ok());
+      CHECK((*writer)->Finish().ok());
+    }
+
+    std::vector<double> samples;
+    samples.reserve(kReopens);
+    for (int i = 0; i < kReopens; ++i) {
+      const double start = thread_cpu_us();
+      {
+        auto next = held->Reopen();
+        CHECK(next.ok()) << next.status();
+        CHECK_EQ(next->entry_count(), entry_counts[c] + 1);
+      }
+      samples.push_back(thread_cpu_us() - start);
+    }
+    std::sort(samples.begin(), samples.end());
+    median_us[c] = samples[samples.size() / 2];
+    std::printf("reopen-entries: %5llu held entries + 1 generation -> "
+                "reopen median %.1f us CPU (%d calls)\n",
+                static_cast<unsigned long long>(entry_counts[c]),
+                median_us[c], kReopens);
+
+    JsonLine line = json.Line();
+    line.Str("section", "reopen-entries")
+        .Int("entries", entry_counts[c])
+        .Int("reopens", kReopens)
+        .Num("reopen_us_median", median_us[c]);
+    json.Write(line);
+    std::remove(path.c_str());
+  }
+
+  // The acceptance shape: 256x the held entries may cost at most 3x the
+  // CPU per pickup.
+  const double ratio = median_us[1] / median_us[0];
+  std::printf("reopen-entries: 4096 / 16 entries CPU ratio %.2f\n", ratio);
+  JsonLine line = json.Line();
+  line.Str("section", "reopen-entries").Num("reopen_cpu_ratio", ratio);
+  json.Write(line);
+  CHECK(ratio <= 3.0) << "Reopen CPU grows with the held entry count: "
+                      << ratio << "x";
+}
+
 // The daemon transport tax: N clients over a unix-domain socket each
 // verifying every entry (a full decode through the server's shared
 // cache) vs the identical workload done in-process on one shared
@@ -716,6 +800,7 @@ void RunAll() {
   RunAppendBench(json);
   RunAppendScalingBench(json);
   RunReopenScalingBench(json);
+  RunReopenEntriesBench(json);
   RunServerBench(json);
   RunResilienceBench(json);
   std::remove(kCorpusPath);

@@ -178,7 +178,7 @@ struct CorpusServer::Impl {
     info.format_version = reader->format_version();
     info.generation = reader->generation();
     info.dead_bytes = reader->dead_bytes();
-    info.entry_count = reader->entries().size();
+    info.entry_count = reader->entry_count();
     info.io_backend = std::string(IoBackendName(reader->io_backend()));
     // The probe never blocks; on probe failure report "no writer" rather
     // than failing the whole info (the rest of the answer is still good).
@@ -189,7 +189,7 @@ struct CorpusServer::Impl {
   RpcResponse HandleList() {
     const std::shared_ptr<const CorpusReader> reader = Pin();
     std::vector<ServeEntry> entries;
-    entries.reserve(reader->entries().size());
+    entries.reserve(reader->entry_count());
     for (const CorpusEntry& entry : reader->entries()) {
       ServeEntry row;
       row.name = entry.name;
@@ -209,7 +209,7 @@ struct CorpusServer::Impl {
         return ErrorResponse(verified);
       }
       Encoder encoder;
-      encoder.PutVarint64(reader->entries().size());
+      encoder.PutVarint64(reader->entry_count());
       return OkResponse(encoder.TakeBuffer());
     }
     const CorpusEntry* entry = reader->Find(name);
@@ -268,9 +268,9 @@ struct CorpusServer::Impl {
     auto next = std::make_shared<const CorpusReader>(std::move(reopened));
     ServeRefresh out;
     out.generation_before = current->generation();
-    out.entries_before = current->entries().size();
+    out.entries_before = current->entry_count();
     out.generation_after = next->generation();
-    out.entries_after = next->entries().size();
+    out.entries_after = next->entry_count();
     {
       MutexLock lock(snapshot_mu);
       retired_bytes_read += current->bytes_read();
@@ -309,7 +309,7 @@ struct CorpusServer::Impl {
       stats.corpus_bytes_read = retired_bytes_read + reader->bytes_read();
     }
     stats.generation = reader->generation();
-    stats.entry_count = reader->entries().size();
+    stats.entry_count = reader->entry_count();
     stats.cache = reader->cache_stats();
     return stats;
   }

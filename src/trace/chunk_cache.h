@@ -35,7 +35,9 @@ namespace ddr {
 // process-unique RandomAccessFile::id(), so one cache can safely serve
 // several files and can never serve stale chunks after a path is
 // atomically replaced (windows sharing one handle share entries; a fresh
-// open of the same path gets a fresh id); `image_offset` is the DDRT
+// open of the same path gets a fresh id, except that a CorpusReader's
+// incremental Reopen keeps the held id for a file it proved is an
+// in-place extension of the one that id read); `image_offset` is the DDRT
 // image's base offset inside that file (0 for a bare trace, the entry
 // offset for a corpus image); `chunk_index` is the position in the
 // image's footer chunk table.

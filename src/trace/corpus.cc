@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <span>
@@ -306,13 +307,13 @@ Result<CorpusTrailerInfo> ReadPrevTrailer(const RandomAccessFile& file,
 }
 
 // A journal chain walked down from its latest trailer: that trailer, the
-// trailer the walk stopped on, the stopping trailer's own index, and the
-// index of every delta generation above it, newest first.
+// trailer the walk stopped on, and the index of every generation read on
+// the way, newest first. The stopping trailer's own index comes last,
+// unless the walk stopped at `floor`, whose index the caller holds.
 struct ChainWalk {
   CorpusTrailerInfo latest;
   CorpusTrailerInfo base;
-  std::vector<CorpusEntry> base_entries;  // empty when the walk hit `floor`
-  std::vector<std::vector<CorpusEntry>> deltas;
+  std::vector<std::vector<CorpusEntry>> indexes;
 };
 
 // Walks the prev-trailer chain down from `latest` (whose own index is
@@ -330,59 +331,20 @@ Result<ChainWalk> WalkJournalChain(const RandomAccessFile& file,
   ChainWalk walk;
   walk.latest = latest;
   walk.base = latest;
-  walk.base_entries = std::move(latest_entries);
+  if (latest.trailer_offset > floor) {
+    walk.indexes.push_back(std::move(latest_entries));
+  }
   while (walk.base.delta && walk.base.trailer_offset > floor) {
-    walk.deltas.push_back(std::move(walk.base_entries));
     ASSIGN_OR_RETURN(CorpusTrailerInfo prev,
                      ReadPrevTrailer(file, file_size, walk.base, &scratch));
-    walk.base_entries.clear();
     if (prev.trailer_offset > floor) {
-      ASSIGN_OR_RETURN(walk.base_entries, LoadIndexForTrailer(file, prev));
+      ASSIGN_OR_RETURN(std::vector<CorpusEntry> index,
+                       LoadIndexForTrailer(file, prev));
+      walk.indexes.push_back(std::move(index));
     }
     walk.base = prev;
   }
   return walk;
-}
-
-// Overlays delta generations (newest first, as WalkJournalChain collects
-// them) onto `entries` as if applied oldest-first: a name already held is
-// replaced in place by its newest entry, and names new to the deltas are
-// appended in the order first listed, so the final order is add order.
-// The deltas are stitched among themselves first, so the name -> slot map
-// holds only their names, and each held entry is then probed once: no
-// allocation per held entry.
-void OverlayDeltas(std::vector<std::vector<CorpusEntry>> deltas,
-                   std::vector<CorpusEntry>* entries) {
-  std::vector<CorpusEntry> stitched;
-  std::unordered_map<std::string, size_t> slots;
-  for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-    for (CorpusEntry& entry : *it) {
-      const auto [slot, added] = slots.emplace(entry.name, stitched.size());
-      if (added) {
-        stitched.push_back(std::move(entry));
-      } else {
-        stitched[slot->second] = std::move(entry);
-      }
-    }
-  }
-  if (stitched.empty()) {
-    return;
-  }
-  // A held name replaces at most one slot (its first), as a name -> slot
-  // map over the held entries would.
-  std::vector<bool> placed(stitched.size(), false);
-  for (CorpusEntry& held : *entries) {
-    const auto slot = slots.find(held.name);
-    if (slot != slots.end() && !placed[slot->second]) {
-      placed[slot->second] = true;
-      held = std::move(stitched[slot->second]);
-    }
-  }
-  for (size_t i = 0; i < stitched.size(); ++i) {
-    if (!placed[i]) {
-      entries->push_back(std::move(stitched[i]));
-    }
-  }
 }
 
 // Reads and checks the 12-byte header; returns the format version.
@@ -803,8 +765,8 @@ Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
   }
   uint32_t observed_version = kCorpusFormatVersionDelta;
   if (walk.has_value()) {
-    for (const std::vector<CorpusEntry>& delta : walk->deltas) {
-      for (const CorpusEntry& entry : delta) {
+    for (const std::vector<CorpusEntry>& index : walk->indexes) {
+      for (const CorpusEntry& entry : index) {
         base->names.insert(entry.name);
       }
     }
@@ -827,9 +789,11 @@ Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
     base->trailer_offset = existing.trailer_offset();
     base->tail_offset = existing.tail_offset();
     base->generation = existing.generation();
-    base->names.reserve(existing.entries().size());
-    for (const CorpusEntry& entry : existing.entries()) {
-      base->names.insert(entry.name);
+    base->names.reserve(existing.entry_count());
+    for (const auto& block : existing.blocks_) {
+      for (const auto& entry : *block) {
+        base->names.insert(entry->name);
+      }
     }
     observed_version = existing.format_version();
   }
@@ -1084,13 +1048,16 @@ Result<CorpusReader> CorpusReader::Reopen() const {
   if (!walk.has_value()) {
     return OpenImpl(path_, options_, cache_, std::move(file));
   }
+  // Shares the entry table and keeps cache_id_: every byte the held
+  // reader could have cached is below its tail, which an in-place append
+  // never rewrites.
   CorpusReader next = *this;
   next.file_ = std::move(file);
   next.file_size_ = next.file_->size();
   next.format_version_ = kCorpusFormatVersionDelta;
   next.journaled_ = true;
   next.SetLatestTrailer(walk->latest);
-  OverlayDeltas(std::move(walk->deltas), &next.entries_);
+  next.AddGenerations(std::move(walk->indexes));
   return next;
 }
 
@@ -1100,6 +1067,96 @@ void CorpusReader::SetLatestTrailer(const CorpusTrailerInfo& trailer) {
   tail_offset_ = trailer.end();
   generation_ = trailer.generation;
   dead_bytes_ = file_size_ - trailer.end();
+}
+
+// An open-addressing table of (name hash, slot + 1) cells, slot + 1 == 0
+// marking an empty cell, kept at most half full. Names whose hashes
+// collide are told apart by the entries' own names. A name is never
+// removed: a re-listed one keeps its slot.
+struct CorpusReader::NameShard {
+  size_t used = 0;
+  std::vector<std::pair<size_t, size_t>> cells;
+
+  // The first cell to probe: the hash's low bits already chose the shard.
+  size_t Home(size_t hash) const {
+    return (hash / kNameShards) & (cells.size() - 1);
+  }
+
+  void Insert(size_t hash, size_t slot) {
+    if (2 * (used + 1) > cells.size()) {
+      std::vector<std::pair<size_t, size_t>> old(
+          std::max<size_t>(16, 2 * cells.size()));
+      old.swap(cells);
+      used = 0;
+      for (const auto& [old_hash, old_slot] : old) {
+        if (old_slot != 0) {
+          Insert(old_hash, old_slot - 1);
+        }
+      }
+    }
+    size_t i = Home(hash);
+    while (cells[i].second != 0) {
+      i = (i + 1) & (cells.size() - 1);
+    }
+    cells[i] = {hash, slot + 1};
+    ++used;
+  }
+};
+
+void CorpusReader::AddGenerations(
+    std::vector<std::vector<CorpusEntry>> newest_first) {
+  // Blocks and shards this call copied or created: writable until it
+  // returns, then as immutable as the ones still shared.
+  std::unordered_map<size_t, EntryBlock*> own_blocks;
+  std::array<NameShard*, kNameShards> own_shards{};
+  const auto writable_block = [&](size_t b) -> EntryBlock& {
+    const auto [own, added] = own_blocks.try_emplace(b, nullptr);
+    if (added) {
+      auto copy = b < blocks_.size() ? std::make_shared<EntryBlock>(*blocks_[b])
+                                     : std::make_shared<EntryBlock>();
+      copy->reserve(kEntryBlockSize);
+      own->second = copy.get();
+      if (b < blocks_.size()) {
+        blocks_[b] = std::move(copy);
+      } else {
+        blocks_.push_back(std::move(copy));
+      }
+    }
+    return *own->second;
+  };
+  // The entries this call adds share one allocation, oldest first; the
+  // table's per-entry pointers alias it.
+  size_t new_entries = 0;
+  for (const std::vector<CorpusEntry>& index : newest_first) {
+    new_entries += index.size();
+  }
+  auto storage = std::make_shared<std::vector<CorpusEntry>>();
+  storage->reserve(new_entries);
+  for (auto index = newest_first.rbegin(); index != newest_first.rend();
+       ++index) {
+    std::move(index->begin(), index->end(), std::back_inserter(*storage));
+  }
+  for (const CorpusEntry& entry : *storage) {
+    std::shared_ptr<const CorpusEntry> shared(storage, &entry);
+    const size_t hash = std::hash<std::string>{}(entry.name);
+    const size_t held = FindSlot(hash, entry.name);
+    if (held != kNoSlot) {
+      writable_block(held / kEntryBlockSize)[held % kEntryBlockSize] =
+          std::move(shared);
+      continue;
+    }
+    const size_t s = hash % kNameShards;
+    if (own_shards[s] == nullptr) {
+      auto copy = shards_[s] != nullptr
+                      ? std::make_shared<NameShard>(*shards_[s])
+                      : std::make_shared<NameShard>();
+      own_shards[s] = copy.get();
+      shards_[s] = std::move(copy);
+    }
+    own_shards[s]->Insert(hash, entry_count_);
+    writable_block(entry_count_ / kEntryBlockSize).push_back(std::move(shared));
+    ++entry_count_;
+  }
 }
 
 Result<CorpusReader> CorpusReader::OpenImpl(
@@ -1112,12 +1169,14 @@ Result<CorpusReader> CorpusReader::OpenImpl(
   reader.cache_ = cache != nullptr
                       ? std::move(cache)
                       : std::make_shared<ChunkCache>(options.cache_bytes);
+  reader.cache_id_ = reader.file_->id();
   reader.file_size_ = reader.file_->size();
   if (reader.file_size_ < kCorpusHeaderBytes + kCorpusTrailerBytes) {
     return InvalidArgumentError("corpus file too small: " + path);
   }
   ASSIGN_OR_RETURN(reader.format_version_, ReadCorpusHeader(*reader.file_));
 
+  std::vector<std::vector<CorpusEntry>> indexes;
   if (reader.format_version_ == kCorpusFormatVersion) {
     // Canonical single-shot layout: exactly one trailer, flush at
     // end-of-file — anything else is corruption, never scanned past.
@@ -1132,47 +1191,74 @@ Result<CorpusReader> CorpusReader::OpenImpl(
                            /*journal_form=*/false, &trailer)) {
       return InvalidArgumentError("bad corpus trailer magic (truncated file?)");
     }
-    ASSIGN_OR_RETURN(reader.entries_,
+    ASSIGN_OR_RETURN(std::vector<CorpusEntry> index,
                      LoadIndexForTrailer(*reader.file_, trailer));
+    indexes.push_back(std::move(index));
     reader.journaled_ = false;
     reader.SetLatestTrailer(trailer);
-    return reader;
+  } else {
+    // Journaled layout (v3): chain-load the latest valid trailer,
+    // scanning back past a torn tail if a crashed append left one, then
+    // stitch the index chain (just the v1 body's index when the latest
+    // trailer is still its own, i.e. a crash landed right after the
+    // header flip).
+    std::vector<CorpusEntry> latest_entries;
+    ASSIGN_OR_RETURN(CorpusTrailerInfo trailer,
+                     FindLatestValidTrailer(*reader.file_, reader.file_size_,
+                                            /*trusted_offset=*/0,
+                                            &latest_entries));
+    ASSIGN_OR_RETURN(ChainWalk walk,
+                     WalkJournalChain(*reader.file_, reader.file_size_,
+                                      trailer, std::move(latest_entries),
+                                      /*floor=*/0));
+    if (walk.base.generation != 1) {
+      return InvalidArgumentError(
+          "corpus journal chain does not reach generation 1");
+    }
+    indexes = std::move(walk.indexes);
+    reader.journaled_ = true;
+    reader.SetLatestTrailer(trailer);
   }
-
-  // Journaled layout (v3): chain-load the latest valid trailer, scanning
-  // back past a torn tail if a crashed append left one, then stitch the
-  // index chain (a no-op overlay when the latest trailer is still the v1
-  // body's, i.e. a crash landed right after the header flip).
-  std::vector<CorpusEntry> latest_entries;
-  ASSIGN_OR_RETURN(CorpusTrailerInfo trailer,
-                   FindLatestValidTrailer(*reader.file_, reader.file_size_,
-                                          /*trusted_offset=*/0,
-                                          &latest_entries));
-  ASSIGN_OR_RETURN(ChainWalk walk,
-                   WalkJournalChain(*reader.file_, reader.file_size_, trailer,
-                                    std::move(latest_entries), /*floor=*/0));
-  if (walk.base.generation != 1) {
-    return InvalidArgumentError(
-        "corpus journal chain does not reach generation 1");
-  }
-  reader.entries_ = std::move(walk.base_entries);
-  OverlayDeltas(std::move(walk.deltas), &reader.entries_);
-  reader.journaled_ = true;
-  reader.SetLatestTrailer(trailer);
+  reader.AddGenerations(std::move(indexes));
   return reader;
 }
 
-const CorpusEntry* CorpusReader::Find(const std::string& name) const {
-  for (const CorpusEntry& entry : entries_) {
-    if (entry.name == name) {
-      return &entry;
+const std::vector<CorpusEntry>& CorpusReader::entries() const {
+  return list_.Get([this](std::vector<CorpusEntry>* list) {
+    list->reserve(entry_count_);
+    for (const auto& block : blocks_) {
+      for (const auto& entry : *block) {
+        list->push_back(*entry);
+      }
+    }
+  });
+}
+
+size_t CorpusReader::FindSlot(size_t hash, const std::string& name) const {
+  const NameShard* shard = shards_[hash % kNameShards].get();
+  if (shard == nullptr) {
+    return kNoSlot;
+  }
+  const size_t mask = shard->cells.size() - 1;
+  for (size_t i = shard->Home(hash);; i = (i + 1) & mask) {
+    const auto& [cell_hash, cell_slot] = shard->cells[i];
+    if (cell_slot == 0) {
+      return kNoSlot;
+    }
+    if (cell_hash == hash && EntryAt(cell_slot - 1).name == name) {
+      return cell_slot - 1;
     }
   }
-  return nullptr;
+}
+
+const CorpusEntry* CorpusReader::Find(const std::string& name) const {
+  const size_t slot = FindSlot(std::hash<std::string>{}(name), name);
+  return slot == kNoSlot ? nullptr : &EntryAt(slot);
 }
 
 Result<TraceReader> CorpusReader::OpenTrace(const CorpusEntry& entry) const {
-  return TraceReader::OpenShared(file_, entry.offset, entry.length, cache_);
+  return TraceReader::OpenShared(file_, entry.offset, entry.length, cache_,
+                                 cache_id_);
 }
 
 Result<TraceReader> CorpusReader::OpenTrace(const std::string& name) const {
@@ -1204,23 +1290,27 @@ Status CorpusReader::VerifyAll() const {
 }
 
 Status CorpusReader::VerifyAllImpl() const {
-  for (const CorpusEntry& entry : entries_) {
-    auto trace = OpenTrace(entry);
-    if (!trace.ok()) {
-      return trace.status();
-    }
-    Status verified = trace->Verify();
-    if (!verified.ok()) {
-      return Status(verified.code(),
-                    "corpus entry '" + entry.name + "': " + verified.message());
-    }
-    if (trace->metadata().event_count != entry.event_count ||
-        trace->metadata().model != entry.model ||
-        trace->metadata().scenario != entry.scenario ||
-        trace->metadata().original_wall_seconds !=
-            entry.original_wall_seconds) {
-      return InvalidArgumentError(
-          "corpus index metadata disagrees with embedded trace: " + entry.name);
+  for (const auto& block : blocks_) {
+    for (const auto& held : *block) {
+      const CorpusEntry& entry = *held;
+      auto trace = OpenTrace(entry);
+      if (!trace.ok()) {
+        return trace.status();
+      }
+      Status verified = trace->Verify();
+      if (!verified.ok()) {
+        return Status(verified.code(), "corpus entry '" + entry.name +
+                                           "': " + verified.message());
+      }
+      if (trace->metadata().event_count != entry.event_count ||
+          trace->metadata().model != entry.model ||
+          trace->metadata().scenario != entry.scenario ||
+          trace->metadata().original_wall_seconds !=
+              entry.original_wall_seconds) {
+        return InvalidArgumentError(
+            "corpus index metadata disagrees with embedded trace: " +
+            entry.name);
+      }
     }
   }
   return OkStatus();

@@ -99,7 +99,10 @@
 #ifndef SRC_TRACE_CORPUS_H_
 #define SRC_TRACE_CORPUS_H_
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -320,11 +323,17 @@ class CorpusReader {
   // check). Anything else — a path replaced by compact or merge, a v1
   // file, a chain that misses this trailer — takes the full open.
   //
+  // The incremental pickup costs O(new entries) in CPU and memory as
+  // well: the next reader shares every entry block and name shard the
+  // new generations do not touch (see the entry table below).
+  //
   // The decoded-chunk cache object is carried over, so its accumulated
-  // counters survive and windows of other files it serves stay warm
-  // (chunks read through the new handle re-decode: cache keys are
-  // per-handle by design, precisely so a swapped path can never serve
-  // stale bytes).
+  // counters survive. The cache identity (the file id its chunk keys
+  // carry) is carried too on the incremental path, which has proved the
+  // file is an in-place extension whose published bytes never change:
+  // replayed chunks stay warm across the pickup. The full open takes a
+  // fresh identity, so a replaced or rewritten path can never serve
+  // stale chunks.
   [[nodiscard]] Result<CorpusReader> Reopen() const;
 
   const std::string& path() const { return path_; }
@@ -349,8 +358,14 @@ class CorpusReader {
   // past; the next in-place append writes from tail_offset()).
   uint64_t trailer_offset() const { return trailer_offset_; }
   uint64_t tail_offset() const { return tail_offset_; }
-  const std::vector<CorpusEntry>& entries() const { return entries_; }
-  // The backend actually serving reads (after any open-time fallback).
+  // Every live entry, in add order. The list is built on the first call
+  // and kept for this reader's lifetime, so references into it stay
+  // valid as long as the reader does; Reopen never builds it, and a
+  // copied or reopened reader starts without one. Callers that need only
+  // the count use entry_count().
+  const std::vector<CorpusEntry>& entries() const;
+  size_t entry_count() const { return entry_count_; }
+  // The backend serving reads.
   IoBackend io_backend() const { return file_->backend(); }
   // Total cold bytes pulled through the shared handle, across every
   // window and thread. Warm (cached) chunk reads add nothing.
@@ -359,7 +374,8 @@ class CorpusReader {
   const std::shared_ptr<ChunkCache>& chunk_cache() const { return cache_; }
   ChunkCacheStats cache_stats() const { return cache_->stats(); }
 
-  // nullptr when no entry has that name.
+  // nullptr when no entry has that name. One name-shard lookup; the
+  // pointer stays valid while this reader lives.
   const CorpusEntry* Find(const std::string& name) const;
 
   // Opens the embedded DDRT image as a full-featured TraceReader window
@@ -395,6 +411,57 @@ class CorpusReader {
                                        std::shared_ptr<ChunkCache> cache,
                                        std::shared_ptr<RandomAccessFile> file);
   void SetLatestTrailer(const CorpusTrailerInfo& trailer);
+  // Adds index generations, given newest first, to the entry table as if
+  // applied oldest first: a name the table holds is replaced in place
+  // (same slot, so add order is kept), any other name is appended.
+  void AddGenerations(std::vector<std::vector<CorpusEntry>> newest_first);
+
+  // The entry table. Entries live in fixed-size blocks of immutable
+  // entries, and a name index maps each live name to its slot (add
+  // order) through a fixed number of shards. Blocks and shards are
+  // shared between a reader and the readers Reopen builds from it:
+  // adding a generation copies only the blocks and shards its names land
+  // in, plus the block-pointer table, never the entries themselves.
+  static constexpr size_t kEntryBlockSize = 64;
+  static constexpr size_t kNameShards = 64;
+  static constexpr size_t kNoSlot = SIZE_MAX;
+  using EntryBlock = std::vector<std::shared_ptr<const CorpusEntry>>;
+  // One shard of the name index. It holds no strings, so copying one is
+  // a flat copy.
+  struct NameShard;
+  const CorpusEntry& EntryAt(size_t slot) const {
+    return *(*blocks_[slot / kEntryBlockSize])[slot % kEntryBlockSize];
+  }
+  // The slot of `name`, whose hash is `hash`, or kNoSlot.
+  size_t FindSlot(size_t hash, const std::string& name) const;
+
+  // The list entries() builds on first call. Heap-held so the reader
+  // stays movable; a copy starts unbuilt, because the list belongs to
+  // one reader.
+  class EntryList {
+   public:
+    EntryList() : state_(std::make_unique<State>()) {}
+    EntryList(const EntryList&) : EntryList() {}
+    EntryList& operator=(const EntryList&) {
+      state_ = std::make_unique<State>();
+      return *this;
+    }
+    EntryList(EntryList&&) noexcept = default;
+    EntryList& operator=(EntryList&&) noexcept = default;
+
+    template <typename Build>
+    const std::vector<CorpusEntry>& Get(Build build) const {
+      std::call_once(state_->once, [&] { build(&state_->entries); });
+      return state_->entries;
+    }
+
+   private:
+    struct State {
+      std::once_flag once;
+      std::vector<CorpusEntry> entries;
+    };
+    std::unique_ptr<State> state_;
+  };
 
   std::string path_;
   CorpusReaderOptions options_;
@@ -408,7 +475,13 @@ class CorpusReader {
   uint64_t dead_bytes_ = 0;
   uint64_t trailer_offset_ = 0;
   uint64_t tail_offset_ = 0;
-  std::vector<CorpusEntry> entries_;
+  // Namespaces this reader's chunks in cache_: file_->id() after a full
+  // open, carried from the held reader by an incremental Reopen.
+  uint64_t cache_id_ = 0;
+  std::vector<std::shared_ptr<const EntryBlock>> blocks_;
+  std::array<std::shared_ptr<const NameShard>, kNameShards> shards_;
+  size_t entry_count_ = 0;
+  EntryList list_;
 };
 
 // ------------------------------------------------- corpus-level mutations

@@ -74,30 +74,35 @@ Result<TraceReader> TraceReader::OpenAt(const std::string& path,
                                         const TraceReaderOptions& options) {
   ASSIGN_OR_RETURN(std::shared_ptr<RandomAccessFile> file,
                    RandomAccessFile::Open(path, options.io));
-  return OpenImpl(std::move(file), base_offset, image_size, options.cache);
+  // Cache entries are namespaced by the open handle, not the path: a
+  // path can be atomically replaced, a handle cannot change contents.
+  const uint64_t cache_id = file->id();
+  return OpenImpl(std::move(file), base_offset, image_size, options.cache,
+                  cache_id);
 }
 
 Result<TraceReader> TraceReader::OpenShared(
     std::shared_ptr<RandomAccessFile> file, uint64_t base_offset,
-    uint64_t image_size, std::shared_ptr<ChunkCache> cache) {
+    uint64_t image_size, std::shared_ptr<ChunkCache> cache,
+    uint64_t cache_id) {
   if (file == nullptr) {
     return InvalidArgumentError("OpenShared requires an open file handle");
   }
-  return OpenImpl(std::move(file), base_offset, image_size, std::move(cache));
+  return OpenImpl(std::move(file), base_offset, image_size, std::move(cache),
+                  cache_id);
 }
 
 Result<TraceReader> TraceReader::OpenImpl(std::shared_ptr<RandomAccessFile> file,
                                           uint64_t base_offset,
                                           uint64_t image_size,
-                                          std::shared_ptr<ChunkCache> cache) {
+                                          std::shared_ptr<ChunkCache> cache,
+                                          uint64_t cache_id) {
   TraceReader reader;
   reader.path_ = file->path();
   reader.base_offset_ = base_offset;
   reader.file_ = std::move(file);
   reader.cache_ = std::move(cache);
-  // Cache entries are namespaced by the open handle, not the path: a
-  // path can be atomically replaced, a handle cannot change contents.
-  reader.cache_file_id_ = reader.file_->id();
+  reader.cache_file_id_ = cache_id;
   const uint64_t total_size = reader.file_->size();
   if (base_offset > total_size) {
     return InvalidArgumentError("trace image offset past end of file: " +

@@ -58,10 +58,15 @@ class TraceReader {
   // lseek cursor, just the image's own section parses. This is how a
   // CorpusReader hands out per-entry readers — N threads each take a
   // cheap window onto one handle (and one decoded-chunk cache).
+  // `cache_id` namespaces the window's chunks in `cache`: the handle's
+  // own id(), or the id of an earlier handle on the same file when the
+  // caller has proved the bytes under this image are the ones that
+  // handle read (CorpusReader carries one across in-place appends).
   static Result<TraceReader> OpenShared(std::shared_ptr<RandomAccessFile> file,
                                         uint64_t base_offset,
                                         uint64_t image_size,
-                                        std::shared_ptr<ChunkCache> cache = nullptr);
+                                        std::shared_ptr<ChunkCache> cache,
+                                        uint64_t cache_id);
 
   TraceReader(TraceReader&& other) noexcept;
   TraceReader& operator=(TraceReader&& other) noexcept;
@@ -75,7 +80,7 @@ class TraceReader {
   // Size of the DDRT image (the whole file for Open, the embedded window
   // for OpenAt/OpenShared).
   uint64_t file_size() const { return file_size_; }
-  // The backend actually serving reads (after any open-time fallback).
+  // The backend serving reads.
   IoBackend io_backend() const { return file_->backend(); }
   // Cold bytes this reader pulled through the backend so far (framing +
   // payload). Cache hits add nothing here — that is the point.
@@ -113,7 +118,8 @@ class TraceReader {
   static Result<TraceReader> OpenImpl(std::shared_ptr<RandomAccessFile> file,
                                       uint64_t base_offset,
                                       uint64_t image_size,
-                                      std::shared_ptr<ChunkCache> cache);
+                                      std::shared_ptr<ChunkCache> cache,
+                                      uint64_t cache_id);
 
   Result<TraceSectionPayload> ReadSection(uint64_t offset,
                                           TraceSection expected_kind) const;
@@ -122,7 +128,7 @@ class TraceReader {
   std::string path_;
   std::shared_ptr<RandomAccessFile> file_;
   std::shared_ptr<ChunkCache> cache_;
-  uint64_t cache_file_id_ = 0;  // file_->id(): cache namespace for this handle
+  uint64_t cache_file_id_ = 0;  // cache namespace for this window's chunks
   uint64_t base_offset_ = 0;    // nonzero for corpus-embedded images
   uint64_t file_size_ = 0;
   mutable std::atomic<uint64_t> bytes_read_{0};

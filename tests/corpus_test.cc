@@ -17,6 +17,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/apps/scenarios.h"
@@ -1755,11 +1756,12 @@ void AppendGeneration(const std::string& path,
 }
 
 void BuildSingleShot(const std::string& path,
-                     const std::vector<std::string>& names) {
+                     const std::vector<std::string>& names,
+                     uint64_t events = 300) {
   CorpusWriter writer(path);
   ASSERT_TRUE(writer.Begin().ok());
   for (const std::string& name : names) {
-    ASSERT_TRUE(writer.Add(name, MakeSyntheticRecording(300, 5)).ok());
+    ASSERT_TRUE(writer.Add(name, MakeSyntheticRecording(events, 5)).ok());
   }
   ASSERT_TRUE(writer.Finish().ok());
 }
@@ -2082,6 +2084,121 @@ TEST(CorpusReopenTest, RelistedNamesReplaceInPlaceOnOpenAndReopen) {
         << name;
   }
   EXPECT_TRUE((*writer)->Add("e", MakeSyntheticRecording(10)).ok());
+}
+
+// Reads every event of `name` through `reader` and returns the window's
+// decoded-chunk cache {hits, misses}.
+std::pair<uint64_t, uint64_t> ReadThroughCache(const CorpusReader& reader,
+                                               const std::string& name) {
+  auto trace = reader.OpenTrace(name);
+  EXPECT_TRUE(trace.ok()) << name << ": " << trace.status();
+  if (!trace.ok()) {
+    return {0, 0};
+  }
+  EXPECT_TRUE(trace->ReadAllEvents().ok()) << name;
+  return {trace->cache_hits(), trace->cache_misses()};
+}
+
+using HitsMisses = std::pair<uint64_t, uint64_t>;
+
+// An incremental Reopen keeps the held reader's cache identity, over
+// more than one hop: an entry a held reader decoded is all hits through
+// the next reader, and an entry the new generation added misses once
+// per chunk, then hits. 1500 events at 512 per chunk is 3 chunks.
+TEST(CorpusReopenTest, IncrementalReopenKeepsTheCacheWarm) {
+  for (IoBackend backend : kAllBackends) {
+    ScopedPath path("reopen_warm_" + std::string(IoBackendName(backend)));
+    BuildSingleShot(path.get(), {"base/a"}, 1500);
+    auto held = CorpusReader::Open(path.get(), WithBackend(backend, 8 << 20));
+    ASSERT_TRUE(held.ok()) << held.status();
+    EXPECT_EQ(ReadThroughCache(*held, "base/a"), HitsMisses(0, 3));
+
+    AppendGeneration(path.get(), {"gen2/a"}, 1500);
+    auto next = held->Reopen();
+    ASSERT_TRUE(next.ok()) << next.status();
+    ASSERT_EQ(next->generation(), 2u);
+    const uint64_t insertions = held->cache_stats().insertions;
+    EXPECT_EQ(ReadThroughCache(*next, "base/a"), HitsMisses(3, 0));
+    EXPECT_EQ(next->cache_stats().insertions, insertions);
+    EXPECT_EQ(ReadThroughCache(*next, "gen2/a"), HitsMisses(0, 3));
+    EXPECT_EQ(ReadThroughCache(*next, "gen2/a"), HitsMisses(3, 0));
+
+    AppendGeneration(path.get(), {"gen3/a"}, 1500);
+    auto third = next->Reopen();
+    ASSERT_TRUE(third.ok()) << third.status();
+    ASSERT_EQ(third->generation(), 3u);
+    EXPECT_EQ(ReadThroughCache(*third, "base/a"), HitsMisses(3, 0));
+    EXPECT_EQ(ReadThroughCache(*third, "gen2/a"), HitsMisses(3, 0));
+    EXPECT_EQ(ReadThroughCache(*third, "gen3/a"), HitsMisses(0, 3));
+  }
+}
+
+// The full open takes a fresh cache identity: after CompactCorpus
+// rewrites the path, an entry the held reader decoded misses through the
+// next reader, though the shared cache object still holds its chunks
+// (and its image sits at the same offset in the new file). The held
+// reader keeps its own identity and stays warm.
+TEST(CorpusReopenTest, FullOpenStartsCold) {
+  ScopedPath path("reopen_cold");
+  BuildSingleShot(path.get(), {"base/a", "base/b"}, 1500);
+  AppendGeneration(path.get(), {"gen2/a"});
+  auto held = CorpusReader::Open(path.get(), WithBackend(IoBackend::kMmap,
+                                                         8 << 20));
+  ASSERT_TRUE(held.ok()) << held.status();
+  EXPECT_EQ(ReadThroughCache(*held, "base/a"), HitsMisses(0, 3));
+
+  auto compacted = CompactCorpus(path.get(), {});
+  ASSERT_TRUE(compacted.ok()) << compacted.status();
+  auto next = held->Reopen();
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->format_version(), kCorpusFormatVersion);
+  EXPECT_EQ(next->chunk_cache(), held->chunk_cache());
+  EXPECT_EQ(next->Find("base/a")->offset, held->Find("base/a")->offset);
+  EXPECT_EQ(ReadThroughCache(*next, "base/a"), HitsMisses(0, 3));
+  EXPECT_EQ(ReadThroughCache(*held, "base/a"), HitsMisses(3, 0));
+}
+
+// The pickup shares the held entry table instead of copying it. After
+// one appended generation, Find through the next reader returns the held
+// reader's own entry object for every held name, at 16 held entries and
+// at 4096 alike; only the appended entries are new. A list the held
+// reader built is not inherited: the next reader's lists its own
+// entries.
+TEST(CorpusReopenTest, ReopenSharesHeldEntries) {
+  const size_t sizes[2] = {16, 4096};
+  size_t moved[2] = {0, 0};
+  for (int c = 0; c < 2; ++c) {
+    ScopedPath path("reopen_shared_" + std::to_string(sizes[c]));
+    std::vector<std::string> names;
+    for (size_t i = 0; i < sizes[c]; ++i) {
+      names.push_back(StrPrintf("held/%05zu", i));
+    }
+    BuildSingleShot(path.get(), names, 10);
+    auto held = CorpusReader::Open(path.get());
+    ASSERT_TRUE(held.ok()) << held.status();
+    ASSERT_EQ(held->entries().size(), sizes[c]);
+    AppendGeneration(path.get(), {"new/a", "new/b"}, 10);
+
+    auto next = held->Reopen();
+    ASSERT_TRUE(next.ok()) << next.status();
+    ASSERT_EQ(next->generation(), 2u);
+    EXPECT_EQ(next->entry_count(), sizes[c] + 2);
+    for (const std::string& name : names) {
+      const CorpusEntry* entry = next->Find(name);
+      ASSERT_NE(entry, nullptr) << name;
+      if (entry != held->Find(name)) {
+        ++moved[c];
+      }
+    }
+    EXPECT_EQ(held->Find("new/a"), nullptr);
+    ASSERT_NE(next->Find("new/b"), nullptr);
+    ASSERT_EQ(next->entries().size(), sizes[c] + 2);
+    EXPECT_EQ(next->entries()[sizes[c]].name, "new/a");
+    EXPECT_EQ(next->entries().back().name, "new/b");
+    EXPECT_EQ(held->entries().size(), sizes[c]);
+  }
+  EXPECT_EQ(moved[0], 0u);
+  EXPECT_EQ(moved[1], moved[0]);
 }
 
 // ------------------------------------------------------ Append base

@@ -485,9 +485,7 @@ TEST(CorpusServerTest, RefreshPicksUpAppendAndKeepsWarmCache) {
 
   // The cache object carried over the swap: the counters are cumulative,
   // never reset (the acceptance property — warm-cache accounting
-  // survives the generation swap). Entries keyed to the pre-swap file
-  // handle are deliberately orphaned (staleness safety), so hits keep
-  // accruing from the new generation's reads, on top of the old total.
+  // survives the generation swap).
   auto after = client->Stats();
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_EQ(after->generation, 2u);
@@ -497,6 +495,17 @@ TEST(CorpusServerTest, RefreshPicksUpAppendAndKeepsWarmCache) {
   EXPECT_GE(after->cache.hits, before->cache.hits);
   EXPECT_GE(after->cache.insertions, before->cache.insertions);
   EXPECT_GE(after->cache.misses, before->cache.misses);
+
+  // The in-place append kept the cache identity too: a generation-1
+  // entry decoded before the swap replays from the cache after it, with
+  // no new miss or insertion.
+  auto replayed = client->Replay("sum/perfect");
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  auto kept = client->Stats();
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_GT(kept->cache.hits, after->cache.hits);
+  EXPECT_EQ(kept->cache.insertions, after->cache.insertions);
+  EXPECT_EQ(kept->cache.misses, after->cache.misses);
 
   auto warm = client->Replay("sum/value");
   ASSERT_TRUE(warm.ok()) << warm.status();

@@ -695,7 +695,7 @@ int CorpusInfo(const std::string& path, int argc, char** argv) {
   std::printf("writer:            %s\n",
               writer_active ? "active (in-place append holds the flock)"
                             : "none");
-  std::printf("entries:           %zu\n", corpus->entries().size());
+  std::printf("entries:           %zu\n", corpus->entry_count());
   std::printf("%-28s %-14s %-12s %10s %10s\n", "name", "scenario", "model",
               "events", "bytes");
   for (const CorpusEntry& entry : corpus->entries()) {
@@ -719,7 +719,7 @@ int CorpusVerify(const std::string& path, int argc, char** argv) {
                  verified.ToString().c_str());
     return 2;
   }
-  std::printf("%s: OK (%zu entries)\n", path.c_str(), corpus->entries().size());
+  std::printf("%s: OK (%zu entries)\n", path.c_str(), corpus->entry_count());
   PrintServeStats("verify", std::string(IoBackendName(corpus->io_backend())),
                   corpus->bytes_read(), corpus->cache_stats());
   return 0;
