@@ -174,7 +174,6 @@ struct CorpusServer::Impl {
     ServeInfo info;
     info.path = reader->path();
     info.file_size = reader->file_size();
-    info.journaled = reader->journaled();
     info.format_version = reader->format_version();
     info.generation = reader->generation();
     info.dead_bytes = reader->dead_bytes();

@@ -26,6 +26,18 @@ Result<StatusCode> CheckedStatusCode(uint64_t raw) {
   return static_cast<StatusCode>(raw);
 }
 
+// A 32-bit field carried as a varint: a value past UINT32_MAX is
+// corruption, never silently narrowed.
+Result<uint32_t> GetVarint32Field(Decoder& decoder, const char* field) {
+  ASSIGN_OR_RETURN(uint64_t value, decoder.GetVarint64());
+  if (value > UINT32_MAX) {
+    return InvalidArgumentError(
+        StrPrintf("rpc payload field %s overflows 32 bits: %llu", field,
+                  static_cast<unsigned long long>(value)));
+  }
+  return static_cast<uint32_t>(value);
+}
+
 Status CheckDone(const Decoder& decoder, const char* what) {
   if (!decoder.Done()) {
     return InvalidArgumentError(StrPrintf(
@@ -274,10 +286,9 @@ Result<ServeInfo> DecodeServeInfo(std::span<const uint8_t> payload) {
   ASSIGN_OR_RETURN(info.path, decoder.GetString());
   ASSIGN_OR_RETURN(info.file_size, decoder.GetVarint64());
   ASSIGN_OR_RETURN(info.journaled, decoder.GetBool());
-  ASSIGN_OR_RETURN(uint64_t format_version, decoder.GetVarint64());
-  info.format_version = static_cast<uint32_t>(format_version);
-  ASSIGN_OR_RETURN(uint64_t generation, decoder.GetVarint64());
-  info.generation = static_cast<uint32_t>(generation);
+  ASSIGN_OR_RETURN(info.format_version,
+                   GetVarint32Field(decoder, "format_version"));
+  ASSIGN_OR_RETURN(info.generation, GetVarint32Field(decoder, "generation"));
   ASSIGN_OR_RETURN(info.dead_bytes, decoder.GetVarint64());
   ASSIGN_OR_RETURN(info.entry_count, decoder.GetVarint64());
   ASSIGN_OR_RETURN(info.io_backend, decoder.GetString());
@@ -338,10 +349,10 @@ std::vector<uint8_t> EncodeServeRefresh(const ServeRefresh& refresh) {
 Result<ServeRefresh> DecodeServeRefresh(std::span<const uint8_t> payload) {
   Decoder decoder(payload.data(), payload.size());
   ServeRefresh refresh;
-  ASSIGN_OR_RETURN(uint64_t before, decoder.GetVarint64());
-  refresh.generation_before = static_cast<uint32_t>(before);
-  ASSIGN_OR_RETURN(uint64_t after, decoder.GetVarint64());
-  refresh.generation_after = static_cast<uint32_t>(after);
+  ASSIGN_OR_RETURN(refresh.generation_before,
+                   GetVarint32Field(decoder, "generation_before"));
+  ASSIGN_OR_RETURN(refresh.generation_after,
+                   GetVarint32Field(decoder, "generation_after"));
   ASSIGN_OR_RETURN(refresh.entries_before, decoder.GetVarint64());
   ASSIGN_OR_RETURN(refresh.entries_after, decoder.GetVarint64());
   ASSIGN_OR_RETURN(refresh.picked_up, decoder.GetBool());
@@ -389,8 +400,7 @@ Result<ServeStats> DecodeServeStats(std::span<const uint8_t> payload) {
   ASSIGN_OR_RETURN(stats.generations_picked_up, decoder.GetVarint64());
   ASSIGN_OR_RETURN(stats.clients_total, decoder.GetVarint64());
   ASSIGN_OR_RETURN(stats.clients_active, decoder.GetVarint64());
-  ASSIGN_OR_RETURN(uint64_t generation, decoder.GetVarint64());
-  stats.generation = static_cast<uint32_t>(generation);
+  ASSIGN_OR_RETURN(stats.generation, GetVarint32Field(decoder, "generation"));
   ASSIGN_OR_RETURN(stats.entry_count, decoder.GetVarint64());
   ASSIGN_OR_RETURN(stats.corpus_bytes_read, decoder.GetVarint64());
   ASSIGN_OR_RETURN(stats.cache, DecodeCacheStats(decoder));

@@ -122,10 +122,13 @@ Result<RpcResponse> DecodeResponse(std::span<const uint8_t> payload);
 struct ServeInfo {
   std::string path;
   uint64_t file_size = 0;
-  bool journaled = false;
-  // Corpus header format version (1 single-shot, 3 delta-index journal;
-  // 2 is retired and never served).
-  uint32_t format_version = 1;
+  // Always true: every bundle is read as an index journal. Kept for wire
+  // compatibility with clients that decode it.
+  bool journaled = true;
+  // Corpus header format version: 3, or 1 for a legacy file an older
+  // build wrote (read-only until compacted). 2 is retired and never
+  // served.
+  uint32_t format_version = 3;
   uint32_t generation = 1;
   uint64_t dead_bytes = 0;
   uint64_t entry_count = 0;

@@ -78,8 +78,8 @@ Result<std::vector<CorpusEntry>> DecodeCorpusIndex(
 // ----------------------------------------------------- journal trailers
 
 // A parsed corpus trailer: the fixed-width record that publishes an index
-// generation. Either the 12-byte v1 trailer (magic "CRDD", the v1 body,
-// always generation 1) or the 28-byte delta trailer (index offset,
+// generation. Either the 12-byte trailer (magic "CRDD", always generation
+// 1) or the 28-byte delta trailer (index offset,
 // previous trailer's offset, generation, CRC, magic "CRDL") whose index
 // lists only the entries its own generation added.
 struct CorpusTrailerInfo {
@@ -138,7 +138,7 @@ bool ParseTrailerBytes(std::span<const uint8_t> bytes, uint64_t trailer_offset,
     if (*crc != Crc32(bytes.data(), kCorpusJournalTrailerBytes - 8)) {
       return false;
     }
-    // Generation 1 is always published by a v1 trailer; a journal form
+    // Generation 1 is always published by a 12-byte trailer; a journal form
     // claiming it is junk that happened to checksum.
     if (*generation < 2) {
       return false;
@@ -166,8 +166,8 @@ bool ParseTrailerBytes(std::span<const uint8_t> bytes, uint64_t trailer_offset,
 }
 
 // Reads + field-validates the trailer at a known offset, trying the
-// journal form first (its magic + CRC cannot false-positive on a v1
-// trailer's bytes), then the v1 form.
+// journal form first (its magic + CRC cannot false-positive on a
+// generation-1 trailer's bytes), then the generation-1 form.
 bool ReadTrailerFieldsAt(const RandomAccessFile& file, uint64_t offset,
                          uint64_t file_size, CorpusTrailerInfo* out,
                          std::vector<uint8_t>* scratch) {
@@ -220,7 +220,7 @@ uint32_t ReadWordLE(const uint8_t* bytes) {
          static_cast<uint32_t>(bytes[3]) << 24;
 }
 
-// Finds the latest (highest-offset) valid trailer of a journaled bundle.
+// Finds the latest (highest-offset) valid trailer of a bundle.
 // The common case — a clean file with its trailer flush at end-of-file —
 // is the first candidate tried, through a first window just one trailer
 // wide; after a crash mid-append the scan walks backward past the torn
@@ -318,7 +318,7 @@ struct ChainWalk {
 
 // Walks the prev-trailer chain down from `latest` (whose own index is
 // `latest_entries`) while the current trailer is a delta that lies above
-// `floor`. A full open passes floor 0 and walks to the v1 body; an
+// `floor`. A full open passes floor 0 and walks to generation 1; an
 // incremental reopen passes the held reader's trailer offset, whose
 // index it already has, so that index is never read again. The caller
 // checks where the walk stopped.
@@ -358,7 +358,8 @@ Result<uint32_t> ReadCorpusHeader(const RandomAccessFile& file) {
     return InvalidArgumentError("bad corpus file magic");
   }
   ASSIGN_OR_RETURN(uint32_t version, decoder.GetFixed32());
-  if (version != kCorpusFormatVersion && version != kCorpusFormatVersionDelta) {
+  if (version != kCorpusFormatVersion &&
+      version != kCorpusFormatVersionLegacy) {
     return InvalidArgumentError(
         StrPrintf("unsupported corpus format version %u", version));
   }
@@ -381,8 +382,9 @@ Result<std::shared_ptr<RandomAccessFile>> OpenCorpusFile(
 // the latest valid trailer down to the held one (walk.base), or nullopt
 // when `file` is not an in-place extension of the held generation — a
 // different inode (the held handle keeps the inode from being reused),
-// a file shrunk below the held tail, a header that is not the journal
-// version, or a chain that no longer runs through the held trailer — and
+// a file shrunk below the held tail, a legacy version-1 header (such a
+// file never grows in place), or a chain that no longer runs through
+// the held trailer — and
 // the caller takes the full open. Every trailer and index read here is
 // new to the holder and goes through the same link, CRC and window
 // checks as a full open; the bytes up to the held trailer were validated
@@ -392,13 +394,12 @@ Result<std::optional<ChainWalk>> WalkSinceHeld(const RandomAccessFile& held,
                                                uint64_t held_trailer_offset,
                                                uint64_t held_tail,
                                                uint32_t held_generation) {
-  // An in-place append only ever grows the file, and it flips the header
-  // to the journal version before its first byte lands.
+  // An in-place append only ever grows the file.
   if (!file.SameFile(held) || file.size() < held_tail) {
     return std::optional<ChainWalk>();
   }
   ASSIGN_OR_RETURN(uint32_t version, ReadCorpusHeader(file));
-  if (version != kCorpusFormatVersionDelta) {
+  if (version != kCorpusFormatVersion) {
     return std::optional<ChainWalk>();
   }
   std::vector<CorpusEntry> latest_entries;
@@ -459,22 +460,20 @@ std::unique_ptr<CorpusAppendBase> ExchangeAppendBase(
 // failed append (destruction before Commit()) is deliberately
 // indistinguishable from a crash mid-append: nothing is rolled back —
 // the file must never shrink under concurrent readers (an mmap-backed
-// Open scanning the tail would SIGBUS past a new EOF), and restoring a
-// flipped header to v1 over a garbage tail would brick the strict v1
-// read path. The partial generation is simply left unpublished: the
+// Open scanning the tail would SIGBUS past a new EOF), and no published
+// byte, header included, is ever rewritten. The partial generation is
+// simply left unpublished: the
 // previous trailer stays the latest valid one, recovery scans past the
 // torn bytes, and the next append overwrites them.
 class CorpusJournalSink {
  public:
-  // `expected_size` / `trailer_offset` / `observed_version` describe the
-  // bundle as the caller's reader observed it; they are re-validated
-  // under the writer lock so an append prepared against a since-mutated
-  // file fails instead of writing over published bytes. When the
-  // observed header version predates the delta-index layout the header
-  // (v1) is flipped to version 3 (fsync'd before any tail byte lands).
+  // `expected_size` / `trailer_offset` describe the bundle as the
+  // caller's reader observed it; they are re-validated, with the header
+  // version, under the writer lock so an append prepared against a
+  // since-mutated file fails instead of writing over published bytes.
   static Result<std::unique_ptr<CorpusJournalSink>> Open(
       const std::string& path, uint64_t tail_offset, uint64_t expected_size,
-      uint64_t trailer_offset, uint32_t observed_version);
+      uint64_t trailer_offset);
   ~CorpusJournalSink();
 
   CorpusJournalSink(const CorpusJournalSink&) = delete;
@@ -494,11 +493,6 @@ class CorpusJournalSink {
   CorpusJournalSink(std::string path, int fd, uint64_t tail_offset)
       : path_(std::move(path)), fd_(fd), write_offset_(tail_offset) {}
 
-  // `site` names the fault-injection point this write belongs to
-  // (header flip vs. tail append) so a crash plan can target either.
-  Status WriteAt(const char* site, uint64_t offset, const uint8_t* data,
-                 size_t size);
-
   std::string path_;
   int fd_ = -1;
   uint64_t write_offset_ = 0;  // absolute offset of the next Append
@@ -508,7 +502,7 @@ class CorpusJournalSink {
 
 Result<std::unique_ptr<CorpusJournalSink>> CorpusJournalSink::Open(
     const std::string& path, uint64_t tail_offset, uint64_t expected_size,
-    uint64_t trailer_offset, uint32_t observed_version) {
+    uint64_t trailer_offset) {
   int fd = -1;
   do {
     fd = ::open(path.c_str(), O_RDWR);
@@ -527,12 +521,12 @@ Result<std::unique_ptr<CorpusJournalSink>> CorpusJournalSink::Open(
     return locked;
   }
   // Under the lock, the file must still be what the caller's reader saw
-  // — not just the same size: a same-size canonicalization (compact of a
-  // header-flip-only bundle differs in exactly one header byte) or
-  // rename swap would otherwise slip past, and this writer would stamp a
-  // journal generation onto a file whose header or trailer no longer
-  // match, bricking it. Size, header version, and the trailer bytes at
-  // the observed tail must all agree before a byte is written.
+  // — not just the same size: a same-size rename swap (a legacy
+  // version-1 file of equal length, say) would otherwise slip past, and
+  // this writer would stamp a journal generation onto a file whose
+  // header or trailer no longer match, bricking it. Size, header
+  // version, and the trailer bytes at the observed tail must all agree
+  // before a byte is written.
   const auto changed = [&]() -> Result<std::unique_ptr<CorpusJournalSink>> {
     ::close(fd);
     return FailedPreconditionError(
@@ -567,7 +561,7 @@ Result<std::unique_ptr<CorpusJournalSink>> CorpusJournalSink::Open(
       return changed();
     }
     const uint32_t version = ReadWordLE(version_bytes);
-    if (version != observed_version) {
+    if (version != kCorpusFormatVersion) {
       return changed();
     }
   }
@@ -597,18 +591,6 @@ Result<std::unique_ptr<CorpusJournalSink>> CorpusJournalSink::Open(
   // tail_offset; whatever torn bytes extend past the new trailer stay
   // accounted as dead bytes (no valid trailer can exist up there: the
   // crashed append never committed one) until a compact reclaims them.
-  if (observed_version != kCorpusFormatVersionDelta) {
-    Encoder encoder;
-    encoder.PutFixed32(kCorpusFormatVersionDelta);
-    RETURN_IF_ERROR(sink->WriteAt("corpus.journal.header", 4,
-                                  encoder.buffer().data(), encoder.size()));
-    sink->bytes_written_ += encoder.size();
-    // The version flip must be durable before any byte lands past the
-    // old trailer: a crash mid-append must leave a file the journal
-    // recovery path owns end to end. Without a flip there is nothing
-    // to order.
-    RETURN_IF_ERROR(sink->Sync());
-  }
   return sink;
 }
 
@@ -623,8 +605,12 @@ CorpusJournalSink::~CorpusJournalSink() {
   fd_ = -1;
 }
 
-Status CorpusJournalSink::WriteAt(const char* site, uint64_t offset,
-                                  const uint8_t* data, size_t size) {
+Status CorpusJournalSink::Append(const uint8_t* data, size_t size) {
+  if (committed_) {
+    return FailedPreconditionError("append to a committed corpus journal");
+  }
+  static constexpr char site[] = "corpus.journal.append";
+  const uint64_t offset = write_offset_;
   size_t allow = size;
   Status injected = OkStatus();
   if (FaultsArmed()) {
@@ -665,14 +651,6 @@ Status CorpusJournalSink::WriteAt(const char* site, uint64_t offset,
     return Status(injected.code(),
                   "corpus journal " + path_ + ": " + injected.message());
   }
-  return OkStatus();
-}
-
-Status CorpusJournalSink::Append(const uint8_t* data, size_t size) {
-  if (committed_) {
-    return FailedPreconditionError("append to a committed corpus journal");
-  }
-  RETURN_IF_ERROR(WriteAt("corpus.journal.append", write_offset_, data, size));
   write_offset_ += size;
   bytes_written_ += size;
   return OkStatus();
@@ -763,7 +741,6 @@ Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
                                          base->trailer_offset,
                                          base->tail_offset, base->generation));
   }
-  uint32_t observed_version = kCorpusFormatVersionDelta;
   if (walk.has_value()) {
     for (const std::vector<CorpusEntry>& index : walk->indexes) {
       for (const CorpusEntry& entry : index) {
@@ -784,6 +761,12 @@ Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
     ASSIGN_OR_RETURN(CorpusReader existing,
                      CorpusReader::OpenImpl(path_, read_options, nullptr,
                                             file));
+    if (existing.format_version() != kCorpusFormatVersion) {
+      return FailedPreconditionError(
+          "corpus has the legacy version-1 layout, which is never appended "
+          "to; run 'ddr-trace corpus compact " +
+          path_ + "' first");
+    }
     base = std::make_unique<CorpusAppendBase>();
     base->path = path_;
     base->trailer_offset = existing.trailer_offset();
@@ -795,7 +778,6 @@ Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
         base->names.insert(entry->name);
       }
     }
-    observed_version = existing.format_version();
   }
   base->file = file;
   // No existing byte is copied: the new generation starts at the held
@@ -807,8 +789,7 @@ Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
   begun_ = true;
   ASSIGN_OR_RETURN(journal_,
                    CorpusJournalSink::Open(path_, offset_, file->size(),
-                                           base_->trailer_offset,
-                                           observed_version));
+                                           base_->trailer_offset));
   return OkStatus();
 }
 
@@ -1054,8 +1035,6 @@ Result<CorpusReader> CorpusReader::Reopen() const {
   CorpusReader next = *this;
   next.file_ = std::move(file);
   next.file_size_ = next.file_->size();
-  next.format_version_ = kCorpusFormatVersionDelta;
-  next.journaled_ = true;
   next.SetLatestTrailer(walk->latest);
   next.AddGenerations(std::move(walk->indexes));
   return next;
@@ -1176,50 +1155,31 @@ Result<CorpusReader> CorpusReader::OpenImpl(
   }
   ASSIGN_OR_RETURN(reader.format_version_, ReadCorpusHeader(*reader.file_));
 
-  std::vector<std::vector<CorpusEntry>> indexes;
-  if (reader.format_version_ == kCorpusFormatVersion) {
-    // Canonical single-shot layout: exactly one trailer, flush at
-    // end-of-file — anything else is corruption, never scanned past.
-    std::vector<uint8_t> scratch;
-    ASSIGN_OR_RETURN(
-        std::span<const uint8_t> trailer_bytes,
-        reader.file_->Read(reader.file_size_ - kCorpusTrailerBytes,
-                           kCorpusTrailerBytes, &scratch));
-    CorpusTrailerInfo trailer;
-    if (!ParseTrailerBytes(trailer_bytes,
-                           reader.file_size_ - kCorpusTrailerBytes,
-                           /*journal_form=*/false, &trailer)) {
-      return InvalidArgumentError("bad corpus trailer magic (truncated file?)");
-    }
-    ASSIGN_OR_RETURN(std::vector<CorpusEntry> index,
-                     LoadIndexForTrailer(*reader.file_, trailer));
-    indexes.push_back(std::move(index));
-    reader.journaled_ = false;
-    reader.SetLatestTrailer(trailer);
-  } else {
-    // Journaled layout (v3): chain-load the latest valid trailer,
-    // scanning back past a torn tail if a crashed append left one, then
-    // stitch the index chain (just the v1 body's index when the latest
-    // trailer is still its own, i.e. a crash landed right after the
-    // header flip).
-    std::vector<CorpusEntry> latest_entries;
-    ASSIGN_OR_RETURN(CorpusTrailerInfo trailer,
-                     FindLatestValidTrailer(*reader.file_, reader.file_size_,
-                                            /*trusted_offset=*/0,
-                                            &latest_entries));
-    ASSIGN_OR_RETURN(ChainWalk walk,
-                     WalkJournalChain(*reader.file_, reader.file_size_,
-                                      trailer, std::move(latest_entries),
-                                      /*floor=*/0));
-    if (walk.base.generation != 1) {
-      return InvalidArgumentError(
-          "corpus journal chain does not reach generation 1");
-    }
-    indexes = std::move(walk.indexes);
-    reader.journaled_ = true;
-    reader.SetLatestTrailer(trailer);
+  // Chain-load the latest valid trailer, scanning back past a torn tail
+  // if a crashed append left one, then stitch the index chain (just
+  // generation 1's index for a fresh build).
+  std::vector<CorpusEntry> latest_entries;
+  ASSIGN_OR_RETURN(CorpusTrailerInfo trailer,
+                   FindLatestValidTrailer(*reader.file_, reader.file_size_,
+                                          /*trusted_offset=*/0,
+                                          &latest_entries));
+  ASSIGN_OR_RETURN(ChainWalk walk,
+                   WalkJournalChain(*reader.file_, reader.file_size_, trailer,
+                                    std::move(latest_entries), /*floor=*/0));
+  if (walk.base.generation != 1) {
+    return InvalidArgumentError(
+        "corpus journal chain does not reach generation 1");
   }
-  reader.AddGenerations(std::move(indexes));
+  reader.SetLatestTrailer(trailer);
+  // A legacy version-1 file was built atomically and never appended to,
+  // so bytes past its one trailer are corruption, not a torn append.
+  if (reader.format_version_ == kCorpusFormatVersionLegacy &&
+      (reader.generation_ != 1 || reader.dead_bytes_ != 0)) {
+    return InvalidArgumentError(
+        "version-1 corpus has bytes past its trailer (corrupt file?): " +
+        path);
+  }
+  reader.AddGenerations(std::move(walk.indexes));
   return reader;
 }
 
@@ -1431,7 +1391,7 @@ Result<CorpusMutationStats> CompactCorpus(
   // Every requested drop must name a real entry — a typo'd compact that
   // silently "succeeds" would be indistinguishable from the intended one.
   // (An empty drop set is the journal-squash case: rewrite the live
-  // entries into canonical v1 form, folding the delta chain and dropping
+  // entries into one generation, folding the delta chain and dropping
   // any torn tail.)
   std::set<std::string> drop(drop_names.begin(), drop_names.end());
   for (const std::string& name : drop) {

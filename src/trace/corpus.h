@@ -2,14 +2,14 @@
 //
 // A corpus is how replay traffic ships at scale: instead of one trace file
 // per bug, a site packs every scenario x determinism-model recording of an
-// evaluation run into a single indexed bundle. Canonical (v1) layout:
+// evaluation run into a single indexed bundle. Layout (header version 3):
 //
 //   [header]   12 bytes: magic "DDRC", version, flags
 //   [image]*   complete DDRT file images (header..trailer), back to back
 //   [index]    section (kind kCorpusIndex): name -> (offset, length) plus
 //              skim metadata (model, scenario, event count), CRC-checked
 //              and framed exactly like a DDRT section
-//   [trailer]  12 bytes: index offset + magic "CRDD"
+//   [trailer]  12 bytes: index offset + magic "CRDD" (generation 1)
 //
 // Because each embedded image is a complete, self-contained DDRT stream,
 // all of the trace machinery applies per entry for free: TraceReader
@@ -31,15 +31,15 @@
 //   ASSIGN_OR_RETURN(CorpusReader corpus, CorpusReader::Open("eval.ddrc"));
 //   ASSIGN_OR_RETURN(TraceReader trace, corpus.OpenTrace("sum/perfect"));
 //
-// ------------------------------------------------- delta journal (v3)
+// ------------------------------------------------- index journal
 //
 // Bundles are mutable after the fact. The copying mutations (merge,
 // compact) go through the atomic temp + rename discipline; an in-place
-// append instead grows the bundle as an *index journal* (header
-// version 3) and never copies an existing byte:
+// append instead grows the bundle as an *index journal* and never
+// rewrites an existing byte:
 //
 //   [header 12B: "DDRC" v3]
-//   [image]* [index g1] [trailer g1 12B]      <- generation 1 (the v1 body)
+//   [image]* [index g1] [trailer g1 12B]      <- generation 1 (every build)
 //   [image]* [delta g2] [trailer g2 28B]      <- appended generation
 //   ...
 //   [image]* [delta gN] [trailer gN 28B]      <- latest generation
@@ -52,49 +52,50 @@
 // see, so concurrent readers of the same inode are undisturbed.
 //
 // Readers stitch: CorpusReader::Open walks the prev-trailer chain from
-// the newest valid trailer down to the v1 body, then overlays each delta
-// on top, oldest first, newest generation winning a name. Every index in
-// the chain is live; the only dead bytes are a torn tail (reported by
-// `dead_bytes()` / `corpus info`, reclaimed by CompactCorpus). Header
-// version 2 (a retired full-index journal) is rejected, and the number
-// is never reused. A held reader's Reopen walks the chain only down to
+// the newest valid trailer down to generation 1, then overlays each
+// delta on top, oldest first, newest generation winning a name. Every
+// index in the chain is live; the only dead bytes are a torn tail
+// (reported by `dead_bytes()` / `corpus info`, reclaimed by
+// CompactCorpus). A held reader's Reopen walks the chain only down to
 // its own trailer and overlays just the generations above it; AppendTo
 // does the same from the append base the process's last append left.
 //
+// Header version 1 is a legacy alias that older builds wrote: the same
+// layout, always one generation. It is read through the same path, but
+// a second generation or a torn tail behind a version-1 header is
+// corruption, and AppendTo refuses the file (`ddr-trace corpus compact`
+// rewrites it as version 3). Version 2 (a retired full-index journal) is
+// rejected, and the number is never reused.
+//
 // Crash durability is by write ordering, not rename:
 //
-//   1. (first append only) the header version flips 1 -> 3, fsync'd,
-//      before any byte lands past the old trailer — from here on readers
-//      take the journal recovery path;
-//   2. new images + the new index are written past the old trailer and
+//   1. new images + the new index are written past the old trailer and
 //      fsync'd;
-//   3. only then is the new trailer (CRC'd, with its generation number
+//   2. only then is the new trailer (CRC'd, with its generation number
 //      and the previous trailer's offset) appended and fsync'd.
 //
 // A crash at any point leaves the previous generation's trailer intact
-// and reachable: CorpusReader::Open on a v3 bundle first tries the
-// trailer at end-of-file and otherwise scans backward past the torn tail
-// for the latest trailer whose CRC *and* index section validate, then
+// and reachable: CorpusReader::Open first tries the trailer at
+// end-of-file and otherwise scans backward past the torn tail for the
+// latest trailer whose CRC *and* index section validate, then
 // chain-loads the prev-trailer offsets. The next in-place append writes
 // the new generation over the torn region (never truncating — the file
-// must not shrink under concurrent readers). A v1-only reader sees
-// version 3 and fails with a clean "unsupported corpus format version",
-// never a garbage decode.
+// must not shrink under concurrent readers).
 //
 //   append   CorpusWriter::AppendTo re-opens an existing bundle (from
 //            the held append base when it can) and journals as above.
 //   merge    MergeCorpora copies embedded images byte-for-byte through
 //            RandomAccessFile windows (zero decode, bounded memory) and
-//            rebuilds one canonical index, resolving name collisions by
-//            policy. `output` may equal one of the inputs: every input
-//            is read through a handle opened before the output's
-//            temp-file rename, and an open handle keeps serving the
-//            replaced inode's bytes (mmap mapping and pread fd alike).
+//            rebuilds one single-generation index, resolving name
+//            collisions by policy. `output` may equal one of the inputs:
+//            every input is read through a handle opened before the
+//            output's temp-file rename, and an open handle keeps serving
+//            the replaced inode's bytes (mmap mapping and pread fd alike).
 //   compact  CompactCorpus drops named entries (the drop set may be
 //            empty) and rewrites the survivors' images, byte-identical,
-//            into a canonical v1 bundle at the same path — the explicit
-//            "squash the journal" step. Append then compact yields the
-//            bytes of a single-shot build of the same entries.
+//            into a single-generation bundle at the same path — the
+//            explicit "squash the journal" step. Append then compact
+//            yields the bytes of a single-shot build of the same entries.
 
 #ifndef SRC_TRACE_CORPUS_H_
 #define SRC_TRACE_CORPUS_H_
@@ -116,17 +117,17 @@ namespace ddr {
 
 inline constexpr uint32_t kCorpusFileMagic = 0x43524444u;     // "DDRC"
 inline constexpr uint32_t kCorpusTrailerMagic = 0x44445243u;  // "CRDD"
-// Delta-index trailers (v3) end with their own magic so a backward scan
-// can tell them from v1 trailers (and from image bytes) before
+// Delta-index trailers end with their own magic so a backward scan can
+// tell them from generation-1 trailers (and from image bytes) before
 // validating; the index section each points at lists only the entries
 // its own generation added.
 inline constexpr uint32_t kCorpusDeltaTrailerMagic = 0x4C445243u;  // "CRDL"
-inline constexpr uint32_t kCorpusFormatVersion = 1;
-// Stamped in the header the moment a bundle gains a second index
-// generation, so single-trailer (v1-only) readers fail with a clean
-// unsupported-version error instead of dropping every appended entry.
-// (Version 2 was a retired full-index journal; it is rejected.)
-inline constexpr uint32_t kCorpusFormatVersionDelta = 3;
+// The only version any writer stamps. (Version 2 was a retired
+// full-index journal; it is rejected and never reused.)
+inline constexpr uint32_t kCorpusFormatVersion = 3;
+// Written by older builds: one generation, read as an alias of version
+// 3, never appended to.
+inline constexpr uint32_t kCorpusFormatVersionLegacy = 1;
 inline constexpr size_t kCorpusHeaderBytes = 12;   // magic + version + flags
 inline constexpr size_t kCorpusTrailerBytes = 12;  // index offset + magic
 // index offset + prev trailer offset + generation + CRC + magic.
@@ -175,7 +176,9 @@ class CorpusWriter {
   // an unpublished torn tail — the file is never truncated, because a
   // shrink could SIGBUS concurrent mmap readers scanning the tail. Torn
   // bytes, whether from a crash or an abandoned append, are overwritten
-  // by the next append and accounted as dead_bytes until then.
+  // by the next append and accounted as dead_bytes until then. A legacy
+  // version-1 bundle is refused with FailedPrecondition: CompactCorpus
+  // rewrites it as version 3 first.
   //
   // Appends are single-writer: the writer holds an exclusive advisory
   // lock (flock) on the bundle until Finish or destruction, and a second
@@ -240,9 +243,8 @@ class CorpusWriter {
   [[nodiscard]] Status Finish();
 
   // Physical bytes this writer has pushed to disk so far: the whole file
-  // for a build, only the delta (new images + index + trailer + the
-  // 4-byte header flip) for an append — the number the O(delta) append
-  // guarantee is asserted on.
+  // for a build, only the delta (new images + index + trailer) for an
+  // append — the number the O(delta) append guarantee is asserted on.
   uint64_t bytes_written() const;
   // Bytes AppendTo read through the bundle's handle to prepare this
   // append (0 for a build): flat in the chain length when resuming from
@@ -320,8 +322,9 @@ class CorpusReader {
   // and window checks as a full open, and overlaid on this reader's
   // entries. Bytes this reader already validated are immutable under the
   // append protocol and are not read again (VerifyAll remains the full
-  // check). Anything else — a path replaced by compact or merge, a v1
-  // file, a chain that misses this trailer — takes the full open.
+  // check). Anything else — a path replaced by compact or merge, a
+  // legacy version-1 file, a chain that misses this trailer — takes the
+  // full open.
   //
   // The incremental pickup costs O(new entries) in CPU and memory as
   // well: the next reader shares every entry block and name shard the
@@ -340,14 +343,11 @@ class CorpusReader {
   uint64_t file_size() const { return file_size_; }
   // Absolute file offset of the (latest) index section.
   uint64_t index_offset() const { return index_offset_; }
-  // True when the header carries the journal version (3): the bundle has
-  // (or is gaining) more than one index generation.
-  bool journaled() const { return journaled_; }
-  // The header's format version: 1 canonical single-shot, 3 delta-index
-  // journal.
+  // The header's format version: kCorpusFormatVersion, or
+  // kCorpusFormatVersionLegacy for a file an older build wrote.
   uint32_t format_version() const { return format_version_; }
-  // Number of index generations in the journal chain (1 for a canonical
-  // single-shot bundle).
+  // Number of index generations in the journal chain (1 for a fresh
+  // build, merge or compact).
   uint32_t generation() const { return generation_; }
   // Bytes no live read can reach: the torn tail past the latest valid
   // trailer (every index in the chain is live). CompactCorpus reclaims
@@ -469,7 +469,6 @@ class CorpusReader {
   std::shared_ptr<ChunkCache> cache_;
   uint64_t file_size_ = 0;
   uint64_t index_offset_ = 0;
-  bool journaled_ = false;
   uint32_t format_version_ = kCorpusFormatVersion;
   uint32_t generation_ = 1;
   uint64_t dead_bytes_ = 0;
@@ -510,7 +509,8 @@ struct MergeCorporaOptions {
   RandomAccessFileOptions io;
 };
 
-// Merges `inputs` (in order) into one canonical bundle at `output`.
+// Merges `inputs` (in order) into one single-generation bundle at
+// `output`.
 // Embedded images are copied byte-for-byte through RandomAccessFile
 // windows — nothing is decoded, memory stays bounded — and a single
 // merged index is rebuilt. The output is written atomically, so `output`
@@ -526,12 +526,13 @@ Result<CorpusMutationStats> MergeCorpora(const std::vector<std::string>& inputs,
                                          const MergeCorporaOptions& options = {});
 
 // Rewrites the bundle at `path` without the entries in `drop_names`,
-// copying the survivors' images byte-for-byte into a canonical v1 bundle
-// — with an empty drop set this is the explicit "squash the journal"
-// step, bit-identical to a single-shot build of the live entries. Every
-// drop name must exist (NotFound otherwise, and the bundle is
-// untouched); dropping every entry leaves a valid empty bundle. Atomic:
-// readers of the old bundle are unaffected until they Reopen.
+// copying the survivors' images byte-for-byte into a single-generation
+// bundle — with an empty drop set this is the explicit "squash the
+// journal" step, bit-identical to a single-shot build of the live
+// entries. Every drop name must exist (NotFound otherwise, and the
+// bundle is untouched); dropping every entry leaves a valid empty
+// bundle. Atomic: readers of the old bundle are unaffected until they
+// Reopen.
 Result<CorpusMutationStats> CompactCorpus(
     const std::string& path, const std::vector<std::string>& drop_names,
     const RandomAccessFileOptions& io = {});

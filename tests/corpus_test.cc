@@ -688,8 +688,8 @@ TEST(CorpusLifecycleTest, InterruptedAppendLeavesOriginalIntact) {
 
 // The O(delta) acceptance property, asserted on sink byte accounting: an
 // in-place append to an N-entry bundle writes the new images + a delta
-// index listing only the new entries + one trailer (+ the 4-byte header
-// version flip) — never a copy of the existing bytes and never a re-list
+// index listing only the new entries + one trailer — never a copy of
+// the existing bytes, never a rewrite of the header and never a re-list
 // of the existing entries — so the cost is flat in both the size and the
 // entry count of the base bundle.
 TEST(CorpusJournalTest, InPlaceAppendWritesOnlyTheDelta) {
@@ -725,13 +725,12 @@ TEST(CorpusJournalTest, InPlaceAppendWritesOnlyTheDelta) {
 
   const uint64_t small_before = FileSizeBytes(small_base.get());
   const uint64_t small_written = append_one(small_base.get());
-  EXPECT_EQ(small_written,
-            FileSizeBytes(small_base.get()) - small_before + 4);
+  EXPECT_EQ(small_written, FileSizeBytes(small_base.get()) - small_before);
 
   const uint64_t big_before = FileSizeBytes(big_base.get());
   const uint64_t big_written = append_one(big_base.get());
-  // Bytes written are exactly the on-disk delta plus the header flip...
-  EXPECT_EQ(big_written, FileSizeBytes(big_base.get()) - big_before + 4);
+  // Bytes written are exactly the on-disk delta...
+  EXPECT_EQ(big_written, FileSizeBytes(big_base.get()) - big_before);
   // ...and flat in the base: the 6x-larger, 6x-more-entry base writes
   // the same delta index (one entry) as the small one — the only drift
   // allowed is varint width of the larger file offsets.
@@ -743,7 +742,6 @@ TEST(CorpusJournalTest, InPlaceAppendWritesOnlyTheDelta) {
     auto corpus =
         CorpusReader::Open(big_base.get(), WithBackend(backend, 1 << 20));
     ASSERT_TRUE(corpus.ok()) << corpus.status();
-    EXPECT_TRUE(corpus->journaled());
     EXPECT_EQ(corpus->generation(), 2u);
     ASSERT_EQ(corpus->entries().size(), 13u);
     EXPECT_TRUE(corpus->VerifyAll().ok()) << IoBackendName(backend);
@@ -757,7 +755,7 @@ TEST(CorpusJournalTest, InPlaceAppendWritesOnlyTheDelta) {
   // still reachable by Open.
   auto small_after = CorpusReader::Open(small_base.get());
   ASSERT_TRUE(small_after.ok()) << small_after.status();
-  EXPECT_EQ(small_after->format_version(), kCorpusFormatVersionDelta);
+  EXPECT_EQ(small_after->format_version(), kCorpusFormatVersion);
   EXPECT_EQ(small_after->dead_bytes(), 0u);
 }
 
@@ -894,48 +892,12 @@ TEST(CorpusJournalTest, TornTailRecoversPreviousGeneration) {
   EXPECT_TRUE(compacted->VerifyAll().ok());
 }
 
-// A crash after the header version flip but before any appended byte
-// leaves a version-3 header over a v1 body: the journal recovery path
-// serves it (generation 1, zero dead bytes) and the next append chains
-// normally.
-TEST(CorpusJournalTest, HeaderFlipAloneStaysReadable) {
-  ScopedPath path("journalflip");
-  {
-    CorpusWriter writer(path.get());
-    ASSERT_TRUE(writer.Begin().ok());
-    ASSERT_TRUE(writer.Add("only", MakeSyntheticRecording(300, 1)).ok());
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  std::vector<uint8_t> bytes = ReadFileBytes(path.get());
-  bytes[4] = kCorpusFormatVersionDelta;  // the little-endian version field
-  WriteFileBytes(path.get(), bytes);
-  for (IoBackend backend : kAllBackends) {
-    auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
-    ASSERT_TRUE(corpus.ok()) << corpus.status();
-    EXPECT_TRUE(corpus->journaled());
-    EXPECT_EQ(corpus->format_version(), kCorpusFormatVersionDelta);
-    EXPECT_EQ(corpus->generation(), 1u);
-    EXPECT_EQ(corpus->dead_bytes(), 0u);
-    EXPECT_TRUE(corpus->VerifyAll().ok()) << IoBackendName(backend);
-  }
-  {
-    auto writer = CorpusWriter::AppendTo(path.get());
-    ASSERT_TRUE(writer.ok()) << writer.status();
-    ASSERT_TRUE((*writer)->Add("second", MakeSyntheticRecording(100, 2)).ok());
-    ASSERT_TRUE((*writer)->Finish().ok());
-  }
-  auto corpus = CorpusReader::Open(path.get());
-  ASSERT_TRUE(corpus.ok()) << corpus.status();
-  EXPECT_EQ(corpus->generation(), 2u);
-  ASSERT_EQ(corpus->entries().size(), 2u);
-  EXPECT_TRUE(corpus->VerifyAll().ok());
-}
-
-// The sink fsyncs at open only to make the header flip durable: the
-// first append of a v1 bundle syncs three times (flip, data, trailer),
-// every later one twice. An EIO on the third sync therefore fails only
-// the flipping append — after its trailer landed, so it still publishes.
-TEST(CorpusJournalTest, OnlyTheHeaderFlipAddsAnOpenFsync) {
+// Every append, the first included, syncs exactly twice: its images and
+// index, then the trailer that publishes them. An EIO on the first sync
+// fails the append before its trailer exists, so nothing is published;
+// on the second it fails after the trailer landed, so the generation
+// still advances; a third sync never happens.
+TEST(CorpusJournalTest, EveryAppendSyncsDataThenTrailer) {
   ScopedPath path("journalsyncs");
   {
     CorpusWriter writer(path.get());
@@ -943,8 +905,9 @@ TEST(CorpusJournalTest, OnlyTheHeaderFlipAddsAnOpenFsync) {
     ASSERT_TRUE(writer.Add("base/a", MakeSyntheticRecording(200, 1)).ok());
     ASSERT_TRUE(writer.Finish().ok());
   }
-  const auto append_with_third_sync_failing = [&](const std::string& name) {
-    EXPECT_TRUE(SetFaultPlan("corpus.journal.sync:eio@3").ok());
+  const auto append_with_sync_failing = [&](int nth, const std::string& name) {
+    EXPECT_TRUE(
+        SetFaultPlan(StrPrintf("corpus.journal.sync:eio@%d", nth)).ok());
     auto writer = CorpusWriter::AppendTo(path.get());
     Status status = writer.status();
     if (writer.ok()) {
@@ -956,13 +919,113 @@ TEST(CorpusJournalTest, OnlyTheHeaderFlipAddsAnOpenFsync) {
     ClearFaultPlan();
     return status;
   };
-  EXPECT_FALSE(append_with_third_sync_failing("flip").ok());
-  EXPECT_TRUE(append_with_third_sync_failing("second").ok());
-  EXPECT_TRUE(append_with_third_sync_failing("third").ok());
-  auto corpus = CorpusReader::Open(path.get());
-  ASSERT_TRUE(corpus.ok()) << corpus.status();
-  EXPECT_EQ(corpus->generation(), 4u);
-  EXPECT_TRUE(corpus->VerifyAll().ok());
+  uint32_t generation = 1;
+  size_t entries = 1;
+  const auto expect_published = [&](const std::string& name, bool present) {
+    auto corpus = CorpusReader::Open(path.get());
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    EXPECT_EQ(corpus->generation(), generation) << name;
+    EXPECT_EQ(corpus->entry_count(), entries) << name;
+    EXPECT_EQ(corpus->Find(name) != nullptr, present) << name;
+    EXPECT_TRUE(corpus->VerifyAll().ok()) << name;
+  };
+  // Round 0 appends to a one-generation bundle, round 1 to a chain.
+  for (int round = 0; round < 2; ++round) {
+    const std::string tag = std::to_string(round);
+    EXPECT_FALSE(append_with_sync_failing(1, "data-" + tag).ok());
+    expect_published("data-" + tag, false);
+
+    EXPECT_FALSE(append_with_sync_failing(2, "trailer-" + tag).ok());
+    ++generation;
+    ++entries;
+    expect_published("trailer-" + tag, true);
+
+    EXPECT_TRUE(append_with_sync_failing(3, "clean-" + tag).ok());
+    ++generation;
+    ++entries;
+    expect_published("clean-" + tag, true);
+  }
+}
+
+// Older builds stamped version 1 on every fresh build: the
+// one-generation layout under another version word. It is read through
+// the same path, refused for appends until compacted, and bytes past its
+// one trailer are corruption rather than a torn append.
+TEST(CorpusJournalTest, LegacyVersionOneIsReadOnlyAlias) {
+  for (IoBackend backend : kAllBackends) {
+    const std::string tag(IoBackendName(backend));
+    const CorpusReaderOptions options = WithBackend(backend, 1 << 20);
+    ScopedPath path("legacy_" + tag);
+    {
+      CorpusWriter writer(path.get());
+      ASSERT_TRUE(writer.Begin().ok());
+      ASSERT_TRUE(writer.Add("a", MakeSyntheticRecording(300, 1)).ok());
+      ASSERT_TRUE(writer.Add("b", MakeSyntheticRecording(200, 2)).ok());
+      ASSERT_TRUE(writer.Finish().ok());
+    }
+    const std::vector<uint8_t> fresh = ReadFileBytes(path.get());
+    ASSERT_EQ(fresh[4], kCorpusFormatVersion);  // the version field's low byte
+    std::vector<uint8_t> legacy = fresh;
+    legacy[4] = kCorpusFormatVersionLegacy;
+    WriteFileBytes(path.get(), legacy);
+
+    {
+      auto corpus = CorpusReader::Open(path.get(), options);
+      ASSERT_TRUE(corpus.ok()) << corpus.status();
+      EXPECT_EQ(corpus->format_version(), kCorpusFormatVersionLegacy);
+      EXPECT_EQ(corpus->generation(), 1u);
+      EXPECT_EQ(corpus->dead_bytes(), 0u);
+      ASSERT_EQ(corpus->entries().size(), 2u);
+      EXPECT_EQ(corpus->entries()[1].name, "b");
+      EXPECT_TRUE(corpus->VerifyAll().ok()) << tag;
+      auto loaded = corpus->LoadRecording("a");
+      ASSERT_TRUE(loaded.ok()) << loaded.status();
+      EXPECT_EQ(loaded->log.size(), 300u);
+    }
+
+    CorpusAppendOptions append_options;
+    append_options.io = options.io;
+    auto refused = CorpusWriter::AppendTo(path.get(), append_options);
+    ASSERT_FALSE(refused.ok()) << tag;
+    EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(refused.status().message().find("corpus compact"),
+              std::string::npos)
+        << refused.status().message();
+    EXPECT_EQ(ReadFileBytes(path.get()), legacy);
+
+    // Junk past the one trailer: a torn tail behind version 3, corruption
+    // behind version 1.
+    ScopedPath junk("legacy_junk_" + tag);
+    std::vector<uint8_t> junked = fresh;
+    junked.insert(junked.end(), 100, 0xA5);
+    WriteFileBytes(junk.get(), junked);
+    auto torn = CorpusReader::Open(junk.get(), options);
+    ASSERT_TRUE(torn.ok()) << torn.status();
+    EXPECT_EQ(torn->dead_bytes(), 100u);
+    junked[4] = kCorpusFormatVersionLegacy;
+    WriteFileBytes(junk.get(), junked);
+    auto rejected = CorpusReader::Open(junk.get(), options);
+    ASSERT_FALSE(rejected.ok()) << tag;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+    // Compact rewrites it as the version-3 build it aliases, which
+    // accepts an append.
+    auto compacted = CompactCorpus(path.get(), {}, options.io);
+    ASSERT_TRUE(compacted.ok()) << compacted.status();
+    EXPECT_EQ(ReadFileBytes(path.get()), fresh);
+    {
+      auto writer = CorpusWriter::AppendTo(path.get(), append_options);
+      ASSERT_TRUE(writer.ok()) << writer.status();
+      ASSERT_TRUE((*writer)->Add("c", MakeSyntheticRecording(100, 3)).ok());
+      ASSERT_TRUE((*writer)->Finish().ok());
+    }
+    auto corpus = CorpusReader::Open(path.get(), options);
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    EXPECT_EQ(corpus->format_version(), kCorpusFormatVersion);
+    EXPECT_EQ(corpus->generation(), 2u);
+    EXPECT_EQ(corpus->entry_count(), 3u);
+    EXPECT_TRUE(corpus->VerifyAll().ok()) << tag;
+  }
 }
 
 // In-place appends are single-writer: a second concurrent in-place
@@ -1026,7 +1089,7 @@ TEST(CorpusJournalTest, V1SingleTrailerLogicRejectsJournaledBundles) {
   const std::vector<uint8_t> bytes = ReadFileBytes(path.get());
 
   // The PR-4 era open sequence: header magic + version check expecting
-  // exactly kCorpusFormatVersion.
+  // exactly version 1.
   const auto open_v1_strict = [&]() -> Status {
     Decoder header(bytes.data(), kCorpusHeaderBytes);
     auto magic = header.GetFixed32();
@@ -1034,7 +1097,7 @@ TEST(CorpusJournalTest, V1SingleTrailerLogicRejectsJournaledBundles) {
     EXPECT_EQ(*magic, kCorpusFileMagic);
     auto version = header.GetFixed32();
     EXPECT_TRUE(version.ok());
-    if (*version != kCorpusFormatVersion) {
+    if (*version != kCorpusFormatVersionLegacy) {
       return InvalidArgumentError(
           StrPrintf("unsupported corpus format version %u", *version));
     }
@@ -1108,7 +1171,8 @@ TEST(CorpusJournalTest, CompactSquashesJournalToSingleShotBytes) {
   EXPECT_EQ(ReadFileBytes(single.get()), ReadFileBytes(journaled.get()));
   auto corpus = CorpusReader::Open(journaled.get());
   ASSERT_TRUE(corpus.ok()) << corpus.status();
-  EXPECT_FALSE(corpus->journaled());
+  EXPECT_EQ(corpus->format_version(), kCorpusFormatVersion);
+  EXPECT_EQ(corpus->generation(), 1u);
   EXPECT_EQ(corpus->dead_bytes(), 0u);
   EXPECT_TRUE(corpus->VerifyAll().ok());
 }
@@ -1137,7 +1201,7 @@ TEST(CorpusJournalTest, DeltaChainMatchesFullIndexEquivalent) {
   }
 
   // Chained: generation 1 holds entries 0-1, then one append per batch
-  // {2}, {3,4} — two delta generations on top of the v1 base.
+  // {2}, {3,4} — two delta generations on top of generation 1.
   ScopedPath chained("deltaeqchain");
   {
     CorpusWriter writer(chained.get());
@@ -1163,7 +1227,7 @@ TEST(CorpusJournalTest, DeltaChainMatchesFullIndexEquivalent) {
     auto got = CorpusReader::Open(chained.get(), WithBackend(backend, 1 << 20));
     ASSERT_TRUE(want.ok()) << want.status();
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->format_version(), kCorpusFormatVersionDelta);
+    EXPECT_EQ(got->format_version(), kCorpusFormatVersion);
     EXPECT_EQ(got->generation(), 3u);
     ASSERT_EQ(got->entries().size(), want->entries().size());
     for (size_t i = 0; i < want->entries().size(); ++i) {
@@ -1220,8 +1284,9 @@ TEST(CorpusJournalTest, RetiredV2JournalsAreRejected) {
     ASSERT_TRUE(corpus.ok()) << corpus.status();
     base_entries = corpus->entries();
   }
-  const std::vector<uint8_t> v1_bytes = ReadFileBytes(path.get());
-  const uint64_t v1_trailer_offset = v1_bytes.size() - kCorpusTrailerBytes;
+  const std::vector<uint8_t> built_bytes = ReadFileBytes(path.get());
+  const uint64_t built_trailer_offset =
+      built_bytes.size() - kCorpusTrailerBytes;
 
   // Opening and appending must both fail with `want` in the message,
   // and neither may change a byte of the file.
@@ -1244,19 +1309,18 @@ TEST(CorpusJournalTest, RetiredV2JournalsAreRejected) {
 
   // Case 1: a v2 bundle as the retired writer produced it — header 2, a
   // generation-2 full index published by a "CRDJ" trailer.
-  std::vector<uint8_t> v2 = v1_bytes;
+  std::vector<uint8_t> v2 = built_bytes;
   v2[4] = 2;
-  AppendCraftedGeneration(&v2, base_entries, v1_trailer_offset, 2,
+  AppendCraftedGeneration(&v2, base_entries, built_trailer_offset, 2,
                           kRetiredFullIndexMagic);
   expect_rejected(v2, "unsupported corpus format version 2");
 
   // Case 2: a v3 header whose newest (valid) delta trailer chains onto a
   // "CRDJ" generation.
   const auto v3_chain_via = [&](uint32_t link_magic) {
-    std::vector<uint8_t> bytes = v1_bytes;
-    bytes[4] = kCorpusFormatVersionDelta;
+    std::vector<uint8_t> bytes = built_bytes;
     const uint64_t link = AppendCraftedGeneration(
-        &bytes, base_entries, v1_trailer_offset, 2, link_magic);
+        &bytes, base_entries, built_trailer_offset, 2, link_magic);
     AppendCraftedGeneration(&bytes, {}, link, 3, kCorpusDeltaTrailerMagic);
     return bytes;
   };
@@ -1648,7 +1712,6 @@ TEST(CorpusLifecycleTest, ReopenPicksUpGrownIndex) {
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   corpus = std::move(*reopened);
   ASSERT_EQ(corpus->entries().size(), 2u);
-  EXPECT_TRUE(corpus->journaled());
   EXPECT_EQ(corpus->generation(), 2u);
   EXPECT_NE(corpus->Find("new"), nullptr);
   EXPECT_TRUE(corpus->VerifyAll().ok());
@@ -1794,7 +1857,6 @@ uint64_t ExpectMatchesFreshOpen(const CorpusReader& reopened) {
   EXPECT_EQ(reopened.file_size(), fresh->file_size());
   EXPECT_EQ(reopened.dead_bytes(), fresh->dead_bytes());
   EXPECT_EQ(reopened.format_version(), fresh->format_version());
-  EXPECT_EQ(reopened.journaled(), fresh->journaled());
   EXPECT_EQ(reopened.entries().size(), fresh->entries().size());
   for (size_t i = 0;
        i < std::min(reopened.entries().size(), fresh->entries().size());
@@ -1813,8 +1875,7 @@ uint64_t ExpectMatchesFreshOpen(const CorpusReader& reopened) {
   return fresh->bytes_read();
 }
 
-// After each of k appends, the reader Reopen returns equals a fresh Open
-// (the first append flips the header v1 -> v3 under the held reader),
+// After each of k appends, the reader Reopen returns equals a fresh Open,
 // reads less than that full open does (only the new generation), and
 // leaves the held reader untouched.
 TEST(CorpusReopenTest, EachAppendMatchesFreshOpenOnEveryBackend) {
@@ -1838,8 +1899,7 @@ TEST(CorpusReopenTest, EachAppendMatchesFreshOpenOnEveryBackend) {
       EXPECT_EQ(held->generation(), held_generation);
       EXPECT_EQ(held->entries().size(), held_entries);
       EXPECT_EQ(next->generation(), k + 1);
-      EXPECT_EQ(next->format_version(), kCorpusFormatVersionDelta);
-      EXPECT_TRUE(next->journaled());
+      EXPECT_EQ(next->format_version(), kCorpusFormatVersion);
       EXPECT_EQ(next->io_backend(), backend);
       EXPECT_EQ(next->chunk_cache(), held->chunk_cache());
       const uint64_t full_open_bytes = ExpectMatchesFreshOpen(*next);
@@ -1904,7 +1964,6 @@ TEST(CorpusReopenTest, ReplacedOrRewrittenFileTakesTheFullOpen) {
   auto next = held->Reopen();
   ASSERT_TRUE(next.ok()) << next.status();
   EXPECT_EQ(next->format_version(), kCorpusFormatVersion);
-  EXPECT_FALSE(next->journaled());
   EXPECT_EQ(next->generation(), 1u);
   EXPECT_EQ(next->entries().size(), 3u);
   EXPECT_EQ(next->Find("base/b"), nullptr);
@@ -2018,8 +2077,9 @@ TEST(CorpusReopenTest, PickupBytesAreFlatInChainLength) {
 TEST(CorpusReopenTest, RelistedNamesReplaceInPlaceOnOpenAndReopen) {
   ScopedPath path("reopen_relist");
   BuildSingleShot(path.get(), {"a", "b"});
-  const std::vector<uint8_t> v1_bytes = ReadFileBytes(path.get());
-  const uint64_t v1_trailer_offset = v1_bytes.size() - kCorpusTrailerBytes;
+  const std::vector<uint8_t> built_bytes = ReadFileBytes(path.get());
+  const uint64_t built_trailer_offset =
+      built_bytes.size() - kCorpusTrailerBytes;
   auto held1 = CorpusReader::Open(path.get());
   ASSERT_TRUE(held1.ok()) << held1.status();
   const CorpusEntry a = held1->entries()[0];
@@ -2033,7 +2093,7 @@ TEST(CorpusReopenTest, RelistedNamesReplaceInPlaceOnOpenAndReopen) {
 
   // Generations land in place (same inode, never shrinking) so both held
   // readers can take the incremental path.
-  std::vector<uint8_t> bytes = v1_bytes;
+  std::vector<uint8_t> bytes = built_bytes;
   const auto write_tail = [&](size_t from) {
     std::fstream file(path.get(),
                       std::ios::binary | std::ios::in | std::ios::out);
@@ -2042,11 +2102,11 @@ TEST(CorpusReopenTest, RelistedNamesReplaceInPlaceOnOpenAndReopen) {
                static_cast<std::streamsize>(bytes.size() - from));
     ASSERT_TRUE(file.good()) << path.get();
   };
-  bytes[4] = kCorpusFormatVersionDelta;
+  const size_t gen2_from = bytes.size();
   const uint64_t gen2 = AppendCraftedGeneration(
       &bytes, {relabel(a, "a", "gen2"), relabel(a, "d", "gen2")},
-      v1_trailer_offset, 2, kCorpusDeltaTrailerMagic);
-  write_tail(4);
+      built_trailer_offset, 2, kCorpusDeltaTrailerMagic);
+  write_tail(gen2_from);
   auto held2 = CorpusReader::Open(path.get());
   ASSERT_TRUE(held2.ok()) << held2.status();
   const size_t gen3_from = bytes.size();
@@ -2809,7 +2869,6 @@ TEST(BatchRunnerTest, ResumeAppendsOnlyMissingCells) {
   ASSERT_TRUE(corpus.ok()) << corpus.status();
   ASSERT_EQ(corpus->entries().size(), 6u);
   // Two resume passes journaled two generations onto the base build.
-  EXPECT_TRUE(corpus->journaled());
   EXPECT_EQ(corpus->generation(), 3u);
   EXPECT_TRUE(corpus->VerifyAll().ok());
 

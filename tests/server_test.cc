@@ -227,6 +227,81 @@ std::pair<Socket, Socket> LocalPair() {
   return {Socket(fds[0]), Socket(fds[1])};
 }
 
+// The wire carries these 32-bit fields as varints: a value past
+// UINT32_MAX is corruption, rejected with the field's name, never
+// narrowed (2^32 + 3 must not decode as 3).
+TEST(ProtocolTest, RejectsOutOfRange32BitFields) {
+  constexpr uint64_t kMax = UINT32_MAX;
+  constexpr uint64_t kTooBig = kMax + 1;
+  const auto expect_rejected = [](const auto& decoded, const char* field) {
+    ASSERT_FALSE(decoded.ok()) << field;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find(field), std::string::npos)
+        << decoded.status().message();
+  };
+
+  const auto info = [](uint64_t format_version, uint64_t generation) {
+    Encoder encoder;
+    encoder.PutString("bundle.ddrc");
+    encoder.PutVarint64(590);  // file_size
+    encoder.PutBool(true);     // journaled
+    encoder.PutVarint64(format_version);
+    encoder.PutVarint64(generation);
+    encoder.PutVarint64(0);  // dead_bytes
+    encoder.PutVarint64(4);  // entry_count
+    encoder.PutString("mmap");
+    encoder.PutBool(false);  // writer_active
+    return encoder.TakeBuffer();
+  };
+  auto info_max = DecodeServeInfo(info(kMax, kMax));
+  ASSERT_TRUE(info_max.ok()) << info_max.status();
+  EXPECT_EQ(info_max->format_version, kMax);
+  EXPECT_EQ(info_max->generation, kMax);
+  expect_rejected(DecodeServeInfo(info(kTooBig, 1)), "format_version");
+  expect_rejected(DecodeServeInfo(info(3, kTooBig)), "generation");
+
+  const auto refresh = [](uint64_t before, uint64_t after) {
+    Encoder encoder;
+    encoder.PutVarint64(before);
+    encoder.PutVarint64(after);
+    encoder.PutVarint64(2);  // entries_before
+    encoder.PutVarint64(4);  // entries_after
+    encoder.PutBool(true);   // picked_up
+    return encoder.TakeBuffer();
+  };
+  auto refresh_max = DecodeServeRefresh(refresh(kMax, kMax));
+  ASSERT_TRUE(refresh_max.ok()) << refresh_max.status();
+  EXPECT_EQ(refresh_max->generation_after, kMax);
+  expect_rejected(DecodeServeRefresh(refresh(kTooBig, 2)),
+                  "generation_before");
+  expect_rejected(DecodeServeRefresh(refresh(1, kTooBig)), "generation_after");
+
+  const auto stats = [](uint64_t generation) {
+    Encoder encoder;
+    encoder.PutVarint64(100);  // requests_total
+    encoder.PutVarint64(kRpcCommandCount);
+    for (size_t i = 0; i < kRpcCommandCount; ++i) {
+      encoder.PutVarint64(i);
+    }
+    // bytes_served, overload_rejections, refreshes, generations_picked_up,
+    // clients_total, clients_active
+    for (int i = 0; i < 6; ++i) {
+      encoder.PutVarint64(1);
+    }
+    encoder.PutVarint64(generation);
+    encoder.PutVarint64(4);  // entry_count
+    encoder.PutVarint64(0);  // corpus_bytes_read
+    for (int i = 0; i < 7; ++i) {
+      encoder.PutVarint64(0);  // cache counters
+    }
+    return encoder.TakeBuffer();
+  };
+  auto stats_max = DecodeServeStats(stats(kMax));
+  ASSERT_TRUE(stats_max.ok()) << stats_max.status();
+  EXPECT_EQ(stats_max->generation, kMax);
+  expect_rejected(DecodeServeStats(stats(kTooBig)), "generation");
+}
+
 TEST(FrameTest, RoundTripsOverASocketPair) {
   auto [a, b] = LocalPair();
   const std::vector<uint8_t> payload = {0, 1, 2, 3, 250, 255};
@@ -365,7 +440,8 @@ TEST(CorpusServerTest, ServesInfoListVerifyReplayOverUnixSocket) {
   EXPECT_EQ(info->path, bundle.get());
   EXPECT_EQ(info->entry_count, 4u);
   EXPECT_EQ(info->generation, 1u);
-  EXPECT_FALSE(info->journaled);
+  EXPECT_EQ(info->format_version, kCorpusFormatVersion);
+  EXPECT_TRUE(info->journaled);
   EXPECT_FALSE(info->writer_active);
   EXPECT_GT(info->file_size, 0u);
 

@@ -142,8 +142,8 @@ void PrintUsage() {
                "  corpus merge  <out> <in>... [--on-collision "
                "fail|skip|rename-suffix]\n"
                "  corpus compact <file> [--drop name1,name2]\n"
-               "                drop entries and/or squash a journaled bundle "
-               "to canonical form\n"
+               "                drop entries and/or squash the journal "
+               "to one generation\n"
                "  serve  <file> --socket <path>|--port <n> [--threads N] "
                "[--queue N] [--watch-ms N]\n"
                "                serve the bundle to concurrent clients until "
@@ -666,6 +666,13 @@ int CorpusCompact(const std::string& path, int argc, char** argv) {
   return 0;
 }
 
+// The "format:" line of `corpus info` and `query info`.
+std::string CorpusFormatName(uint32_t version) {
+  return version == kCorpusFormatVersionLegacy
+             ? "v1 (legacy: run 'corpus compact' before appending)"
+             : StrPrintf("v%u", version);
+}
+
 int CorpusInfo(const std::string& path, int argc, char** argv) {
   auto corpus = CorpusReader::Open(path, CorpusOptionsFromFlags(argc, argv));
   if (!corpus.ok()) {
@@ -677,9 +684,8 @@ int CorpusInfo(const std::string& path, int argc, char** argv) {
               static_cast<unsigned long long>(corpus->file_size()));
   std::printf("io backend:        %s\n",
               std::string(IoBackendName(corpus->io_backend())).c_str());
-  std::printf("layout:            %s\n",
-              corpus->journaled() ? "journaled (v3, delta indexes)"
-                                  : "single-shot (v1)");
+  std::printf("format:            %s\n",
+              CorpusFormatName(corpus->format_version()).c_str());
   std::printf("generations:       %u\n", corpus->generation());
   std::printf("dead bytes:        %llu (%.1f%% of file%s)\n",
               static_cast<unsigned long long>(corpus->dead_bytes()),
@@ -889,9 +895,8 @@ int Query(int argc, char** argv) {
       std::printf("file size:         %llu bytes\n",
                   static_cast<unsigned long long>(info->file_size));
       std::printf("io backend:        %s\n", info->io_backend.c_str());
-      std::printf("layout:            %s\n",
-                  info->journaled ? "journaled (v3, delta indexes)"
-                                  : "single-shot (v1)");
+      std::printf("format:            %s\n",
+                  CorpusFormatName(info->format_version).c_str());
       std::printf("generations:       %u\n", info->generation);
       std::printf("dead bytes:        %llu\n",
                   static_cast<unsigned long long>(info->dead_bytes));
