@@ -16,8 +16,9 @@ namespace ddr {
 namespace {
 
 void BM_FiberPingPong(benchmark::State& state) {
-  // Measures a full yield round-trip between two fibers (a swapcontext out to
-  // the scheduler, a scheduler pick, and a swapcontext in, each way).
+  // Measures a full yield round-trip between two fibers (a ddr_fiber_switch
+  // out to the scheduler, a scheduler pick, and a ddr_fiber_switch in, each
+  // way).
   const uint64_t switches_per_run = 2000;
   uint64_t total = 0;
   for (auto _ : state) {

@@ -1,7 +1,5 @@
 #include "src/analysis/sched/sched.h"
 
-#include <ucontext.h>
-
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -595,7 +593,7 @@ class Engine {
     return s;
   }
 
-  ucontext_t scheduler_;  // the resume loop's context
+  FiberContext scheduler_;  // the resume loop's context
   std::vector<std::unique_ptr<ThreadRec>> threads_;
   int current_ = 0;  // token holder; -1 once no thread can run
   bool poisoned_ = false;

@@ -309,7 +309,7 @@ class Environment {
   FiberId last_running_ = kInvalidFiber;
   // The scheduler's saved context while a fiber runs; a fiber's
   // SwitchToScheduler() resumes it.
-  ucontext_t scheduler_context_;
+  FiberContext scheduler_context_;
   size_t live_fibers_ = 0;
 
   // Armed OOM faults: (node, earliest time).

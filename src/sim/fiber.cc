@@ -9,6 +9,10 @@
 
 #include "src/util/logging.h"
 
+#if !defined(__x86_64__)
+#error "ddr_fiber_switch (fiber_switch.S) and the frame Fiber::Launch seeds for it are x86-64 only; port them"
+#endif
+
 #if defined(__SANITIZE_ADDRESS__)
 #define DDR_ASAN_FIBERS 1
 #elif defined(__has_feature)
@@ -31,6 +35,10 @@
 #ifdef DDR_TSAN_FIBERS
 #include <sanitizer/tsan_interface.h>
 #endif
+
+// Defined in fiber_switch.S.
+extern "C" void ddr_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void ddr_fiber_start();
 
 namespace ddr {
 
@@ -103,28 +111,37 @@ Fiber::~Fiber() {
                              << "' destroyed while not finished";
 }
 
-void Fiber::Launch(std::function<void()> entry, ucontext_t* scheduler) {
+void Fiber::Launch(std::function<void()> entry, FiberContext* scheduler) {
   CHECK(mapping_ == nullptr && !exited_) << "fiber launched twice";
   mapping_ = t_stack_pool.Take();
   entry_ = std::move(entry);
   scheduler_ = scheduler;
 
-  CHECK_EQ(getcontext(&context_), 0);
-  context_.uc_stack.ss_sp = static_cast<char*>(mapping_) + GuardBytes();
-  context_.uc_stack.ss_size = kStackBytes;
-  context_.uc_link = nullptr;  // Entry() never returns
-  const auto self = reinterpret_cast<uintptr_t>(this);
-  makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::Entry), 2,
-              static_cast<unsigned int>(self >> 32),
-              static_cast<unsigned int>(self & 0xffffffffu));
+  // The frame ddr_fiber_switch pops (fiber_switch.S). Its `ret` enters
+  // ddr_fiber_start with rsp at the page-aligned stack top, so the thunk's
+  // call to Entry(this) is 16-byte aligned. The fiber starts with the
+  // launcher's floating-point control state, as a new thread would.
+  uint32_t mxcsr = 0;
+  uint16_t x87_control = 0;
+  __asm__("stmxcsr %0" : "=m"(mxcsr));
+  __asm__("fnstcw %0" : "=m"(x87_control));
+  auto* frame = reinterpret_cast<uintptr_t*>(static_cast<char*>(mapping_) +
+                                             MappingBytes()) - 8;
+  frame[0] = mxcsr | uintptr_t{x87_control} << 32;
+  frame[1] = 0;                                          // r15
+  frame[2] = 0;                                          // r14
+  frame[3] = 0;                                          // r13
+  frame[4] = reinterpret_cast<uintptr_t>(&Fiber::Entry);  // r12
+  frame[5] = reinterpret_cast<uintptr_t>(this);          // rbx
+  frame[6] = 0;                                          // rbp
+  frame[7] = reinterpret_cast<uintptr_t>(&ddr_fiber_start);
+  context_.sp = frame;
 #ifdef DDR_TSAN_FIBERS
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
 }
 
-void Fiber::Entry(unsigned int self_hi, unsigned int self_lo) {
-  Fiber* self = reinterpret_cast<Fiber*>((uintptr_t{self_hi} << 32) |
-                                         uintptr_t{self_lo});
+void Fiber::Entry(Fiber* self) noexcept {
 #ifdef DDR_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(nullptr, &self->scheduler_stack_bottom_,
                                   &self->scheduler_stack_size_);
@@ -140,14 +157,15 @@ void Fiber::SwitchIn() {
                              << "' that is not running";
 #ifdef DDR_ASAN_FIBERS
   void* scheduler_fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(&scheduler_fake_stack,
-                                 context_.uc_stack.ss_sp, kStackBytes);
+  __sanitizer_start_switch_fiber(
+      &scheduler_fake_stack, static_cast<char*>(mapping_) + GuardBytes(),
+      kStackBytes);
 #endif
 #ifdef DDR_TSAN_FIBERS
   tsan_scheduler_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  CHECK_EQ(swapcontext(scheduler_, &context_), 0);
+  ddr_fiber_switch(&scheduler_->sp, context_.sp);
 #ifdef DDR_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(scheduler_fake_stack, nullptr, nullptr);
 #endif
@@ -167,7 +185,7 @@ void Fiber::SwitchToScheduler() {
 #ifdef DDR_TSAN_FIBERS
   __tsan_switch_to_fiber(tsan_scheduler_, 0);
 #endif
-  CHECK_EQ(swapcontext(&context_, scheduler_), 0);
+  ddr_fiber_switch(&context_.sp, scheduler_->sp);
 #ifdef DDR_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(asan_fake_stack_, &scheduler_stack_bottom_,
                                   &scheduler_stack_size_);

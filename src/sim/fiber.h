@@ -1,12 +1,14 @@
-// Cooperative fibers implemented as ucontext coroutines that run on the OS
-// thread that called Environment::Run.
+// Cooperative fibers: coroutines that run on the OS thread that called
+// Environment::Run.
 //
 // Exactly one context (either the scheduler or a single fiber) runs at any
-// moment; control transfers through explicit swapcontext calls
-// (SwitchIn / SwitchToScheduler). Because every transfer is explicit and the
-// scheduler picks successors deterministically, an execution is a pure
-// function of (program, seed, director) — the property the whole toolkit
-// rests on.
+// moment; control transfers through explicit calls to ddr_fiber_switch
+// (SwitchIn / SwitchToScheduler), a register-only x86-64 context switch in
+// fiber_switch.S that saves the callee-saved registers, MXCSR and the x87
+// control word and makes no system call. Because every transfer is explicit
+// and the scheduler picks successors deterministically, an execution is a
+// pure function of (program, seed, director) — the property the whole
+// toolkit rests on.
 //
 // Each fiber runs on an mmap'd stack of kStackBytes with a PROT_NONE guard
 // page below it, so an overflow faults loudly instead of corrupting a
@@ -20,8 +22,6 @@
 
 #ifndef SRC_SIM_FIBER_H_
 #define SRC_SIM_FIBER_H_
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <functional>
@@ -37,6 +37,12 @@ namespace ddr {
 // std::exception so that application-level catch(std::exception&) blocks do
 // not swallow it. Simulated code must not use catch(...).
 struct FiberKilled {};
+
+// A suspended context: the stack pointer ddr_fiber_switch saved, with the
+// context's callee-saved registers stored just above it.
+struct FiberContext {
+  void* sp = nullptr;
+};
 
 // Why a blocked fiber resumed.
 enum class WakeReason : uint8_t {
@@ -65,7 +71,7 @@ class Fiber {
 
   // Takes a stack and prepares the context; `entry` runs on the first
   // SwitchIn(). `scheduler` is where SwitchToScheduler() returns to.
-  void Launch(std::function<void()> entry, ucontext_t* scheduler);
+  void Launch(std::function<void()> entry, FiberContext* scheduler);
 
   // Scheduler -> fiber: runs the fiber until it switches back. Once `entry`
   // has returned, the stack is released before this returns. Must be called
@@ -106,8 +112,10 @@ class Fiber {
   std::vector<FiberId>& joiners() { return joiners_; }
 
  private:
-  // makecontext entry point; the Fiber* arrives split into two ints.
-  static void Entry(unsigned int self_hi, unsigned int self_lo);
+  // First frame on a fresh stack, called by ddr_fiber_start. Never returns.
+  // noexcept: an exception escaping the fiber's body terminates the process
+  // here instead of unwinding into the switch.
+  static void Entry(Fiber* self) noexcept;
   void ReleaseStack();
 
   const FiberId id_;
@@ -126,8 +134,8 @@ class Fiber {
   std::function<void()> entry_;
   bool exited_ = false;  // entry_ returned; the stack is dead
   void* mapping_ = nullptr;  // guard page + stack, nullptr once released
-  ucontext_t context_;
-  ucontext_t* scheduler_ = nullptr;
+  FiberContext context_;
+  FiberContext* scheduler_ = nullptr;
 
   // Sanitizer bookkeeping (unused without ASan/TSan).
   void* asan_fake_stack_ = nullptr;

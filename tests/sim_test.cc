@@ -1,10 +1,14 @@
 // Deeper substrate tests beyond the smoke suite: semaphores, barriers,
 // timeouts, channel backpressure, RMW atomicity, run limits, disks,
 // TryAlloc faults, region nesting, scheduling-policy determinism, and the
-// fiber machinery itself (caller-thread execution, stacks, unwinding).
+// fiber machinery itself (caller-thread execution, stacks, unwinding, and
+// the state a context switch must carry: floating-point control and stack
+// alignment).
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
 #include <limits>
 #include <thread>
 
@@ -564,6 +568,96 @@ TEST(SimFiberDeathTest, StackOverflowHitsTheGuardPage) {
         });
       },
       "");
+}
+
+// 1/3 as SSE arithmetic rounds it, which follows MXCSR; fegetround() reads
+// the x87 control word. Each mode has its own bit in a context's frame.
+[[gnu::noinline]] double OneThird() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+TEST(SimFiberTest, FloatingPointControlStaysWithItsContext) {
+  ASSERT_EQ(fegetround(), FE_TONEAREST);
+  const double nearest = OneThird();
+  bool upward_set = false;
+  bool other_checked = false;
+  int upward_mode = -1;
+  double upward_third = 0;
+  int other_mode = -1;
+  double other_third = 0;
+  Environment env(Opts(23, /*preempt=*/0.0));
+  env.Run("fp-control", [&](Environment& e) {
+    FiberId upward = e.Spawn("upward", [&] {
+      fesetround(FE_UPWARD);
+      upward_set = true;
+      while (!other_checked) {
+        e.Yield();
+      }
+      upward_mode = fegetround();
+      upward_third = OneThird();
+    });
+    FiberId other = e.Spawn("other", [&] {
+      while (!upward_set) {
+        e.Yield();
+      }
+      other_mode = fegetround();
+      other_third = OneThird();
+      other_checked = true;
+    });
+    e.Join(upward);
+    e.Join(other);
+  });
+  const int caller_mode = fegetround();
+  const double caller_third = OneThird();
+  fesetround(FE_TONEAREST);  // keep a failure from leaking into later tests
+
+  EXPECT_EQ(upward_mode, FE_UPWARD);
+  EXPECT_GT(upward_third, nearest);
+  EXPECT_EQ(other_mode, FE_TONEAREST);
+  EXPECT_EQ(other_third, nearest);
+  EXPECT_EQ(caller_mode, FE_TONEAREST);
+  EXPECT_EQ(caller_third, nearest);
+}
+
+// The compiler places an alignas(16) local assuming the ABI's 16-byte
+// aligned stack, so a misaligned fiber stack shows up in its address.
+[[gnu::noinline]] bool AlignedLocalIsAligned() {
+  alignas(16) char local[16];
+  volatile uintptr_t address = reinterpret_cast<uintptr_t>(local);
+  return address % 16 == 0;
+}
+
+TEST(SimFiberTest, FiberFramesAreSixteenByteAligned) {
+  bool on_first_entry = false;
+  bool after_yield = false;
+  Environment env(Opts(24));
+  env.Run("aligned", [&](Environment& e) {
+    FiberId child = e.Spawn("child", [&] {
+      on_first_entry = AlignedLocalIsAligned();
+      e.Yield();
+      after_yield = AlignedLocalIsAligned();
+    });
+    e.Join(child);
+  });
+  EXPECT_TRUE(on_first_entry);
+  EXPECT_TRUE(after_yield);
+}
+
+// FiberTrampoline catches only FiberKilled and std::exception. Anything else
+// ends the process at the fiber's first frame instead of unwinding off the
+// fiber stack.
+TEST(SimFiberDeathTest, ExceptionEscapingAFiberBodyTerminates) {
+  EXPECT_DEATH(
+      {
+        Environment env(Opts(25));
+        env.Run("throws", [](Environment& e) {
+          FiberId child = e.Spawn("thrower", [] { throw 42; });
+          e.Join(child);
+        });
+      },
+      "terminate called after throwing an instance of 'int'");
 }
 
 }  // namespace
