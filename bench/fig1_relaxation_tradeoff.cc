@@ -30,7 +30,6 @@ void RunFig1() {
   scenarios.push_back(MakeHypertableScenario());
   // Keep inference bounded: Fig. 1 needs the trend, not deep searches.
   for (BugScenario& scenario : scenarios) {
-    scenario.inference_budget.max_wall_seconds = 6.0;
     scenario.inference_budget.max_attempts = 600;
   }
 

@@ -11,9 +11,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/apps/overflow_app.h"
 #include "src/apps/scenarios.h"
-#include "src/replay/solver.h"
 #include "src/util/logging.h"
 
 namespace ddr {
@@ -23,48 +21,14 @@ void RunScaling() {
   PrintBanner("Inference effort vs. recording completeness (overflow bug)");
 
   TablePrinter table({"input-space", "model", "attempts", "solver nodes",
-                      "inference wall (s)", "DF", "DE"});
+                      "replay wall (s)", "DF", "DE"});
   for (const int64_t max_len : {64, 128, 256, 512}) {
-    BugScenario scenario = MakeOverflowScenario();
     // Widen the request-length domain: the search space scales with it.
-    for (auto& domain : scenario.input_domains) {
-      domain.hi = max_len;
-    }
-    // Re-derive a production world whose inputs crash under this domain.
-    scenario.production_world_seed = [max_len] {
-      for (uint64_t seed = 1;; ++seed) {
-        Rng rng(seed);
-        for (int i = 0; i < 3; ++i) {
-          if (rng.NextInRange(1, max_len) > 48) {
-            return seed;
-          }
-        }
-      }
-    }();
-    // Rebuild program factory + symbolic model against the wider domain.
-    const int64_t capacity = 48;
-    scenario.make_program = [max_len](uint64_t world_seed) -> std::unique_ptr<SimProgram> {
-      OverflowOptions options;
-      options.world_seed = world_seed;
-      options.max_len = max_len;
-      return std::make_unique<OverflowProgram>(options);
-    };
-    const uint32_t num_requests = 3;
-    scenario.symbolic_model =
-        [max_len](const std::vector<uint64_t>& outputs) -> std::unique_ptr<CspProblem> {
-      auto problem = std::make_unique<CspProblem>();
-      std::vector<CspProblem::VarId> lens;
-      for (uint32_t i = 0; i < num_requests; ++i) {
-        lens.push_back(problem->AddVariable("len" + std::to_string(i), 1, max_len));
-      }
-      for (size_t i = 0; i < outputs.size() && i < lens.size(); ++i) {
-        problem->AddLinearEquals({{lens[i], 1}}, static_cast<int64_t>(outputs[i]));
-      }
-      return problem;
-    };
-    (void)capacity;
+    // The scenario re-derives a production world that crashes under it.
+    OverflowOptions options;
+    options.max_len = max_len;
+    BugScenario scenario = MakeOverflowScenario(options);
     scenario.inference_budget.max_attempts = 5000;
-    scenario.inference_budget.max_wall_seconds = 10.0;
 
     ExperimentHarness harness(scenario);
     CHECK(harness.Prepare().ok());
@@ -76,7 +40,7 @@ void RunScaling() {
                     std::string(DeterminismModelName(model)),
                     StrPrintf("%llu", static_cast<unsigned long long>(row.inference.attempts)),
                     StrPrintf("%llu", static_cast<unsigned long long>(row.inference.solver_nodes)),
-                    FormatDouble(row.inference.wall_seconds, 4),
+                    FormatDouble(row.replay_wall_seconds, 4),
                     FormatDouble(row.fidelity), FormatDouble(row.efficiency, 4)});
     }
   }

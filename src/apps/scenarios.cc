@@ -163,17 +163,18 @@ BugScenario MakeMsgDropScenario() {
   return scenario;
 }
 
-BugScenario MakeOverflowScenario() {
-  OverflowOptions defaults;
+BugScenario MakeOverflowScenario() { return MakeOverflowScenario(OverflowOptions()); }
+
+BugScenario MakeOverflowScenario(const OverflowOptions& options) {
   BugScenario scenario;
   scenario.name = "overflow";
-  scenario.make_program = [](uint64_t world_seed) -> std::unique_ptr<SimProgram> {
-    OverflowOptions options;
-    options.world_seed = world_seed;
-    return std::make_unique<OverflowProgram>(options);
+  scenario.make_program = [options](uint64_t world_seed) -> std::unique_ptr<SimProgram> {
+    OverflowOptions seeded = options;
+    seeded.world_seed = world_seed;
+    return std::make_unique<OverflowProgram>(seeded);
   };
   scenario.env_options.scheduling.preempt_probability = 0.0;  // single fiber
-  scenario.production_world_seed = FindOverflowWorldSeed(defaults);
+  scenario.production_world_seed = FindOverflowWorldSeed(options);
   scenario.production_sched_seed = 1;
 
   scenario.catalog = RootCauseCatalog(
@@ -187,17 +188,17 @@ BugScenario MakeOverflowScenario() {
                      }}},
       /*actual_id=*/"unchecked-copy");
 
-  for (uint32_t i = 0; i < defaults.num_requests; ++i) {
+  for (uint32_t i = 0; i < options.num_requests; ++i) {
     scenario.input_domains.push_back(
-        {OverflowProgram::kInputLen, defaults.min_len, defaults.max_len});
+        {OverflowProgram::kInputLen, options.min_len, options.max_len});
   }
   scenario.symbolic_model =
-      [defaults](const std::vector<uint64_t>& outputs) -> std::unique_ptr<CspProblem> {
+      [options](const std::vector<uint64_t>& outputs) -> std::unique_ptr<CspProblem> {
     auto problem = std::make_unique<CspProblem>();
     std::vector<CspProblem::VarId> lens;
-    for (uint32_t i = 0; i < defaults.num_requests; ++i) {
+    for (uint32_t i = 0; i < options.num_requests; ++i) {
       lens.push_back(problem->AddVariable("len" + std::to_string(i),
-                                          defaults.min_len, defaults.max_len));
+                                          options.min_len, options.max_len));
     }
     // Each recorded output pins the corresponding request length; requests
     // after the crash point stay free.
@@ -271,7 +272,6 @@ BugScenario MakeHypertableScenario(const HtConfig& config) {
   scenario.rcse_mode = RcseMode::kCodeBased;  // §4 uses control-plane selection
   scenario.world_seeds_to_try = 2;
   scenario.sched_seeds_to_try = 4;
-  scenario.inference_budget.max_wall_seconds = 30.0;
   return scenario;
 }
 

@@ -8,6 +8,7 @@
 #ifndef SRC_APPS_SCENARIOS_H_
 #define SRC_APPS_SCENARIOS_H_
 
+#include "src/apps/overflow_app.h"
 #include "src/core/experiment.h"
 #include "src/ht/common.h"
 
@@ -24,6 +25,9 @@ BugScenario MakeMsgDropScenario();
 // §3's buffer overflow: the fix-predicate example. One root cause; the
 // solver-backed symbolic model lets output determinism reconstruct inputs.
 BugScenario MakeOverflowScenario();
+// Same, with explicit options (the input-space sweep widens max_len); the
+// world seed is ignored, since the scenario searches for one that crashes.
+BugScenario MakeOverflowScenario(const OverflowOptions& options);
 
 // §4's Hypertable data-loss race, three candidate root causes
 // (migration race / slave crash / client OOM): the Fig. 2 case study.

@@ -90,20 +90,18 @@ Status BatchReport::WriteJsonLines(const std::string& path) const {
 
 std::string RowSignature(const BatchCell& cell) {
   const ExperimentRow& row = cell.row;
-  // Inference attempt/event counters are deliberately excluded: the
-  // inference search is bounded by a wall-clock budget
-  // (InferenceBudget::max_wall_seconds), so on a loaded machine those
-  // counters can legitimately differ between runs that reach the same
-  // verdict. Everything below is a pure function of the recording.
   std::string signature = StrPrintf(
-      "%s|%s|%s|%.17g|%llu|%llu|%d|%s|%llu|%.17g",
+      "%s|%s|%s|%.17g|%llu|%llu|%d|%s|%llu|%.17g|%llu|%llu|%llu",
       cell.scenario.c_str(), cell.recording_name.c_str(),
       row.model_name.c_str(), row.overhead_multiplier,
       static_cast<unsigned long long>(row.log_bytes),
       static_cast<unsigned long long>(row.recorded_events),
       row.failure_reproduced ? 1 : 0,
       row.diagnosed_cause.value_or("<none>").c_str(),
-      static_cast<unsigned long long>(row.divergences), row.fidelity);
+      static_cast<unsigned long long>(row.divergences), row.fidelity,
+      static_cast<unsigned long long>(row.inference.attempts),
+      static_cast<unsigned long long>(row.inference.total_events_simulated),
+      static_cast<unsigned long long>(row.inference.solver_nodes));
   for (int64_t value : row.input_assignment) {
     signature += StrPrintf("|%lld", static_cast<long long>(value));
   }

@@ -16,7 +16,7 @@
 // Every cell is an independent, deterministic computation, and results
 // land in a pre-sized matrix indexed by task — so the report's
 // deterministic fields are bit-identical whatever the thread count (only
-// the wall-clock-derived timings vary run to run; see RowSignature).
+// the wall-clock timings and DE vary run to run; see RowSignature).
 
 #ifndef SRC_CORE_BATCH_RUNNER_H_
 #define SRC_CORE_BATCH_RUNNER_H_
@@ -88,9 +88,9 @@ struct BatchReport {
 };
 
 // The deterministic content of a row: everything except wall-clock-derived
-// values (replay seconds, efficiency, utility, and the inference counters,
-// whose search is cut off by a wall-clock budget). Equal signatures <=>
-// the runs recorded, replayed, and diagnosed identically.
+// values (replay seconds, efficiency, utility). The inference counters are
+// included: the search is bounded by attempts alone. Equal signatures <=>
+// the runs recorded, replayed, inferred, and diagnosed identically.
 std::string RowSignature(const BatchCell& cell);
 
 class BatchRunner {

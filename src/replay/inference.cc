@@ -1,6 +1,5 @@
 #include "src/replay/inference.h"
 
-#include <chrono>
 #include <utility>
 
 #include "src/replay/log_replay_director.h"
@@ -63,66 +62,96 @@ bool NextAssignment(const std::vector<ReplayTarget::InputDomain>& domains,
 
 }  // namespace
 
-bool InferenceEngine::BudgetExhausted(const InferenceStats& stats) const {
-  return stats.attempts >= budget_.max_attempts ||
-         stats.wall_seconds >= budget_.max_wall_seconds;
-}
-
-bool InferenceEngine::RunCandidate(uint64_t world_seed, uint64_t sched_seed,
-                                   size_t fault_plan_index,
-                                   const std::vector<int64_t>* input_assignment,
-                                   const EventLog* input_log,
-                                   const std::function<bool(const Outcome&)>& accept,
+bool InferenceEngine::TryCandidate(const Candidate& candidate,
+                                   const Accept& accept,
                                    SynthesisResult* result) {
-  const auto start = std::chrono::steady_clock::now();
+  if (result->stats.attempts >= budget_.max_attempts) {
+    return true;
+  }
 
   Environment::Options options = target_.env_options;
-  options.seed = sched_seed;
+  options.seed = candidate.sched_seed;
   Environment env(options);
-  if (fault_plan_index > 0) {
-    env.SetFaultPlan(target_.candidate_fault_plans[fault_plan_index - 1]);
+  if (candidate.fault_plan_index > 0) {
+    env.SetFaultPlan(target_.candidate_fault_plans[candidate.fault_plan_index - 1]);
   }
 
   CollectingSink sink;
   env.AddTraceSink(&sink);
 
   std::unique_ptr<ExecutionDirector> director;
-  if (input_assignment != nullptr) {
+  if (candidate.input_assignment != nullptr) {
     director = std::make_unique<AssignmentDirector>(options.scheduling,
                                                     target_.input_domains,
-                                                    *input_assignment);
-  } else if (input_log != nullptr) {
+                                                    *candidate.input_assignment);
+  } else if (candidate.input_log != nullptr) {
     LogReplayConfig config;
     config.follow_schedule = false;  // ODR does not record race order
     config.override_rng = false;
     config.override_inputs = true;
     config.override_shared_reads = false;
     config.fallback = options.scheduling;
-    director = std::make_unique<LogReplayDirector>(*input_log, config);
+    director = std::make_unique<LogReplayDirector>(*candidate.input_log, config);
   }
   if (director != nullptr) {
     env.SetDirector(director.get());
   }
 
-  std::unique_ptr<SimProgram> program = target_.make_program(world_seed);
+  std::unique_ptr<SimProgram> program = target_.make_program(candidate.world_seed);
   Outcome outcome = env.Run(*program);
 
   result->stats.attempts += 1;
   result->stats.total_events_simulated += outcome.stats.events;
-  result->stats.wall_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
-  if (accept(outcome)) {
-    result->found = true;
-    result->outcome = std::move(outcome);
-    result->trace = sink.events();
-    result->world_seed = world_seed;
-    result->sched_seed = sched_seed;
-    result->fault_plan_index = fault_plan_index;
-    if (input_assignment != nullptr) {
-      result->input_assignment = *input_assignment;
+  if (!accept(outcome)) {
+    return false;
+  }
+  result->found = true;
+  result->outcome = std::move(outcome);
+  result->trace = sink.events();
+  result->world_seed = candidate.world_seed;
+  result->sched_seed = candidate.sched_seed;
+  result->fault_plan_index = candidate.fault_plan_index;
+  if (candidate.input_assignment != nullptr) {
+    result->input_assignment = *candidate.input_assignment;
+  }
+  return true;
+}
+
+bool InferenceEngine::SweepSeeds(size_t fault_plan_index,
+                                 const EventLog* input_log,
+                                 const Accept& accept,
+                                 SynthesisResult* result) {
+  for (uint64_t world = 1; world <= target_.world_seeds_to_try; ++world) {
+    for (uint64_t sched = 1; sched <= target_.sched_seeds_to_try; ++sched) {
+      const Candidate candidate{.world_seed = world,
+                                .sched_seed = sched,
+                                .fault_plan_index = fault_plan_index,
+                                .input_log = input_log};
+      if (TryCandidate(candidate, accept, result)) {
+        return true;
+      }
     }
-    return true;
+  }
+  return false;
+}
+
+bool InferenceEngine::SweepAssignments(
+    const std::vector<std::vector<int64_t>>& solutions, const Accept& accept,
+    SynthesisResult* result) {
+  for (const std::vector<int64_t>& assignment : solutions) {
+    if (TryCandidate({.input_assignment = &assignment}, accept, result)) {
+      return true;
+    }
+  }
+  if (!solutions.empty()) {
+    return false;
+  }
+  std::vector<int64_t> assignment;
+  while (NextAssignment(target_.input_domains, &assignment)) {
+    if (TryCandidate({.input_assignment = &assignment}, accept, result)) {
+      return true;
+    }
   }
   return false;
 }
@@ -130,7 +159,7 @@ bool InferenceEngine::RunCandidate(uint64_t world_seed, uint64_t sched_seed,
 SynthesisResult InferenceEngine::SynthesizeMatchingFailure(
     const FailureSnapshot& snapshot) {
   SynthesisResult result;
-  const auto accept = [&snapshot](const Outcome& outcome) {
+  const Accept accept = [&snapshot](const Outcome& outcome) {
     return snapshot.MatchesFailureOf(outcome);
   };
 
@@ -147,37 +176,21 @@ SynthesisResult InferenceEngine::SynthesizeMatchingFailure(
   plan_order.push_back(0);
 
   for (const size_t plan_index : plan_order) {
-    for (uint64_t world = 1; world <= target_.world_seeds_to_try; ++world) {
-      for (uint64_t sched = 1; sched <= target_.sched_seeds_to_try; ++sched) {
-        if (BudgetExhausted(result.stats)) {
-          return result;
-        }
-        if (RunCandidate(world, sched, plan_index, nullptr, nullptr, accept,
-                         &result)) {
-          return result;
-        }
-      }
+    if (SweepSeeds(plan_index, nullptr, accept, &result)) {
+      return result;
     }
   }
 
   // Last resort: ESD-style input synthesis — enumerate declared input
   // domains looking for inputs that drive the program into the failure.
-  std::vector<int64_t> assignment;
-  while (NextAssignment(target_.input_domains, &assignment)) {
-    if (BudgetExhausted(result.stats)) {
-      return result;
-    }
-    if (RunCandidate(1, 1, 0, &assignment, nullptr, accept, &result)) {
-      return result;
-    }
-  }
+  SweepAssignments({}, accept, &result);
   return result;
 }
 
 SynthesisResult InferenceEngine::SynthesizeMatchingOutputs(
     const FailureSnapshot& snapshot, const EventLog* log) {
   SynthesisResult result;
-  const auto accept = [&snapshot](const Outcome& outcome) {
+  const Accept accept = [&snapshot](const Outcome& outcome) {
     return outcome.output_fingerprint == snapshot.output_fingerprint;
   };
 
@@ -185,68 +198,31 @@ SynthesisResult InferenceEngine::SynthesizeMatchingOutputs(
       log != nullptr && log->CountOfType(EventType::kInput) > 0;
   if (log_has_inputs) {
     // ODR's heavier scheme: inputs come from the log; infer the schedule.
-    for (uint64_t world = 1; world <= target_.world_seeds_to_try; ++world) {
-      for (uint64_t sched = 1; sched <= target_.sched_seeds_to_try; ++sched) {
-        if (BudgetExhausted(result.stats)) {
-          return result;
-        }
-        if (RunCandidate(world, sched, 0, nullptr, log, accept, &result)) {
-          return result;
-        }
-      }
-    }
+    SweepSeeds(0, log, accept, &result);
     return result;
   }
 
-  if (!target_.input_domains.empty()) {
-    // Candidate input assignments: solver-pruned if a symbolic model is
-    // available, otherwise plain lexicographic enumeration.
-    std::vector<std::vector<int64_t>> candidates;
-    if (target_.symbolic_model != nullptr && log != nullptr) {
-      std::vector<uint64_t> recorded_outputs;
-      for (const Event& event : log->EventsOfType(EventType::kOutput)) {
-        recorded_outputs.push_back(event.value);
-      }
-      std::unique_ptr<CspProblem> problem = target_.symbolic_model(recorded_outputs);
-      if (problem != nullptr) {
-        candidates = problem->Solutions(budget_.max_attempts);
-        result.stats.solver_nodes = problem->nodes_explored();
-      }
-    }
-    if (!candidates.empty()) {
-      for (const auto& assignment : candidates) {
-        if (BudgetExhausted(result.stats)) {
-          return result;
-        }
-        if (RunCandidate(1, 1, 0, &assignment, nullptr, accept, &result)) {
-          return result;
-        }
-      }
-      return result;
-    }
-    std::vector<int64_t> assignment;
-    while (NextAssignment(target_.input_domains, &assignment)) {
-      if (BudgetExhausted(result.stats)) {
-        return result;
-      }
-      if (RunCandidate(1, 1, 0, &assignment, nullptr, accept, &result)) {
-        return result;
-      }
-    }
+  if (target_.input_domains.empty()) {
+    // No declared domains: fall back to seed search.
+    SweepSeeds(0, nullptr, accept, &result);
     return result;
   }
 
-  // No declared domains: fall back to seed search.
-  for (uint64_t world = 1; world <= target_.world_seeds_to_try; ++world) {
-    for (uint64_t sched = 1; sched <= target_.sched_seeds_to_try; ++sched) {
-      if (BudgetExhausted(result.stats)) {
-        return result;
-      }
-      if (RunCandidate(world, sched, 0, nullptr, nullptr, accept, &result)) {
-        return result;
-      }
+  // Candidate input assignments: solver-pruned if a symbolic model is
+  // available, otherwise plain lexicographic enumeration.
+  std::vector<std::vector<int64_t>> solutions;
+  if (target_.symbolic_model != nullptr && log != nullptr) {
+    std::vector<uint64_t> recorded_outputs;
+    for (const Event& event : log->EventsOfType(EventType::kOutput)) {
+      recorded_outputs.push_back(event.value);
+    }
+    std::unique_ptr<CspProblem> problem = target_.symbolic_model(recorded_outputs);
+    if (problem != nullptr) {
+      solutions = problem->Solutions(budget_.max_attempts);
+      result.stats.solver_nodes = problem->nodes_explored();
     }
   }
+  SweepAssignments(solutions, accept, &result);
   return result;
 }
 

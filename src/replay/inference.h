@@ -65,14 +65,16 @@ struct ReplayTarget {
   uint64_t sched_seeds_to_try = 12;
 };
 
+// A search stops after `max_attempts` candidate executions. Each candidate
+// is itself bounded by Environment::Options::max_events, so the budget
+// bounds the whole search without a clock, and every InferenceStats field
+// is a pure function of the recording.
 struct InferenceBudget {
   uint64_t max_attempts = 4000;
-  double max_wall_seconds = 20.0;
 };
 
 struct InferenceStats {
   uint64_t attempts = 0;
-  double wall_seconds = 0.0;
   uint64_t total_events_simulated = 0;
   uint64_t solver_nodes = 0;
 };
@@ -103,14 +105,30 @@ class InferenceEngine {
                                             const EventLog* log);
 
  private:
-  // Runs one candidate and evaluates `accept`; updates stats.
-  bool RunCandidate(uint64_t world_seed, uint64_t sched_seed,
-                    size_t fault_plan_index,
-                    const std::vector<int64_t>* input_assignment,
-                    const EventLog* input_log,
-                    const std::function<bool(const Outcome&)>& accept,
+  using Accept = std::function<bool(const Outcome&)>;
+
+  // One candidate execution. Input reads come from `input_assignment`,
+  // else from `input_log`, else from the world seed.
+  struct Candidate {
+    uint64_t world_seed = 1;
+    uint64_t sched_seed = 1;
+    size_t fault_plan_index = 0;  // 0 = no injected fault
+    const std::vector<int64_t>* input_assignment = nullptr;
+    const EventLog* input_log = nullptr;
+  };
+
+  // The one search step: runs `candidate` unless the budget is spent and
+  // records it in `result`. Returns true when the search is over, because
+  // the candidate matched or no attempts are left.
+  bool TryCandidate(const Candidate& candidate, const Accept& accept,
                     SynthesisResult* result);
-  bool BudgetExhausted(const InferenceStats& stats) const;
+  // Every world x sched seed pair under one fault plan and input log.
+  bool SweepSeeds(size_t fault_plan_index, const EventLog* input_log,
+                  const Accept& accept, SynthesisResult* result);
+  // `solutions` in order if any, else every assignment of the declared
+  // input domains in lexicographic order.
+  bool SweepAssignments(const std::vector<std::vector<int64_t>>& solutions,
+                        const Accept& accept, SynthesisResult* result);
 
   ReplayTarget target_;
   InferenceBudget budget_;

@@ -431,6 +431,9 @@ std::vector<uint8_t> EncodeBatchCell(const BatchCell& cell) {
   for (int64_t value : row.input_assignment) {
     encoder.PutZigzag64(value);
   }
+  encoder.PutVarint64(row.inference.attempts);
+  encoder.PutVarint64(row.inference.total_events_simulated);
+  encoder.PutVarint64(row.inference.solver_nodes);
   return encoder.TakeBuffer();
 }
 
@@ -467,6 +470,9 @@ Result<BatchCell> DecodeBatchCell(std::span<const uint8_t> payload) {
     ASSIGN_OR_RETURN(int64_t value, decoder.GetZigzag64());
     row.input_assignment.push_back(value);
   }
+  ASSIGN_OR_RETURN(row.inference.attempts, decoder.GetVarint64());
+  ASSIGN_OR_RETURN(row.inference.total_events_simulated, decoder.GetVarint64());
+  ASSIGN_OR_RETURN(row.inference.solver_nodes, decoder.GetVarint64());
   RETURN_IF_ERROR(CheckDone(decoder, "replay"));
   return cell;
 }

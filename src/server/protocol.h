@@ -193,9 +193,8 @@ Result<ServeStats> DecodeServeStats(std::span<const uint8_t> payload);
 
 // `replay`'s body: the scored cell. Doubles are shipped as their exact
 // bit patterns and the input assignment in full, so RowSignature of the
-// decoded cell equals RowSignature computed server-side. The inference
-// counters do not cross the wire (they are excluded from the signature
-// for being wall-clock-bounded; see RowSignature).
+// decoded cell equals RowSignature computed server-side. The three
+// inference counters close the body, so a body without them is rejected.
 std::vector<uint8_t> EncodeBatchCell(const BatchCell& cell);
 Result<BatchCell> DecodeBatchCell(std::span<const uint8_t> payload);
 

@@ -1,9 +1,5 @@
 #include "src/trace/chunk_cache.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <limits>
-
 #include "src/util/hash.h"
 
 namespace ddr {
@@ -16,36 +12,6 @@ namespace {
 constexpr uint64_t kEntryOverheadBytes = 160;
 
 }  // namespace
-
-uint64_t ChunkCacheBytesFromMbText(const char* text, uint64_t fallback_bytes) {
-  if (text == nullptr || *text == '\0') {
-    return fallback_bytes;
-  }
-  // strtoull accepts a leading '-' and wraps the value; reject it before
-  // parsing so "-1" cannot become an 18-exabyte budget.
-  if (*text == '-' || *text == '+') {
-    return fallback_bytes;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long mb = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE ||
-      mb > (std::numeric_limits<uint64_t>::max() >> 20)) {
-    return fallback_bytes;
-  }
-  return static_cast<uint64_t>(mb) << 20;
-}
-
-uint64_t DefaultChunkCacheBytes() {
-  static const uint64_t kDefault = [] {
-    constexpr uint64_t kFallback = uint64_t{64} << 20;
-    if (const char* env = std::getenv("DDR_CACHE_MB")) {
-      return ChunkCacheBytesFromMbText(env, kFallback);
-    }
-    return kFallback;
-  }();
-  return kDefault;
-}
 
 size_t ChunkCache::KeyHash::operator()(const ChunkKey& key) const {
   Fingerprint fp;

@@ -64,17 +64,8 @@ struct ChunkCacheStats {
   }
 };
 
-// Default capacity for corpus-serving caches: DDR_CACHE_MB env override,
-// else 64 MiB.
-uint64_t DefaultChunkCacheBytes();
-
-// Parses a cache budget in MiB ("64") into bytes. Junk, trailing garbage,
-// out-of-range values (ERANGE), and anything whose byte count would
-// overflow uint64 when shifted (including "-1", which strtoull would
-// happily wrap) all yield `fallback_bytes` — a bad DDR_CACHE_MB must
-// degrade to the default, never silently wrap to a bogus budget. This is
-// the env-variable half; the CLI rejects the same inputs loudly.
-uint64_t ChunkCacheBytesFromMbText(const char* text, uint64_t fallback_bytes);
+// Default capacity for corpus-serving caches.
+inline constexpr uint64_t kDefaultChunkCacheBytes = uint64_t{64} << 20;
 
 class ChunkCache {
  public:
@@ -82,7 +73,7 @@ class ChunkCache {
 
   // `capacity_bytes` 0 disables caching (every Lookup misses, Insert is a
   // no-op) — useful as an explicit cold baseline.
-  explicit ChunkCache(uint64_t capacity_bytes = DefaultChunkCacheBytes());
+  explicit ChunkCache(uint64_t capacity_bytes = kDefaultChunkCacheBytes);
 
   ChunkCache(const ChunkCache&) = delete;
   ChunkCache& operator=(const ChunkCache&) = delete;

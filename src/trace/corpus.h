@@ -294,9 +294,8 @@ class CorpusWriter {
 struct CorpusReaderOptions {
   RandomAccessFileOptions io;
   // Capacity of the decoded-chunk cache shared by every TraceReader window
-  // this corpus hands out (DDR_CACHE_MB env sets the default); 0 disables
-  // caching — every read is cold.
-  uint64_t cache_bytes = DefaultChunkCacheBytes();
+  // this corpus hands out; 0 disables caching — every read is cold.
+  uint64_t cache_bytes = kDefaultChunkCacheBytes;
 };
 
 // A CorpusReader holds exactly one RandomAccessFile handle and one shared

@@ -364,39 +364,5 @@ TEST(ChunkCacheTest, ConcurrentInsertsAndLookupsKeepAccountingConsistent) {
   }
 }
 
-// DDR_CACHE_MB parsing: junk, trailing garbage, out-of-range, and
-// shift-overflowing values must all fall back to the default instead of
-// silently wrapping to a bogus byte budget.
-TEST(ChunkCacheTest, CacheMbTextParsesStrictly) {
-  constexpr uint64_t kFallback = uint64_t{64} << 20;
-
-  EXPECT_EQ(ChunkCacheBytesFromMbText("8", kFallback), uint64_t{8} << 20);
-  EXPECT_EQ(ChunkCacheBytesFromMbText("0", kFallback), 0u);
-  // Largest megabyte count whose byte value still fits in uint64.
-  const uint64_t max_mb = ~uint64_t{0} >> 20;
-  EXPECT_EQ(ChunkCacheBytesFromMbText(std::to_string(max_mb).c_str(),
-                                      kFallback),
-            max_mb << 20);
-
-  // Junk and empty fall back.
-  EXPECT_EQ(ChunkCacheBytesFromMbText(nullptr, kFallback), kFallback);
-  EXPECT_EQ(ChunkCacheBytesFromMbText("", kFallback), kFallback);
-  EXPECT_EQ(ChunkCacheBytesFromMbText("lots", kFallback), kFallback);
-  EXPECT_EQ(ChunkCacheBytesFromMbText("64MB", kFallback), kFallback);
-  EXPECT_EQ(ChunkCacheBytesFromMbText("6 4", kFallback), kFallback);
-
-  // ERANGE: way past 2^64.
-  EXPECT_EQ(ChunkCacheBytesFromMbText("99999999999999999999", kFallback),
-            kFallback);
-  // In range for strtoull but wraps once shifted to bytes.
-  EXPECT_EQ(ChunkCacheBytesFromMbText(std::to_string(max_mb + 1).c_str(),
-                                      kFallback),
-            kFallback);
-  EXPECT_EQ(ChunkCacheBytesFromMbText("18446744073709551615", kFallback),
-            kFallback);
-  // strtoull would happily wrap "-1" to 2^64-1; we must not.
-  EXPECT_EQ(ChunkCacheBytesFromMbText("-1", kFallback), kFallback);
-}
-
 }  // namespace
 }  // namespace ddr

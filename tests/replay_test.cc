@@ -359,7 +359,7 @@ TEST(InferenceTest, BudgetBoundsAttempts) {
   InferenceEngine engine(target, budget);
   SynthesisResult result = engine.SynthesizeMatchingFailure(snapshot);
   EXPECT_FALSE(result.found);
-  EXPECT_LE(result.stats.attempts, 25u);
+  EXPECT_EQ(result.stats.attempts, 25u);
 }
 
 TEST(LogReplayDirectorTest, EmptyLogFallsBackToPolicy) {

@@ -128,6 +128,9 @@ TEST(ProtocolTest, BatchCellRoundTripsBitExact) {
   cell.row.utility = 0.99999999999999989;
   cell.row.original_wall_seconds = 1.25;
   cell.row.replay_wall_seconds = 0.125;
+  cell.row.inference.attempts = 5000;
+  cell.row.inference.total_events_simulated = ~uint64_t{0};
+  cell.row.inference.solver_nodes = 5042;
 
   auto decoded = DecodeBatchCell(EncodeBatchCell(cell));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
@@ -137,6 +140,9 @@ TEST(ProtocolTest, BatchCellRoundTripsBitExact) {
   EXPECT_EQ(decoded->row.input_assignment, cell.row.input_assignment);
   EXPECT_EQ(decoded->row.efficiency, cell.row.efficiency);
   EXPECT_EQ(decoded->row.replay_wall_seconds, cell.row.replay_wall_seconds);
+  EXPECT_EQ(decoded->row.inference.attempts, 5000u);
+  EXPECT_EQ(decoded->row.inference.total_events_simulated, ~uint64_t{0});
+  EXPECT_EQ(decoded->row.inference.solver_nodes, 5042u);
 
   // A cell that never diagnosed anything keeps its nullopt distinct from
   // a present-but-empty cause.
@@ -146,6 +152,26 @@ TEST(ProtocolTest, BatchCellRoundTripsBitExact) {
   ASSERT_TRUE(undiagnosed.ok()) << undiagnosed.status();
   EXPECT_FALSE(undiagnosed->row.diagnosed_cause.has_value());
   EXPECT_EQ(RowSignature(*undiagnosed), RowSignature(cell));
+}
+
+// The inference counters close the body and are required: a body cut
+// where they start (what an encoder without them would send) is
+// rejected, and so is every other strict prefix.
+TEST(ProtocolTest, BatchCellWithoutInferenceCountersIsRejected) {
+  BatchCell cell;
+  cell.scenario = "overflow";
+  cell.recording_name = "overflow/output";
+  cell.row.model = DeterminismModel::kOutputOnly;
+  cell.row.model_name = "output";
+  cell.row.input_assignment = {20, 45, 49};
+  const std::vector<uint8_t> body = EncodeBatchCell(cell);
+  ASSERT_TRUE(DecodeBatchCell(body).ok());
+
+  // Three zero counters are one varint byte each.
+  EXPECT_FALSE(DecodeBatchCell({body.data(), body.size() - 3}).ok());
+  for (size_t size = 0; size < body.size(); ++size) {
+    EXPECT_FALSE(DecodeBatchCell({body.data(), size}).ok()) << size;
+  }
 }
 
 TEST(ProtocolTest, TypedBodiesRoundTrip) {

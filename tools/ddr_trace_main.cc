@@ -174,7 +174,7 @@ void PrintUsage() {
                "         --io pread|mmap          I/O backend (default: "
                "mmap)\n"
                "         --cache-mb N             decoded-chunk cache budget "
-               "(default: DDR_CACHE_MB or 64)\n");
+               "(default: 64)\n");
 }
 
 // Enforces a command's flag table; a typo'd or unsupported flag is a
@@ -235,7 +235,7 @@ const char* ParseStringFlag(int argc, char** argv, const char* flag,
 // junk value instead of wrapping.
 uint64_t ParseCacheBytesFlag(int argc, char** argv) {
   const uint64_t mb =
-      ParseFlag(argc, argv, "--cache-mb", DefaultChunkCacheBytes() >> 20);
+      ParseFlag(argc, argv, "--cache-mb", kDefaultChunkCacheBytes >> 20);
   if (mb > (~uint64_t{0} >> 20)) {
     std::fprintf(stderr,
                  "ddr-trace: --cache-mb %llu overflows a byte budget\n",
@@ -262,8 +262,8 @@ RandomAccessFileOptions IoOptionsFromFlags(int argc, char** argv) {
 TraceReaderOptions ReaderOptionsFromFlags(int argc, char** argv) {
   TraceReaderOptions options;
   options.io = IoOptionsFromFlags(argc, argv);
-  // Same default as the corpus commands (DDR_CACHE_MB or 64 MiB), so the
-  // usage text holds for every read-side command; --cache-mb 0 disables.
+  // Same default as the corpus commands (64 MiB), so the usage text holds
+  // for every read-side command; --cache-mb 0 disables.
   const uint64_t cache_bytes = ParseCacheBytesFlag(argc, argv);
   if (cache_bytes > 0) {
     options.cache = std::make_shared<ChunkCache>(cache_bytes);
