@@ -85,7 +85,7 @@ void RunWriterBench(uint64_t num_events, int iterations, BenchJsonWriter& json) 
   }
   const double buffered_seconds = Seconds(start) / iterations;
 
-  // Streaming: events arrive one at a time, as from a live recorder.
+  // Streaming: the same events appended one at a time.
   const std::vector<Event>& events = recording.log.events();
   uint64_t streamed_bytes = 0;
   start = std::chrono::steady_clock::now();
@@ -96,7 +96,7 @@ void RunWriterBench(uint64_t num_events, int iterations, BenchJsonWriter& json) 
     for (const Event& event : events) {
       CHECK(streaming.Append(event).ok());
     }
-    CHECK(streaming.Finish(FinishInfoFor(recording)).ok());
+    CHECK(streaming.Finish(recording).ok());
     streamed_bytes = streaming.bytes_written();
   }
   const double streaming_seconds = Seconds(start) / iterations;

@@ -6,6 +6,18 @@
 
 namespace ddr {
 
+ReplayTarget ReplayTargetFor(const BugScenario& scenario) {
+  ReplayTarget target;
+  target.make_program = scenario.make_program;
+  target.env_options = scenario.env_options;
+  target.candidate_fault_plans = scenario.candidate_fault_plans;
+  target.input_domains = scenario.input_domains;
+  target.symbolic_model = scenario.symbolic_model;
+  target.world_seeds_to_try = scenario.world_seeds_to_try;
+  target.sched_seeds_to_try = scenario.sched_seeds_to_try;
+  return target;
+}
+
 ExperimentHarness::ExperimentHarness(BugScenario scenario)
     : scenario_(std::move(scenario)) {
   CHECK(scenario_.make_program != nullptr) << "scenario needs make_program";
@@ -41,34 +53,6 @@ Status ExperimentHarness::Prepare() {
   ASSIGN_OR_RETURN(ScenarioPrep prep, ScenarioPrep::Compute(scenario_));
   prep_ = std::make_shared<const ScenarioPrep>(std::move(prep));
   return OkStatus();
-}
-
-ExperimentHarness::ProductionRun ExperimentHarness::RunProduction(
-    Recorder* recorder, CollectingSink* sink) {
-  const ScenarioPrep& prepared = prep();
-  Environment::Options options = scenario_.env_options;
-  options.seed = prepared.production_sched_seed;
-  Environment env(options);
-  if (recorder != nullptr) {
-    recorder->AttachEnvironment(&env);
-    env.AddTraceSink(recorder);
-  }
-  if (sink != nullptr) {
-    env.AddTraceSink(sink);
-  }
-  std::unique_ptr<SimProgram> program =
-      scenario_.make_program(scenario_.production_world_seed);
-  ProductionRun run;
-  run.outcome = env.Run(*program);
-  run.cpu_nanos = env.cpu_nanos();
-  run.overhead_nanos = env.recording_overhead_nanos();
-  run.recorded_bytes = env.recorded_bytes();
-  run.wall_seconds = run.outcome.stats.wall_seconds;
-  // Recording must never perturb the execution.
-  CHECK_EQ(run.outcome.trace_fingerprint,
-           prepared.production_outcome.trace_fingerprint)
-      << "recorder perturbed the production execution";
-  return run;
 }
 
 std::unique_ptr<Recorder> ExperimentHarness::MakeRecorder(DeterminismModel model) {
@@ -111,58 +95,33 @@ std::unique_ptr<Recorder> ExperimentHarness::MakeRecorder(DeterminismModel model
   return nullptr;
 }
 
-ReplayTarget ExperimentHarness::MakeReplayTarget() const {
-  ReplayTarget target;
-  target.make_program = scenario_.make_program;
-  target.env_options = scenario_.env_options;
-  target.candidate_fault_plans = scenario_.candidate_fault_plans;
-  target.input_domains = scenario_.input_domains;
-  target.symbolic_model = scenario_.symbolic_model;
-  target.world_seeds_to_try = scenario_.world_seeds_to_try;
-  target.sched_seeds_to_try = scenario_.sched_seeds_to_try;
-  return target;
-}
-
 RecordedExecution ExperimentHarness::Record(DeterminismModel model) {
   std::unique_ptr<Recorder> recorder = MakeRecorder(model);
-  ProductionRun recorded = RunProduction(recorder.get(), nullptr);
+  // Re-run the production execution (same seeds) with the recorder attached.
+  const ScenarioPrep& prepared = prep();
+  Environment::Options options = scenario_.env_options;
+  options.seed = prepared.production_sched_seed;
+  Environment env(options);
+  recorder->AttachEnvironment(&env);
+  env.AddTraceSink(recorder.get());
+  std::unique_ptr<SimProgram> program =
+      scenario_.make_program(scenario_.production_world_seed);
 
   RecordedExecution recording;
+  recording.original_outcome = env.Run(*program);
+  // Recording must never perturb the execution.
+  CHECK_EQ(recording.original_outcome.trace_fingerprint,
+           prepared.production_outcome.trace_fingerprint)
+      << "recorder perturbed the production execution";
   recording.model = recorder->model_name();
   recording.log = recorder->TakeLog();
-  recording.snapshot = FailureSnapshot::FromOutcome(recorded.outcome);
-  recording.recorded_bytes = recorded.recorded_bytes;
-  recording.overhead_nanos = recorded.overhead_nanos;
-  recording.cpu_nanos = recorded.cpu_nanos;
+  recording.snapshot = FailureSnapshot::FromOutcome(recording.original_outcome);
+  recording.recorded_bytes = env.recorded_bytes();
+  recording.overhead_nanos = env.recording_overhead_nanos();
+  recording.cpu_nanos = env.cpu_nanos();
   recording.intercepted_events = recorder->intercepted_events();
   recording.recorded_events = recorder->recorded_events();
-  recording.original_outcome = recorded.outcome;
   return recording;
-}
-
-TraceFinishInfo ExperimentHarness::MakeFinishInfo(
-    const Recorder& recorder, const ProductionRun& run) const {
-  TraceFinishInfo info;
-  info.model = recorder.model_name();
-  info.snapshot = FailureSnapshot::FromOutcome(run.outcome);
-  info.recorded_bytes = run.recorded_bytes;
-  info.overhead_nanos = run.overhead_nanos;
-  info.cpu_nanos = run.cpu_nanos;
-  info.intercepted_events = recorder.intercepted_events();
-  info.recorded_events = recorder.recorded_events();
-  info.scenario = scenario_.name;
-  info.original_wall_seconds = run.wall_seconds;
-  return info;
-}
-
-Result<TraceFinishInfo> ExperimentHarness::RecordStreaming(
-    DeterminismModel model, StreamingTraceWriter* writer) {
-  std::unique_ptr<Recorder> recorder = MakeRecorder(model);
-  recorder->SetStreamSink(writer,
-                          static_cast<size_t>(writer->events_per_chunk()));
-  ProductionRun recorded = RunProduction(recorder.get(), nullptr);
-  RETURN_IF_ERROR(recorder->FlushStream());
-  return MakeFinishInfo(*recorder, recorded);
 }
 
 ExperimentRow ExperimentHarness::ReplayAndScore(DeterminismModel model,
@@ -178,7 +137,7 @@ ExperimentRow ExperimentHarness::ReplayAndScore(DeterminismModel model,
   row.original_wall_seconds = original_wall_seconds;
 
   // 2. Replay from the recording alone.
-  Replayer replayer(MakeReplayTarget(), scenario_.inference_budget);
+  Replayer replayer(ReplayTargetFor(scenario_), scenario_.inference_budget);
   ReplayResult replay = replayer.Replay(recording, ReplayModeFor(model));
   row.failure_reproduced = replay.failure_reproduced;
   row.divergences = replay.divergences;
@@ -211,25 +170,6 @@ Status ExperimentHarness::SaveRecording(const RecordedExecution& recording,
   options.scenario = scenario_.name;
   options.original_wall_seconds = recording.original_outcome.stats.wall_seconds;
   return WriteTraceFile(path, recording, options);
-}
-
-Result<RecordedExecution> ExperimentHarness::LoadRecording(
-    const std::string& path, double* original_wall_seconds) {
-  ASSIGN_OR_RETURN(TraceReader reader, TraceReader::Open(path));
-  if (original_wall_seconds != nullptr) {
-    *original_wall_seconds = reader.metadata().original_wall_seconds;
-  }
-  return reader.ReadRecordedExecution();
-}
-
-Result<ExperimentRow> ExperimentHarness::RunModelFromFile(
-    DeterminismModel model, const std::string& path) {
-  RecordedExecution recording = Record(model);
-  RETURN_IF_ERROR(SaveRecording(recording, path));
-  double original_wall_seconds = 0.0;
-  ASSIGN_OR_RETURN(RecordedExecution loaded,
-                   LoadRecording(path, &original_wall_seconds));
-  return ReplayAndScore(model, loaded, original_wall_seconds);
 }
 
 std::vector<ExperimentRow> ExperimentHarness::RunAllModels() {

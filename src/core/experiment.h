@@ -34,7 +34,6 @@
 #include "src/record/recorded_execution.h"
 #include "src/replay/replayer.h"
 #include "src/trace/streaming_writer.h"
-#include "src/trace/trace_reader.h"
 
 namespace ddr {
 
@@ -64,6 +63,10 @@ struct ExperimentRow {
   double original_wall_seconds = 0.0;
   double replay_wall_seconds = 0.0;
 };
+
+// How replay and inference rebuild `scenario`'s program: its factory,
+// environment and inference hints. The production seeds stay withheld.
+ReplayTarget ReplayTargetFor(const BugScenario& scenario);
 
 class ExperimentHarness {
  public:
@@ -96,33 +99,14 @@ class ExperimentHarness {
                                const RecordedExecution& recording,
                                double original_wall_seconds);
 
-  // Streaming record: the recorder spills event chunks into `writer` as it
-  // observes (recorder memory stays bounded by one chunk) and the run's
-  // metadata + snapshot come back as the returned TraceFinishInfo. The
-  // caller owns the writer's lifecycle — it must have called Begin()
-  // already and passes the returned info to writer->Finish() (bare trace
-  // file) or CorpusWriter::FinishRecording() (bundle entry), so streaming
-  // composes with either destination. The finished trace is identical to
-  // SaveRecording(Record(model), ...) with the same options except for the
-  // production wall-time stamp (real time, so it differs run to run).
-  Result<TraceFinishInfo> RecordStreaming(DeterminismModel model,
-                                          StreamingTraceWriter* writer);
-
-  // Persistence hooks (src/trace/): SaveRecording stamps the scenario name
-  // and production wall time into trace metadata; LoadRecording restores
-  // the recording (the harness-side ground-truth Outcome never ships — see
-  // recorded_execution.h).
+  // Persistence hook (src/trace/): stamps the scenario name and production
+  // wall time into trace metadata. TraceReader::ReadRecordedExecution
+  // restores the recording (the harness-side ground-truth Outcome never
+  // ships — see recorded_execution.h), and ReplayAndScore on it scores
+  // exactly like the in-memory recording.
   Status SaveRecording(const RecordedExecution& recording,
                        const std::string& path,
                        TraceWriteOptions options = {}) const;
-  static Result<RecordedExecution> LoadRecording(
-      const std::string& path, double* original_wall_seconds = nullptr);
-
-  // Full disk round-trip: record -> save to `path` -> load -> replay ->
-  // score. Replay results are bit-identical to the in-memory RunModel path
-  // because the trace format round-trips the log and snapshot exactly.
-  Result<ExperimentRow> RunModelFromFile(DeterminismModel model,
-                                         const std::string& path);
 
   // Accessors (valid after Prepare()).
   uint64_t production_sched_seed() const { return prep().production_sched_seed; }
@@ -141,23 +125,9 @@ class ExperimentHarness {
   const std::optional<ExperimentRow>& last_rcse_row() const { return last_rcse_row_; }
 
  private:
-  struct ProductionRun {
-    Outcome outcome;
-    SimDuration cpu_nanos = 0;
-    SimDuration overhead_nanos = 0;
-    uint64_t recorded_bytes = 0;
-    double wall_seconds = 0.0;
-  };
-
   const ScenarioPrep& prep() const;
 
-  // Re-runs the production execution (same seeds), optionally with a
-  // recorder and/or extra sink attached.
-  ProductionRun RunProduction(Recorder* recorder, CollectingSink* sink);
   std::unique_ptr<Recorder> MakeRecorder(DeterminismModel model);
-  ReplayTarget MakeReplayTarget() const;
-  TraceFinishInfo MakeFinishInfo(const Recorder& recorder,
-                                 const ProductionRun& run) const;
 
   BugScenario scenario_;
   std::shared_ptr<const ScenarioPrep> prep_;

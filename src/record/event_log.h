@@ -17,15 +17,6 @@
 
 namespace ddr {
 
-// Receives recorded events in chunks, in log order. Implemented by the
-// streaming trace writer so a recorder can spill its log to disk as it
-// observes instead of accumulating the whole EventLog in memory.
-class EventStreamSink {
- public:
-  virtual ~EventStreamSink() = default;
-  virtual Status OnRecordedEvents(const Event* events, size_t count) = 0;
-};
-
 class EventLog {
  public:
   EventLog() = default;

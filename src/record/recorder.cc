@@ -1,7 +1,5 @@
 #include "src/record/recorder.h"
 
-#include <algorithm>
-
 #include "src/util/logging.h"
 
 namespace ddr {
@@ -57,25 +55,6 @@ EventClass ClassOf(EventType type) {
   return EventClass::kMeta;
 }
 
-void Recorder::SetStreamSink(EventStreamSink* sink, size_t chunk_events) {
-  CHECK(recorded_ == 0) << "stream sink attached mid-recording";
-  stream_ = sink;
-  stream_chunk_events_ = chunk_events == 0 ? 512 : chunk_events;
-  // Grow into large chunk sizes on demand rather than reserving them up
-  // front: the buffer's footprint then tracks events actually recorded,
-  // and an absurd chunk_events cannot force a huge allocation here.
-  stream_buffer_.reserve(std::min<size_t>(stream_chunk_events_, 4096));
-}
-
-Status Recorder::FlushStream() {
-  if (stream_ != nullptr && stream_status_.ok() && !stream_buffer_.empty()) {
-    stream_status_ = stream_->OnRecordedEvents(stream_buffer_.data(),
-                                               stream_buffer_.size());
-    stream_buffer_.clear();
-  }
-  return stream_status_;
-}
-
 void Recorder::OnEvent(const Event& event) {
   if (!Intercepts(event)) {
     return;
@@ -85,26 +64,9 @@ void Recorder::OnEvent(const Event& event) {
   uint64_t bytes = 0;
   if (ShouldRecord(event)) {
     ++recorded_;
-    if (stream_ != nullptr) {
-      // Same byte accounting as EventLog::Append, without retaining the
-      // event: encode once for its size, buffer it, and hand full chunks
-      // to the sink.
-      Encoder encoder;
-      event.EncodeTo(&encoder);
-      bytes = encoder.size() + event.bytes;
-      if (stream_status_.ok()) {
-        stream_buffer_.push_back(event);
-        if (stream_buffer_.size() >= stream_chunk_events_) {
-          stream_status_ = stream_->OnRecordedEvents(stream_buffer_.data(),
-                                                     stream_buffer_.size());
-          stream_buffer_.clear();
-        }
-      }
-    } else {
-      const uint64_t before = log_.encoded_size_bytes();
-      log_.Append(event);
-      bytes = log_.encoded_size_bytes() - before + event.bytes;
-    }
+    const uint64_t before = log_.encoded_size_bytes();
+    log_.Append(event);
+    bytes = log_.encoded_size_bytes() - before + event.bytes;
     charge += costs_.log_event_cost +
               costs_.log_byte_cost * static_cast<SimDuration>(bytes);
   }

@@ -41,19 +41,6 @@ class Recorder : public TraceSink {
   // Must be called before the recorded run so overhead lands in the ledger.
   void AttachEnvironment(Environment* env) { env_ = env; }
 
-  // Streams recorded events to `sink` in chunks of `chunk_events` instead
-  // of accumulating them in the in-memory EventLog, bounding recorder
-  // memory to one chunk. Overhead accounting is unchanged (the streamed
-  // path charges exactly the bytes the log path would have), so a streamed
-  // recording perturbs the ledger identically to a buffered one. Must be
-  // set before the recorded run; call FlushStream() after it.
-  void SetStreamSink(EventStreamSink* sink, size_t chunk_events = 512);
-
-  // Flushes the final partial chunk and returns the first error any sink
-  // call produced (sink failures must not perturb the recorded run, so
-  // OnEvent latches them instead of surfacing mid-execution).
-  Status FlushStream();
-
   void OnEvent(const Event& event) final;
 
   // True if this recorder's hooks fire for the event at all.
@@ -63,10 +50,8 @@ class Recorder : public TraceSink {
   virtual bool ShouldRecord(const Event& event) = 0;
 
   const std::string& model_name() const { return model_name_; }
-  // Empty while a stream sink is attached (events go to the sink instead).
   const EventLog& log() const { return log_; }
   EventLog TakeLog() { return std::move(log_); }
-  const RecorderCostModel& costs() const { return costs_; }
 
   uint64_t intercepted_events() const { return intercepted_; }
   uint64_t recorded_events() const { return recorded_; }
@@ -80,11 +65,6 @@ class Recorder : public TraceSink {
   EventLog log_;
   uint64_t intercepted_ = 0;
   uint64_t recorded_ = 0;
-
-  EventStreamSink* stream_ = nullptr;
-  size_t stream_chunk_events_ = 512;
-  std::vector<Event> stream_buffer_;
-  Status stream_status_;  // first sink error, sticky
 };
 
 }  // namespace ddr

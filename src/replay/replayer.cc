@@ -79,6 +79,11 @@ std::string_view ReplayModeName(ReplayMode mode) {
   return "unknown";
 }
 
+bool IsLogDriven(ReplayMode mode) {
+  return mode == ReplayMode::kPerfect || mode == ReplayMode::kValue ||
+         mode == ReplayMode::kRcse;
+}
+
 ReplayResult Replayer::Replay(const RecordedExecution& recording, ReplayMode mode) {
   switch (mode) {
     case ReplayMode::kPerfect:
@@ -97,9 +102,7 @@ ReplayResult Replayer::Replay(const RecordedExecution& recording, ReplayMode mod
 ReplayResult Replayer::PartialReplay(const RecordedExecution& recording,
                                      const CheckpointIndex& index,
                                      uint64_t target_event, ReplayMode mode) {
-  CHECK(mode == ReplayMode::kPerfect || mode == ReplayMode::kValue ||
-        mode == ReplayMode::kRcse)
-      << "partial replay requires a direct (log-driven) mode";
+  CHECK(IsLogDriven(mode)) << "partial replay requires a log-driven mode";
   const ReplayCheckpoint* checkpoint = index.NearestBefore(target_event);
   if (checkpoint == nullptr || checkpoint->event_index == 0) {
     return DirectReplay(recording, ConfigForMode(mode), ReplayModeName(mode));

@@ -31,6 +31,11 @@ enum class ReplayMode {
 
 std::string_view ReplayModeName(ReplayMode mode);
 
+// True for the modes that replay straight from the log (perfect, value,
+// RCSE); the others search for an execution by inference. Only log-driven
+// modes support checkpointed partial replay.
+bool IsLogDriven(ReplayMode mode);
+
 struct ReplayResult {
   std::string model;
   Outcome outcome;

@@ -816,10 +816,6 @@ Status CorpusWriter::CheckOpenForNewEntry(const std::string& name) {
   if (!status_.ok()) {
     return status_;
   }
-  if (active_writer_ != nullptr) {
-    return FailedPreconditionError(
-        "corpus already has a streaming recording in progress");
-  }
   if (name.empty()) {
     return InvalidArgumentError("corpus entry name must not be empty");
   }
@@ -829,63 +825,33 @@ Status CorpusWriter::CheckOpenForNewEntry(const std::string& name) {
   return OkStatus();
 }
 
-Result<StreamingTraceWriter*> CorpusWriter::BeginRecording(
-    const std::string& name, TraceWriteOptions options) {
-  RETURN_IF_ERROR(CheckOpenForNewEntry(name));
-  active_name_ = name;
-  active_start_ = offset_;
-  active_sink_ = std::make_unique<CorpusEmbeddedSink>(this);
-  active_writer_ = std::make_unique<StreamingTraceWriter>(active_sink_.get(),
-                                                          std::move(options));
-  Status begun = active_writer_->Begin();
-  if (!begun.ok()) {
-    status_ = begun;
-    active_writer_.reset();
-    active_sink_.reset();
-    return begun;
-  }
-  return active_writer_.get();
-}
-
-Status CorpusWriter::FinishRecording(const TraceFinishInfo& info) {
-  if (active_writer_ == nullptr) {
-    return FailedPreconditionError("no streaming recording in progress");
-  }
-  const TraceWriteOptions& options = active_writer_->options();
-  Status finished = active_writer_->Finish(info);
-  if (!finished.ok()) {
-    status_ = finished;
-  } else {
-    CorpusEntry entry;
-    entry.name = active_name_;
-    entry.offset = active_start_;
-    entry.length = offset_ - active_start_;
-    entry.model = info.model;
-    entry.scenario = info.scenario.empty() ? options.scenario : info.scenario;
-    entry.event_count = active_writer_->events_written();
-    entry.original_wall_seconds = info.original_wall_seconds != 0.0
-                                      ? info.original_wall_seconds
-                                      : options.original_wall_seconds;
-    entries_.push_back(std::move(entry));
-    names_.insert(active_name_);
-  }
-  active_writer_.reset();
-  active_sink_.reset();
-  return finished;
-}
-
 Status CorpusWriter::Add(const std::string& name,
                          const RecordedExecution& recording,
                          const TraceWriteOptions& options) {
-  ASSIGN_OR_RETURN(StreamingTraceWriter * writer, BeginRecording(name, options));
-  Status appended = writer->AppendEvents(recording.log.events());
-  if (!appended.ok()) {
-    status_ = appended;
-    active_writer_.reset();
-    active_sink_.reset();
-    return appended;
+  RETURN_IF_ERROR(CheckOpenForNewEntry(name));
+  const uint64_t start = offset_;
+  CorpusEmbeddedSink sink(this);
+  StreamingTraceWriter writer(&sink, options);
+  const Status written = [&]() -> Status {
+    RETURN_IF_ERROR(writer.Begin());
+    RETURN_IF_ERROR(writer.AppendEvents(recording.log.events()));
+    return writer.Finish(recording);
+  }();
+  if (!written.ok()) {
+    status_ = written;
+    return written;
   }
-  return FinishRecording(FinishInfoFor(recording));
+  CorpusEntry entry;
+  entry.name = name;
+  entry.offset = start;
+  entry.length = offset_ - start;
+  entry.model = recording.model;
+  entry.scenario = options.scenario;
+  entry.event_count = writer.events_written();
+  entry.original_wall_seconds = options.original_wall_seconds;
+  entries_.push_back(std::move(entry));
+  names_.insert(name);
+  return OkStatus();
 }
 
 Status CorpusWriter::AddImage(const std::string& name,
@@ -951,10 +917,6 @@ Status CorpusWriter::Finish() {
   }
   if (finished_) {
     return FailedPreconditionError("CorpusWriter::Finish called twice");
-  }
-  if (active_writer_ != nullptr) {
-    return FailedPreconditionError(
-        "corpus still has a streaming recording in progress");
   }
   if (!status_.ok()) {
     return status_;

@@ -166,7 +166,7 @@ class CorpusWriter {
 
   // Re-opens the existing bundle at `path` for appending: the returned
   // writer holds the bundle's live entry names (so duplicate-name
-  // detection spans old + new) and accepts Add/AddImage/BeginRecording
+  // detection spans old + new) and accepts Add/AddImage/AddImageWindow
   // exactly like a writer after Begin(). Nothing is published until
   // Finish(), which appends a delta index generation and fsync-ordered
   // journal trailer after the existing bytes; no existing byte is copied,
@@ -211,8 +211,11 @@ class CorpusWriter {
   [[nodiscard]] Status Begin();
 
   // Serializes `recording` into the bundle under `name` (unique; reuse is
-  // an error). `options.scenario` / `options.original_wall_seconds` land
-  // in both the embedded trace metadata and the corpus index.
+  // an error), chunk by chunk straight into the file: the image is never
+  // buffered whole, and its bytes equal SerializeTrace(recording, options).
+  // `options.scenario` / `options.original_wall_seconds` land in both the
+  // embedded trace metadata and the corpus index. A failed Add makes
+  // Finish fail.
   Status Add(const std::string& name, const RecordedExecution& recording,
              const TraceWriteOptions& options = {});
 
@@ -230,13 +233,6 @@ class CorpusWriter {
   // rewritten name) is carried over; its offset is recomputed for this
   // bundle. MergeCorpora and CompactCorpus are built on this.
   Status AddImageWindow(const CorpusEntry& entry, const CorpusReader& source);
-
-  // Streaming variant: events are appended chunk-at-a-time to the returned
-  // writer (valid until FinishRecording; owned by the corpus). Exactly one
-  // recording may be open at a time.
-  Result<StreamingTraceWriter*> BeginRecording(const std::string& name,
-                                               TraceWriteOptions options = {});
-  Status FinishRecording(const TraceFinishInfo& info);
 
   // Writes the index + trailer and publishes the bundle (rename for a
   // build, ordered fsyncs for an append).
@@ -283,12 +279,6 @@ class CorpusWriter {
   // The entries this writer added, and every name it must not reuse.
   std::vector<CorpusEntry> entries_;
   std::unordered_set<std::string> names_;
-
-  // Active streaming recording, if any.
-  std::unique_ptr<TraceByteSink> active_sink_;
-  std::unique_ptr<StreamingTraceWriter> active_writer_;
-  std::string active_name_;
-  uint64_t active_start_ = 0;
 };
 
 struct CorpusReaderOptions {

@@ -297,7 +297,7 @@ Status StreamingTraceWriter::Append(const Event& event) {
   return AppendEvents(&event, 1);
 }
 
-Status StreamingTraceWriter::Finish(const TraceFinishInfo& info) {
+Status StreamingTraceWriter::Finish(const RecordedExecution& recording) {
   if (!begun_) {
     return FailedPreconditionError("StreamingTraceWriter::Finish before Begin");
   }
@@ -316,18 +316,16 @@ Status StreamingTraceWriter::Finish(const TraceFinishInfo& info) {
     // Metadata.
     {
       TraceMetadata meta;
-      meta.model = info.model;
-      meta.scenario = info.scenario.empty() ? options_.scenario : info.scenario;
+      meta.model = recording.model;
+      meta.scenario = options_.scenario;
       meta.event_count = total_events_;
       meta.events_per_chunk = events_per_chunk_;
-      meta.recorded_bytes = info.recorded_bytes;
-      meta.overhead_nanos = info.overhead_nanos;
-      meta.cpu_nanos = info.cpu_nanos;
-      meta.intercepted_events = info.intercepted_events;
-      meta.recorded_events = info.recorded_events;
-      meta.original_wall_seconds = info.original_wall_seconds != 0.0
-                                       ? info.original_wall_seconds
-                                       : options_.original_wall_seconds;
+      meta.recorded_bytes = recording.recorded_bytes;
+      meta.overhead_nanos = recording.overhead_nanos;
+      meta.cpu_nanos = recording.cpu_nanos;
+      meta.intercepted_events = recording.intercepted_events;
+      meta.recorded_events = recording.recorded_events;
+      meta.original_wall_seconds = options_.original_wall_seconds;
       ASSIGN_OR_RETURN(footer_.metadata_offset,
                        WriteSection(TraceSection::kMetadata, meta.Encode()));
     }
@@ -335,14 +333,14 @@ Status StreamingTraceWriter::Finish(const TraceFinishInfo& info) {
     // Snapshot.
     ASSIGN_OR_RETURN(footer_.snapshot_offset,
                      WriteSection(TraceSection::kSnapshot,
-                                  info.snapshot.Encode()));
+                                  recording.snapshot.Encode()));
 
     // Checkpoint index. Fingerprint verification during partial replay is
     // only sound when the log is the full intercepted stream.
     {
       const bool full_stream =
-          info.intercepted_events == info.recorded_events &&
-          info.recorded_events == total_events_;
+          recording.intercepted_events == recording.recorded_events &&
+          recording.recorded_events == total_events_;
       const CheckpointIndex index = checkpoints_.Finish(full_stream);
       ASSIGN_OR_RETURN(footer_.checkpoint_offset,
                        WriteSection(TraceSection::kCheckpointIndex,
@@ -368,18 +366,6 @@ Status StreamingTraceWriter::Finish(const TraceFinishInfo& info) {
 
 // ------------------------------------------------- whole-recording writes
 
-TraceFinishInfo FinishInfoFor(const RecordedExecution& recording) {
-  TraceFinishInfo info;
-  info.model = recording.model;
-  info.snapshot = recording.snapshot;
-  info.recorded_bytes = recording.recorded_bytes;
-  info.overhead_nanos = recording.overhead_nanos;
-  info.cpu_nanos = recording.cpu_nanos;
-  info.intercepted_events = recording.intercepted_events;
-  info.recorded_events = recording.recorded_events;
-  return info;
-}
-
 std::vector<uint8_t> SerializeTrace(const RecordedExecution& recording,
                                     const TraceWriteOptions& options) {
   BufferByteSink sink;
@@ -387,7 +373,7 @@ std::vector<uint8_t> SerializeTrace(const RecordedExecution& recording,
   // A buffer sink cannot fail, so these statuses are structural invariants.
   CHECK(writer.Begin().ok());
   CHECK(writer.AppendEvents(recording.log.events()).ok());
-  CHECK(writer.Finish(FinishInfoFor(recording)).ok());
+  CHECK(writer.Finish(recording).ok());
   return sink.TakeBuffer();
 }
 
@@ -398,7 +384,7 @@ Status WriteTraceFile(const std::string& path,
   StreamingTraceWriter writer(&sink, options);
   RETURN_IF_ERROR(writer.Begin());
   RETURN_IF_ERROR(writer.AppendEvents(recording.log.events()));
-  return writer.Finish(FinishInfoFor(recording));
+  return writer.Finish(recording);
 }
 
 }  // namespace ddr

@@ -1,21 +1,21 @@
 // DDRT serialization: StreamingTraceWriter, the one trace write path, and
 // the SerializeTrace / WriteTraceFile calls over it.
 //
-// The streaming writer accepts events while the recording is still
-// running and flushes each full chunk — columnar-encoded, compressed,
-// CRC'd, framed — through a TraceByteSink immediately. Recorder memory is
-// bounded by one chunk; the metadata / snapshot / checkpoint / footer
-// sections are emitted by Finish() once the run's totals are known.
+// The streaming writer takes a recording's events in order and flushes
+// each full chunk — columnar-encoded, compressed, CRC'd, framed — through
+// a TraceByteSink as soon as it fills, so the writer itself buffers at
+// most one chunk of events. The metadata / snapshot / checkpoint /
+// footer sections are emitted by Finish() once the totals are known.
 //
 //   AtomicFileSink sink(path);
 //   StreamingTraceWriter writer(&sink, options);
 //   CHECK(writer.Begin().ok());
-//   ... writer.AppendEvents(chunk_of_events) as they are observed ...
-//   CHECK(writer.Finish(info).ok());   // durable, atomically renamed
+//   CHECK(writer.AppendEvents(recording.log.events()).ok());
+//   CHECK(writer.Finish(recording).ok());   // durable, atomically renamed
 //
-// SerializeTrace and WriteTraceFile drive the same writer over a finished
-// RecordedExecution, so a recording streamed to disk during the run and
-// one serialized after the fact produce bit-identical files.
+// SerializeTrace, WriteTraceFile and CorpusWriter::Add drive this writer
+// over a finished RecordedExecution, so a bare trace file, an in-memory
+// image and a corpus entry of the same recording hold identical bytes.
 
 #ifndef SRC_TRACE_STREAMING_WRITER_H_
 #define SRC_TRACE_STREAMING_WRITER_H_
@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "src/record/event_log.h"
 #include "src/record/recorded_execution.h"
 #include "src/record/snapshot.h"
 #include "src/trace/checkpoint.h"
@@ -104,22 +103,7 @@ class AtomicFileSink : public TraceByteSink {
   bool closed_ = false;
 };
 
-// Everything about a recording that only exists once the run has ended.
-struct TraceFinishInfo {
-  std::string model;
-  FailureSnapshot snapshot;
-  uint64_t recorded_bytes = 0;
-  int64_t overhead_nanos = 0;
-  int64_t cpu_nanos = 0;
-  uint64_t intercepted_events = 0;
-  uint64_t recorded_events = 0;
-  // Override the writer options' scenario / production wall time when set
-  // (a harness knows these only at the end of the recorded run).
-  std::string scenario;
-  double original_wall_seconds = 0.0;
-};
-
-class StreamingTraceWriter : public EventStreamSink {
+class StreamingTraceWriter {
  public:
   // `sink` must outlive the writer; the writer does not own it.
   StreamingTraceWriter(TraceByteSink* sink, TraceWriteOptions options = {});
@@ -134,24 +118,15 @@ class StreamingTraceWriter : public EventStreamSink {
     return AppendEvents(events.data(), events.size());
   }
 
-  // EventStreamSink: lets a Recorder stream straight into the writer.
-  Status OnRecordedEvents(const Event* events, size_t count) override {
-    return AppendEvents(events, count);
-  }
-
   // Flushes the final partial chunk, writes metadata / snapshot /
-  // checkpoint / footer / trailer sections, and closes the sink.
-  [[nodiscard]] Status Finish(const TraceFinishInfo& info);
+  // checkpoint / footer / trailer sections from `recording`'s model,
+  // snapshot and totals, and closes the sink. `recording.log` is not read:
+  // the events are the ones appended.
+  [[nodiscard]] Status Finish(const RecordedExecution& recording);
 
   uint64_t events_written() const { return total_events_; }
   // Bytes handed to the sink so far (the eventual file size after Finish).
   uint64_t bytes_written() const { return offset_; }
-  const TraceWriteOptions& options() const { return options_; }
-  // The effective chunk size: options().events_per_chunk with 0 defaulted
-  // and the kMaxChunkEvents format ceiling applied. Feed this (not the
-  // raw option) to anything that buffers per-chunk, e.g.
-  // Recorder::SetStreamSink.
-  uint64_t events_per_chunk() const { return events_per_chunk_; }
 
  private:
   Status FlushChunk();
@@ -172,11 +147,6 @@ class StreamingTraceWriter : public EventStreamSink {
   TraceFooter footer_;
   CheckpointBuilder checkpoints_;
 };
-
-// Collects the run-end totals Finish needs from a RecordedExecution (the
-// scenario / wall-seconds fields stay unset so the writer falls back to
-// its options).
-TraceFinishInfo FinishInfoFor(const RecordedExecution& recording);
 
 // Serializes `recording` to the complete file image (header..trailer).
 std::vector<uint8_t> SerializeTrace(const RecordedExecution& recording,

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -192,37 +193,72 @@ TEST(CorpusTest, SingleRecordingRoundtripsEveryField) {
   EXPECT_TRUE(corpus->VerifyAll().ok());
 }
 
-TEST(CorpusTest, StreamingAddMatchesBufferedAdd) {
+// Add streams a recording into the bundle; BatchRunner writes its entries
+// with AddImage(SerializeTrace(...)). Both must produce identical bytes,
+// in a fresh build and in an in-place appended generation.
+TEST(CorpusTest, AddMatchesAddImageOfSerializedTrace) {
+  const RecordedExecution base = MakeSyntheticRecording(90, 3);
   const RecordedExecution recording = MakeSyntheticRecording(500);
   TraceWriteOptions options;
   options.events_per_chunk = 64;
+  options.checkpoint_interval = 100;
+  options.scenario = "synthetic-scenario";
+  options.original_wall_seconds = 0.5;
 
-  ScopedPath buffered("buffered");
-  {
-    CorpusWriter writer(buffered.get());
+  auto add = [&](CorpusWriter& writer, const std::string& name) {
+    return writer.Add(name, recording, options);
+  };
+  auto add_image = [&](CorpusWriter& writer, const std::string& name) {
+    return writer.AddImage(name, SerializeTrace(recording, options),
+                           recording.model, options.scenario,
+                           recording.log.size(), options.original_wall_seconds);
+  };
+  using AddFn = std::function<Status(CorpusWriter&, const std::string&)>;
+  auto build = [&](const std::string& path, const AddFn& fn) {
+    CorpusWriter writer(path);
     ASSERT_TRUE(writer.Begin().ok());
-    ASSERT_TRUE(writer.Add("r", recording, options).ok());
+    ASSERT_TRUE(writer.Add("base", base).ok());
+    ASSERT_TRUE(fn(writer, "built").ok());
     ASSERT_TRUE(writer.Finish().ok());
-  }
+  };
+  auto append = [&](const std::string& path, const AddFn& fn) {
+    auto writer = CorpusWriter::AppendTo(path);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE(fn(**writer, "appended").ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  };
 
-  // Same recording streamed in odd-sized batches: identical file bytes.
-  ScopedPath streamed("streamed");
-  {
-    CorpusWriter writer(streamed.get());
-    ASSERT_TRUE(writer.Begin().ok());
-    auto stream = writer.BeginRecording("r", options);
-    ASSERT_TRUE(stream.ok()) << stream.status();
-    const std::vector<Event>& events = recording.log.events();
-    for (size_t i = 0; i < events.size();) {
-      const size_t batch = std::min<size_t>(1 + i % 37, events.size() - i);
-      ASSERT_TRUE((*stream)->AppendEvents(events.data() + i, batch).ok());
-      i += batch;
-    }
-    ASSERT_TRUE(writer.FinishRecording(FinishInfoFor(recording)).ok());
-    ASSERT_TRUE(writer.Finish().ok());
-  }
+  ScopedPath streamed("add_streamed");
+  ScopedPath imaged("add_imaged");
+  build(streamed.get(), add);
+  build(imaged.get(), add_image);
+  EXPECT_EQ(ReadFileBytes(streamed.get()), ReadFileBytes(imaged.get()));
 
-  EXPECT_EQ(ReadFileBytes(buffered.get()), ReadFileBytes(streamed.get()));
+  append(streamed.get(), add);
+  append(imaged.get(), add_image);
+  EXPECT_EQ(ReadFileBytes(streamed.get()), ReadFileBytes(imaged.get()));
+
+  auto corpus = CorpusReader::Open(streamed.get());
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  EXPECT_EQ(corpus->generation(), 2u);
+  EXPECT_TRUE(corpus->VerifyAll().ok());
+}
+
+// A failed Add poisons the writer: Finish reports the failure and never
+// publishes an index over the torn entry.
+TEST(CorpusTest, FailedAddMakesFinishFail) {
+  const RecordedExecution recording = MakeSyntheticRecording(60);
+  ScopedPath path("failedadd");
+  CorpusWriter writer(path.get());
+  ASSERT_TRUE(writer.Begin().ok());
+  ASSERT_TRUE(SetFaultPlan("trace.trailer:eio").ok());
+  const Status added = writer.Add("torn", recording);
+  ClearFaultPlan();
+  ASSERT_FALSE(added.ok());
+  EXPECT_FALSE(writer.Add("next", recording).ok());
+  const Status finished = writer.Finish();
+  EXPECT_EQ(finished.code(), added.code()) << finished;
+  EXPECT_FALSE(CorpusReader::Open(path.get()).ok());
 }
 
 TEST(CorpusTest, DuplicateNamesRejected) {
@@ -2561,9 +2597,6 @@ TEST(CorpusWriterStateTest, OperationsOutsideBeginFinishReturnStatus) {
                             0.0)
                 .code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(writer.BeginRecording("early").status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(writer.FinishRecording({}).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(writer.Finish().code(), StatusCode::kFailedPrecondition);
 
   ASSERT_TRUE(writer.Begin().ok());
@@ -2592,10 +2625,6 @@ TEST(CorpusWriterStateTest, DuplicateNameErrorNamesTheOffender) {
   EXPECT_EQ(duplicate.code(), StatusCode::kAlreadyExists);
   EXPECT_NE(duplicate.message().find("grid/cell-7"), std::string::npos)
       << duplicate.message();
-  // A streaming duplicate fails at BeginRecording time, same message.
-  const Status streaming = writer.BeginRecording("grid/cell-7").status();
-  EXPECT_EQ(streaming.code(), StatusCode::kAlreadyExists);
-  EXPECT_NE(streaming.message().find("grid/cell-7"), std::string::npos);
   ASSERT_TRUE(writer.Finish().ok());
 }
 
@@ -2775,36 +2804,36 @@ TEST(BatchRunnerTest, SharedReaderParallelReplayMatchesAcrossBackends) {
   }
 }
 
-// A harness can stream a live recording directly into a corpus entry:
-// RecordStreaming hands back the finish info and the corpus owns the
-// writer lifecycle.
-TEST(BatchRunnerTest, HarnessStreamsDirectlyIntoCorpus) {
+// A bundle truncated to 0 by another process under a held pread reader
+// fails every read loudly with a Status: verify and replay both report it,
+// neither dies of a signal. (A held mmap reader would fault instead.)
+TEST(CorpusTruncationTest, PreadReaderReportsOutsideTruncation) {
   BugScenario scenario = MakeSumScenario();
   ExperimentHarness harness(scenario);
   ASSERT_TRUE(harness.Prepare().ok());
+  const RecordedExecution recording = harness.Record(DeterminismModel::kPerfect);
+  TraceWriteOptions options;
+  options.scenario = scenario.name;
 
-  ScopedPath path("streamed_entry");
-  CorpusWriter corpus(path.get());
-  ASSERT_TRUE(corpus.Begin().ok());
-  auto writer = corpus.BeginRecording("sum/streamed");
-  ASSERT_TRUE(writer.ok()) << writer.status();
-  auto info = harness.RecordStreaming(DeterminismModel::kPerfect, *writer);
-  ASSERT_TRUE(info.ok()) << info.status();
-  ASSERT_TRUE(corpus.FinishRecording(*info).ok());
-  ASSERT_TRUE(corpus.Finish().ok());
+  ScopedPath path("truncated");
+  CorpusWriter writer(path.get());
+  ASSERT_TRUE(writer.Begin().ok());
+  ASSERT_TRUE(writer.Add("sum/perfect", recording, options).ok());
+  ASSERT_TRUE(writer.Finish().ok());
 
-  auto reader = CorpusReader::Open(path.get());
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  ASSERT_EQ(reader->entries().size(), 1u);
-  EXPECT_EQ(reader->entries()[0].scenario, "sum");
-  EXPECT_EQ(reader->entries()[0].model, "perfect");
-  EXPECT_TRUE(reader->VerifyAll().ok());
+  auto corpus = CorpusReader::Open(path.get(),
+                                   WithBackend(IoBackend::kPread, 0));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  ASSERT_EQ(corpus->entries().size(), 1u);
+  ASSERT_EQ(::truncate(path.get().c_str(), 0), 0);
 
-  // The streamed entry replays like any other recording.
-  auto replayed = ReplayCorpus(path.get(), AllBugScenarios());
-  ASSERT_TRUE(replayed.ok()) << replayed.status();
-  ASSERT_EQ(replayed->cells.size(), 1u);
-  EXPECT_TRUE(replayed->cells[0].row.failure_reproduced);
+  const Status verified = corpus->VerifyAll();
+  EXPECT_EQ(verified.code(), StatusCode::kUnavailable) << verified;
+  CorpusEntryScorer scorer({scenario});
+  auto scored = scorer.ScoreEntry(*corpus, corpus->entries()[0]);
+  ASSERT_FALSE(scored.ok());
+  EXPECT_EQ(scored.status().code(), StatusCode::kUnavailable)
+      << scored.status();
 }
 
 // The PR's acceptance property: build a sub-grid, resume twice to fill in

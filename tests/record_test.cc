@@ -205,13 +205,14 @@ TEST_F(RecorderFilterTest, FailureRecordsNothing) {
 
 TEST_F(RecorderFilterTest, OverheadLedgerChargesInterceptionAndWrites) {
   ValueRecorder recorder;
+  const RecorderCostModel costs = ValueCostModel();
   recorder.AttachEnvironment(&env_);
   recorder.OnEvent(MakeEvent(EventType::kOutput));  // intercepted, not recorded
   const SimDuration after_skip = env_.recording_overhead_nanos();
-  EXPECT_EQ(after_skip, recorder.costs().interposition_cost);
+  EXPECT_EQ(after_skip, costs.interposition_cost);
   recorder.OnEvent(MakeEvent(EventType::kSharedRead));  // recorded
   EXPECT_GT(env_.recording_overhead_nanos(),
-            after_skip + recorder.costs().log_event_cost);
+            after_skip + costs.log_event_cost);
   EXPECT_GT(env_.recorded_bytes(), 0u);
 }
 

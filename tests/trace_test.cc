@@ -428,7 +428,7 @@ TEST(StreamingWriterTest, MatchesBufferedSerialize) {
     ASSERT_TRUE(writer.AppendEvents(events.data() + i, batch).ok());
     i += batch;
   }
-  ASSERT_TRUE(writer.Finish(FinishInfoFor(recording)).ok());
+  ASSERT_TRUE(writer.Finish(recording).ok());
 
   EXPECT_EQ(sink.buffer(), buffered);
   EXPECT_EQ(writer.bytes_written(), buffered.size());
@@ -766,56 +766,6 @@ TEST(AtomicFileSinkTest, AbandonedSinkRemovesItsTempFile) {
   EXPECT_FALSE(target.good());
 }
 
-// Streaming a recorder through the harness bounds recorder memory (the
-// in-memory log stays empty) and produces a trace whose decoded contents
-// equal the buffered SaveRecording path.
-TEST(StreamingWriterTest, HarnessRecordStreamingMatchesBufferedSave) {
-  BugScenario scenario = MakeMsgDropScenario();
-  ExperimentHarness harness(scenario);
-  ASSERT_TRUE(harness.Prepare().ok());
-
-  const RecordedExecution buffered = harness.Record(DeterminismModel::kPerfect);
-  ScopedTracePath buffered_path("streamharness_buf");
-  ASSERT_TRUE(harness.SaveRecording(buffered, buffered_path.get()).ok());
-
-  ScopedTracePath streamed_path("streamharness_stream");
-  {
-    TraceWriteOptions options;
-    options.scenario = scenario.name;
-    AtomicFileSink sink(streamed_path.get());
-    StreamingTraceWriter writer(&sink, options);
-    ASSERT_TRUE(writer.Begin().ok());
-    auto info = harness.RecordStreaming(DeterminismModel::kPerfect, &writer);
-    ASSERT_TRUE(info.ok()) << info.status();
-    ASSERT_TRUE(writer.Finish(*info).ok());
-    EXPECT_EQ(writer.events_written(), buffered.log.size());
-  }
-
-  auto from_buffered = TraceReader::Open(buffered_path.get());
-  auto from_streamed = TraceReader::Open(streamed_path.get());
-  ASSERT_TRUE(from_buffered.ok());
-  ASSERT_TRUE(from_streamed.ok()) << from_streamed.status();
-  EXPECT_TRUE(from_streamed->Verify().ok());
-
-  // Identical metadata (bar the real-time wall stamp) and identical logs.
-  EXPECT_EQ(from_streamed->metadata().model, from_buffered->metadata().model);
-  EXPECT_EQ(from_streamed->metadata().scenario,
-            from_buffered->metadata().scenario);
-  EXPECT_EQ(from_streamed->metadata().event_count,
-            from_buffered->metadata().event_count);
-  EXPECT_EQ(from_streamed->metadata().recorded_events,
-            from_buffered->metadata().recorded_events);
-  EXPECT_EQ(from_streamed->metadata().intercepted_events,
-            from_buffered->metadata().intercepted_events);
-  auto streamed_log = from_streamed->ReadAllEvents();
-  ASSERT_TRUE(streamed_log.ok());
-  ASSERT_EQ(streamed_log->size(), buffered.log.size());
-  for (size_t i = 0; i < buffered.log.size(); ++i) {
-    EXPECT_EQ(streamed_log->events()[i].SemanticHash(),
-              buffered.log.events()[i].SemanticHash());
-  }
-}
-
 // ------------------------------------------------- Harness + acceptance
 
 // Saved-and-reloaded recording replays to the same failure and output
@@ -833,16 +783,12 @@ TEST(TraceRoundtripReplayTest, ReloadedRecordingReplaysIdentically) {
     ScopedTracePath path(std::string("replay_") +
                          std::string(DeterminismModelName(model)));
     ASSERT_TRUE(harness.SaveRecording(recording, path.get()).ok());
-    auto loaded = ExperimentHarness::LoadRecording(path.get());
+    auto reader = TraceReader::Open(path.get());
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    auto loaded = reader->ReadRecordedExecution();
     ASSERT_TRUE(loaded.ok()) << loaded.status();
 
-    ReplayTarget target;
-    target.make_program = scenario.make_program;
-    target.env_options = scenario.env_options;
-    target.candidate_fault_plans = scenario.candidate_fault_plans;
-    target.input_domains = scenario.input_domains;
-    target.symbolic_model = scenario.symbolic_model;
-
+    const ReplayTarget target = ReplayTargetFor(scenario);
     const ReplayMode mode = ReplayModeFor(model);
     ReplayResult original = Replayer(target).Replay(recording, mode);
     ReplayResult reloaded = Replayer(target).Replay(*loaded, mode);
@@ -865,23 +811,47 @@ TEST(TraceRoundtripReplayTest, ReloadedRecordingReplaysIdentically) {
   }
 }
 
-// The harness-level one-call disk round trip scores like the in-memory path.
-TEST(TraceRoundtripReplayTest, RunModelFromFileMatchesRunModel) {
-  ExperimentHarness harness(MakeSumScenario());
+// The file round trip ddr-trace and CorpusEntryScorer run (save, open,
+// read back, score) scores like the in-memory path under every model, and
+// the model stamped in the file selects the same replay as the harness.
+TEST(TraceRoundtripReplayTest, SavedRecordingScoresLikeRunModel) {
+  BugScenario scenario = MakeSumScenario();
+  ExperimentHarness harness(scenario);
   ASSERT_TRUE(harness.Prepare().ok());
 
-  const ExperimentRow in_memory = harness.RunModel(DeterminismModel::kPerfect);
-  ScopedTracePath path("runmodel");
-  auto from_file =
-      harness.RunModelFromFile(DeterminismModel::kPerfect, path.get());
-  ASSERT_TRUE(from_file.ok()) << from_file.status();
+  for (DeterminismModel model : AllDeterminismModels()) {
+    const std::string name(DeterminismModelName(model));
+    const RecordedExecution recording = harness.Record(model);
+    const ExperimentRow in_memory = harness.ReplayAndScore(
+        model, recording, recording.original_outcome.stats.wall_seconds);
+    ScopedTracePath path("runmodel");
+    ASSERT_TRUE(harness.SaveRecording(recording, path.get()).ok());
+    auto reader = TraceReader::Open(path.get());
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    auto loaded = reader->ReadRecordedExecution();
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const ExperimentRow from_file = harness.ReplayAndScore(
+        model, *loaded, reader->metadata().original_wall_seconds);
 
-  EXPECT_EQ(from_file->failure_reproduced, in_memory.failure_reproduced);
-  EXPECT_EQ(from_file->divergences, in_memory.divergences);
-  EXPECT_EQ(from_file->log_bytes, in_memory.log_bytes);
-  EXPECT_EQ(from_file->recorded_events, in_memory.recorded_events);
-  EXPECT_DOUBLE_EQ(from_file->fidelity, in_memory.fidelity);
-  EXPECT_EQ(from_file->diagnosed_cause, in_memory.diagnosed_cause);
+    EXPECT_EQ(from_file.failure_reproduced, in_memory.failure_reproduced)
+        << name;
+    EXPECT_EQ(from_file.divergences, in_memory.divergences) << name;
+    EXPECT_EQ(from_file.log_bytes, in_memory.log_bytes) << name;
+    EXPECT_EQ(from_file.recorded_events, in_memory.recorded_events) << name;
+    EXPECT_EQ(from_file.inference.attempts, in_memory.inference.attempts)
+        << name;
+    EXPECT_DOUBLE_EQ(from_file.fidelity, in_memory.fidelity) << name;
+    EXPECT_EQ(from_file.diagnosed_cause, in_memory.diagnosed_cause) << name;
+
+    auto stamped = ParseDeterminismModel(reader->metadata().model);
+    ASSERT_TRUE(stamped.ok()) << stamped.status();
+    EXPECT_EQ(*stamped, model) << name;
+    const ReplayResult replayed =
+        Replayer(ReplayTargetFor(scenario), scenario.inference_budget)
+            .Replay(*loaded, ReplayModeFor(*stamped));
+    EXPECT_EQ(replayed.failure_reproduced, in_memory.failure_reproduced)
+        << name;
+  }
 }
 
 // The I/O-layer partial-replay entry point: replaying straight off a
@@ -908,10 +878,7 @@ TEST(PartialReplayTest, PartialReplayFromTraceMatchesInMemoryAndCaches) {
   const uint64_t target =
       reader->checkpoints().checkpoints.back().event_index;
 
-  ReplayTarget replay_target;
-  replay_target.make_program = scenario.make_program;
-  replay_target.env_options = scenario.env_options;
-  Replayer replayer(replay_target);
+  Replayer replayer(ReplayTargetFor(scenario));
 
   auto loaded = reader->ReadRecordedExecution();
   ASSERT_TRUE(loaded.ok());
@@ -960,9 +927,7 @@ TEST(PartialReplayTest, CheckpointedReplayMatchesFullReplay) {
   auto recording_or = reader->ReadRecordedExecution();
   ASSERT_TRUE(recording_or.ok());
 
-  ReplayTarget target;
-  target.make_program = scenario.make_program;
-  target.env_options = scenario.env_options;
+  const ReplayTarget target = ReplayTargetFor(scenario);
 
   Replayer full_replayer(target);
   const ReplayResult full =

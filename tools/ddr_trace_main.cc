@@ -8,9 +8,11 @@
 //                                             chunks covering the range
 //   ddr-trace verify <file>                   full structural/CRC check
 //   ddr-trace replay <file> [--target N]      rebuild the scenario named in
-//                                             metadata and replay (from the
+//                                             metadata and replay under the
+//                                             recorded model (from the
 //                                             nearest checkpoint <= N when
-//                                             --target is given)
+//                                             --target is given; log-driven
+//                                             models only)
 //   ddr-trace record <scenario> <file> [--model NAME] [--chunk N] [--ckpt N]
 //                                             run a bundled bug scenario and
 //                                             save its recording
@@ -420,19 +422,24 @@ int ReplayFile(const std::string& path, uint64_t target, bool has_target,
     return 2;
   }
   const BugScenario& scenario = *scenario_or;
-  ReplayTarget replay_target;
-  replay_target.make_program = scenario.make_program;
-  replay_target.env_options = scenario.env_options;
-  Replayer replayer(std::move(replay_target));
-
-  // Direct replay mode from the recorder name in metadata: RCSE logs
-  // re-execute their relaxed data plane; everything else replays the log
-  // as-is. (Inference-based models need scenario hints; `ddr-trace` only
-  // does log-driven replay.)
-  const ReplayMode mode =
-      reader.metadata().model.find("rcse") != std::string::npos
-          ? ReplayMode::kRcse
-          : ReplayMode::kPerfect;
+  // The replay mode follows the recording's model exactly as `corpus
+  // replay` scores it: log-driven for perfect/value/RCSE logs, inference
+  // (with the scenario's hints and budget) for output/failure logs.
+  auto model_or = ParseDeterminismModel(reader.metadata().model);
+  if (!model_or.ok()) {
+    std::fprintf(stderr, "ddr-trace: %s\n", model_or.status().ToString().c_str());
+    return 2;
+  }
+  const ReplayMode mode = ReplayModeFor(*model_or);
+  if (has_target && !IsLogDriven(mode)) {
+    std::fprintf(stderr,
+                 "ddr-trace: --target needs a log-driven recording; '%s' "
+                 "traces replay by inference, which cannot start from a "
+                 "checkpoint\n",
+                 reader.metadata().model.c_str());
+    return 1;
+  }
+  Replayer replayer(ReplayTargetFor(scenario), scenario.inference_budget);
 
   ReplayResult result;
   if (has_target) {
