@@ -1,6 +1,6 @@
-// Microbenchmark for the streaming/corpus/batch pipeline: streaming-write
-// throughput vs. the buffered SerializeTrace path, bytes per event, and
-// batch-runner scaling across worker threads.
+// Microbenchmark for the trace-write/corpus/batch pipeline: trace write
+// throughput, bytes per event, and batch-runner scaling across worker
+// threads.
 // Plain-main (no google-benchmark) so it runs everywhere; emits
 // BENCH_micro_corpus_batch.json lines for cross-PR tracking.
 
@@ -72,51 +72,30 @@ RecordedExecution MakeRecording(uint64_t num_events) {
   return recording;
 }
 
-// Buffered SerializeTrace vs. streaming appends (memory sink).
+// Write throughput of the one trace writer (SerializeTrace, memory sink).
 void RunWriterBench(uint64_t num_events, int iterations, BenchJsonWriter& json) {
   const RecordedExecution recording = MakeRecording(num_events);
   TraceWriteOptions options;
   options.checkpoint_interval = 1024;
 
   std::vector<uint8_t> image;
-  auto start = std::chrono::steady_clock::now();
+  const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iterations; ++i) {
     image = SerializeTrace(recording, options);
   }
-  const double buffered_seconds = Seconds(start) / iterations;
+  const double write_seconds = Seconds(start) / iterations;
 
-  // Streaming: the same events appended one at a time.
-  const std::vector<Event>& events = recording.log.events();
-  uint64_t streamed_bytes = 0;
-  start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iterations; ++i) {
-    BufferByteSink sink;
-    StreamingTraceWriter streaming(&sink, options);
-    CHECK(streaming.Begin().ok());
-    for (const Event& event : events) {
-      CHECK(streaming.Append(event).ok());
-    }
-    CHECK(streaming.Finish(recording).ok());
-    streamed_bytes = streaming.bytes_written();
-  }
-  const double streaming_seconds = Seconds(start) / iterations;
-  CHECK_EQ(streamed_bytes, image.size());
-
-  const double buffered_meps = num_events / buffered_seconds / 1e6;
-  const double streaming_meps = num_events / streaming_seconds / 1e6;
+  const double write_meps = num_events / write_seconds / 1e6;
   const double raw_bytes = static_cast<double>(recording.log.Encode().size());
-  std::printf(
-      "%8llu events: buffered %7.2f Mev/s  streaming %7.2f Mev/s  "
-      "%5.2f B/event  ratio %.2fx\n",
-      static_cast<unsigned long long>(num_events), buffered_meps,
-      streaming_meps, static_cast<double>(image.size()) / num_events,
-      raw_bytes / image.size());
+  std::printf("%8llu events: write %7.2f Mev/s  %5.2f B/event  ratio %.2fx\n",
+              static_cast<unsigned long long>(num_events), write_meps,
+              static_cast<double>(image.size()) / num_events,
+              raw_bytes / image.size());
 
   JsonLine line = json.Line();
   line.Str("section", "writer")
       .Int("events", num_events)
-      .Num("buffered_mevents_per_sec", buffered_meps)
-      .Num("streaming_mevents_per_sec", streaming_meps)
+      .Num("write_mevents_per_sec", write_meps)
       .Num("bytes_per_event", static_cast<double>(image.size()) / num_events)
       .Num("compression_ratio", raw_bytes / image.size());
   json.Write(line);
@@ -176,7 +155,7 @@ void RunBatchBench(BenchJsonWriter& json) {
 }
 
 void RunAll() {
-  PrintBanner("micro: streaming writes, chunk filter, batch scaling");
+  PrintBanner("micro: trace writes, chunk filter, batch scaling");
   BenchJsonWriter json("micro_corpus_batch");
   RunWriterBench(/*num_events=*/100'000, /*iterations=*/5, json);
   RunWriterBench(/*num_events=*/1'000'000, /*iterations=*/1, json);

@@ -68,48 +68,50 @@ Result<CheckpointIndex> CheckpointIndex::Decode(std::span<const uint8_t> bytes) 
   return index;
 }
 
-void CheckpointBuilder::Observe(const Event& event) {
-  const uint64_t i = next_event_++;
-  // A checkpoint *before* event i: emitted at every interval boundary past
-  // the start (an event-zero checkpoint would be pointless).
-  if (interval_ != 0 && i > 0 && i % interval_ == 0) {
-    ReplayCheckpoint cp = cursors_;
-    cp.event_index = i;
-    cp.chunk_index = events_per_chunk_ == 0 ? 0 : i / events_per_chunk_;
-    cp.resume_seq = event.seq;
-    cp.prefix_fingerprint = prefix_fp_.value();
-    cp.virtual_time = last_virtual_time_;
-    index_.checkpoints.push_back(cp);
-  }
-
-  prefix_fp_.Mix(event.SemanticHash());
-  last_virtual_time_ = event.time;
-  switch (event.type) {
-    case EventType::kContextSwitch:
-      ++cursors_.schedule_cursor;
-      break;
-    case EventType::kRngDraw:
-      ++cursors_.rng_cursor;
-      break;
-    case EventType::kInput:
-      ++cursors_.input_cursor;
-      break;
-    case EventType::kSharedRead:
-      ++cursors_.read_cursor;
-      break;
-    default:
-      break;
-  }
-}
-
 CheckpointIndex BuildCheckpointIndex(const EventLog& log, uint64_t interval,
                                      uint64_t events_per_chunk,
                                      bool full_stream) {
-  CheckpointBuilder builder(interval, events_per_chunk);
-  for (const Event& event : log.events()) {
-    builder.Observe(event);
+  CheckpointIndex index;
+  index.full_stream = full_stream;
+  index.interval = interval;
+  Fingerprint prefix_fp;
+  uint64_t last_virtual_time = 0;
+  ReplayCheckpoint cursors;  // running cursor state (event_index unused)
+  const std::vector<Event>& events = log.events();
+  for (uint64_t i = 0; i < events.size(); ++i) {
+    const Event& event = events[i];
+    // A checkpoint *before* event i: emitted at every interval boundary
+    // past the start (an event-zero checkpoint would be pointless).
+    if (interval != 0 && i > 0 && i % interval == 0) {
+      ReplayCheckpoint cp = cursors;
+      cp.event_index = i;
+      cp.chunk_index = events_per_chunk == 0 ? 0 : i / events_per_chunk;
+      cp.resume_seq = event.seq;
+      cp.prefix_fingerprint = prefix_fp.value();
+      cp.virtual_time = last_virtual_time;
+      index.checkpoints.push_back(cp);
+    }
+
+    prefix_fp.Mix(event.SemanticHash());
+    last_virtual_time = event.time;
+    switch (event.type) {
+      case EventType::kContextSwitch:
+        ++cursors.schedule_cursor;
+        break;
+      case EventType::kRngDraw:
+        ++cursors.rng_cursor;
+        break;
+      case EventType::kInput:
+        ++cursors.input_cursor;
+        break;
+      case EventType::kSharedRead:
+        ++cursors.read_cursor;
+        break;
+      default:
+        break;
+    }
   }
-  return builder.Finish(full_stream);
+  return index;
 }
 
 }  // namespace ddr

@@ -73,45 +73,11 @@ struct CheckpointIndex {
   static Result<CheckpointIndex> Decode(std::span<const uint8_t> bytes);
 };
 
-// Incremental checkpoint construction: feed events one at a time (the
-// streaming trace writer calls Observe as chunks flush) and collect the
-// index when the recording ends. Equivalent to BuildCheckpointIndex over
-// the same event sequence.
-class CheckpointBuilder {
- public:
-  // `interval` 0 disables checkpointing; `events_per_chunk` mirrors the
-  // writer's chunking so each checkpoint knows which chunk holds its
-  // resume event.
-  CheckpointBuilder(uint64_t interval, uint64_t events_per_chunk)
-      : interval_(interval), events_per_chunk_(events_per_chunk) {
-    index_.interval = interval;
-  }
-
-  void Observe(const Event& event);
-
-  // Events observed so far.
-  uint64_t event_count() const { return next_event_; }
-
-  // Finalizes and returns the index. `full_stream` is only knowable at the
-  // end of a recording (it compares intercepted vs recorded counts).
-  CheckpointIndex Finish(bool full_stream) {
-    index_.full_stream = full_stream;
-    return std::move(index_);
-  }
-
- private:
-  uint64_t interval_ = 0;
-  uint64_t events_per_chunk_ = 0;
-  uint64_t next_event_ = 0;
-  uint64_t last_virtual_time_ = 0;
-  Fingerprint prefix_fp_;
-  ReplayCheckpoint cursors_;  // running cursor state (event_index unused)
-  CheckpointIndex index_;
-};
-
 // Builds the index from a log: one checkpoint every `interval` events
 // (interval 0 disables checkpointing). `events_per_chunk` mirrors the
-// writer's chunking so each checkpoint knows its chunk.
+// writer's chunking so each checkpoint knows its chunk. The trace writer
+// and TraceReader::Verify both call this, so a stored index is checked
+// against exactly the computation that wrote it.
 CheckpointIndex BuildCheckpointIndex(const EventLog& log, uint64_t interval,
                                      uint64_t events_per_chunk,
                                      bool full_stream);

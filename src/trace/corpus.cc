@@ -831,12 +831,7 @@ Status CorpusWriter::Add(const std::string& name,
   RETURN_IF_ERROR(CheckOpenForNewEntry(name));
   const uint64_t start = offset_;
   CorpusEmbeddedSink sink(this);
-  StreamingTraceWriter writer(&sink, options);
-  const Status written = [&]() -> Status {
-    RETURN_IF_ERROR(writer.Begin());
-    RETURN_IF_ERROR(writer.AppendEvents(recording.log.events()));
-    return writer.Finish(recording);
-  }();
+  const Status written = WriteTrace(recording, options, &sink);
   if (!written.ok()) {
     status_ = written;
     return written;
@@ -847,7 +842,7 @@ Status CorpusWriter::Add(const std::string& name,
   entry.length = offset_ - start;
   entry.model = recording.model;
   entry.scenario = options.scenario;
-  entry.event_count = writer.events_written();
+  entry.event_count = recording.log.size();
   entry.original_wall_seconds = options.original_wall_seconds;
   entries_.push_back(std::move(entry));
   names_.insert(name);
@@ -1191,15 +1186,6 @@ Result<TraceReader> CorpusReader::OpenTrace(const std::string& name) const {
   return OpenTrace(*entry);
 }
 
-Result<RecordedExecution> CorpusReader::LoadRecording(
-    const std::string& name, double* original_wall_seconds) const {
-  ASSIGN_OR_RETURN(TraceReader trace, OpenTrace(name));
-  if (original_wall_seconds != nullptr) {
-    *original_wall_seconds = trace.metadata().original_wall_seconds;
-  }
-  return trace.ReadRecordedExecution();
-}
-
 Status CorpusReader::VerifyAll() const {
   // A full verify is the canonical cold sequential scan — every image
   // front to back — so widen kernel readahead for its duration and
@@ -1216,10 +1202,7 @@ Status CorpusReader::VerifyAllImpl() const {
     for (const auto& held : *block) {
       const CorpusEntry& entry = *held;
       auto trace = OpenTrace(entry);
-      if (!trace.ok()) {
-        return trace.status();
-      }
-      Status verified = trace->Verify();
+      const Status verified = trace.ok() ? trace->Verify() : trace.status();
       if (!verified.ok()) {
         return Status(verified.code(), "corpus entry '" + entry.name +
                                            "': " + verified.message());

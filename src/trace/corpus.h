@@ -211,11 +211,12 @@ class CorpusWriter {
   [[nodiscard]] Status Begin();
 
   // Serializes `recording` into the bundle under `name` (unique; reuse is
-  // an error), chunk by chunk straight into the file: the image is never
-  // buffered whole, and its bytes equal SerializeTrace(recording, options).
-  // `options.scenario` / `options.original_wall_seconds` land in both the
-  // embedded trace metadata and the corpus index. A failed Add makes
-  // Finish fail.
+  // an error) with one WriteTrace call, section by section straight into
+  // the file: the image is never buffered whole, and its bytes equal
+  // SerializeTrace(recording, options). The index's event count is
+  // `recording.log.size()`; `options.scenario` /
+  // `options.original_wall_seconds` land in both the embedded trace
+  // metadata and the corpus index. A failed Add makes Finish fail.
   Status Add(const std::string& name, const RecordedExecution& recording,
              const TraceWriteOptions& options = {});
 
@@ -372,12 +373,6 @@ class CorpusReader {
   // call (and use) from many threads concurrently.
   Result<TraceReader> OpenTrace(const CorpusEntry& entry) const;
   Result<TraceReader> OpenTrace(const std::string& name) const;
-
-  // Loads an entry's RecordedExecution. `original_wall_seconds` comes
-  // from the embedded trace's own metadata (VerifyAll checks it agrees
-  // with the index copy).
-  Result<RecordedExecution> LoadRecording(
-      const std::string& name, double* original_wall_seconds = nullptr) const;
 
   // Structural + CRC verification of every embedded trace (and, via Open,
   // of the index itself and the journal chain), plus index-vs-embedded-

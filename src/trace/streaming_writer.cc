@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "src/trace/checkpoint.h"
 #include "src/trace/chunk_codec.h"
 #include "src/util/fault_injection.h"
 #include "src/util/logging.h"
@@ -182,7 +183,7 @@ Status AtomicFileSink::Close() {
   return OkStatus();
 }
 
-// ------------------------------------------------------ StreamingTraceWriter
+// --------------------------------------------------------------- WriteTrace
 
 namespace {
 
@@ -206,162 +207,97 @@ const char* SectionFaultSite(TraceSection kind) {
   return "trace.section";
 }
 
-}  // namespace
-
-StreamingTraceWriter::StreamingTraceWriter(TraceByteSink* sink,
-                                           TraceWriteOptions options)
-    : sink_(sink),
-      options_(std::move(options)),
-      events_per_chunk_(std::min<uint64_t>(
-          options_.events_per_chunk == 0 ? 512 : options_.events_per_chunk,
-          kMaxChunkEvents)),
-      checkpoints_(options_.checkpoint_interval, events_per_chunk_) {
-  pending_.reserve(static_cast<size_t>(events_per_chunk_));
-}
-
-Status StreamingTraceWriter::Begin() {
-  if (begun_) {
-    return FailedPreconditionError("StreamingTraceWriter::Begin called twice");
-  }
-  begun_ = true;
-  if (Status injected = FaultPoint("trace.header"); !injected.ok()) {
-    status_ = injected;
-    return status_;
-  }
-  Encoder encoder;
-  encoder.PutFixed32(kTraceFileMagic);
-  encoder.PutFixed32(kTraceFormatVersion);
-  encoder.PutFixed32(0);  // flags, reserved
-  status_ = sink_->Append(encoder.buffer());
-  if (status_.ok()) {
-    offset_ = encoder.size();
-  }
-  return status_;
-}
-
-Result<uint64_t> StreamingTraceWriter::WriteSection(
-    TraceSection kind, const std::vector<uint8_t>& payload) {
+// Appends a framed section at stream offset `*offset`, advances it, and
+// returns the section's offset.
+Result<uint64_t> WriteSection(TraceByteSink* sink, uint64_t* offset,
+                              TraceSection kind,
+                              const std::vector<uint8_t>& payload) {
   RETURN_IF_ERROR(FaultPoint(SectionFaultSite(kind)));
   // Every section tries ddrz (stored raw when that does not shrink it)
   // except the footer, which stays raw so its offset math never depends
   // on compression behavior.
   const std::vector<uint8_t> section = EncodeTraceSection(
       kind, payload, /*allow_compress=*/kind != TraceSection::kFooter);
-  RETURN_IF_ERROR(sink_->Append(section));
-  const uint64_t section_offset = offset_;
-  offset_ += section.size();
+  RETURN_IF_ERROR(sink->Append(section));
+  const uint64_t section_offset = *offset;
+  *offset += section.size();
   return section_offset;
 }
 
-Status StreamingTraceWriter::FlushChunk() {
-  if (pending_.empty()) {
-    return OkStatus();
+}  // namespace
+
+Status WriteTrace(const RecordedExecution& recording,
+                  const TraceWriteOptions& options, TraceByteSink* sink) {
+  const uint64_t events_per_chunk = std::min<uint64_t>(
+      options.events_per_chunk == 0 ? 512 : options.events_per_chunk,
+      kMaxChunkEvents);
+  const std::vector<Event>& events = recording.log.events();
+
+  RETURN_IF_ERROR(FaultPoint("trace.header"));
+  Encoder header;
+  header.PutFixed32(kTraceFileMagic);
+  header.PutFixed32(kTraceFormatVersion);
+  header.PutFixed32(0);  // flags, reserved
+  RETURN_IF_ERROR(sink->Append(header.buffer()));
+  uint64_t offset = header.size();
+
+  TraceFooter footer;
+  footer.total_events = events.size();
+  for (uint64_t first = 0; first < events.size(); first += events_per_chunk) {
+    TraceChunkInfo chunk;
+    chunk.first_event = first;
+    chunk.event_count = std::min<uint64_t>(events_per_chunk,
+                                           events.size() - first);
+    ASSIGN_OR_RETURN(
+        chunk.file_offset,
+        WriteSection(sink, &offset, TraceSection::kEventChunk,
+                     EncodeEventChunkPayload(events.data() + first,
+                                             chunk.event_count, first)));
+    footer.chunks.push_back(chunk);
   }
-  const uint64_t first = total_events_ - pending_.size();
-  const std::vector<uint8_t> payload =
-      EncodeEventChunkPayload(pending_.data(), pending_.size(), first);
-  ASSIGN_OR_RETURN(uint64_t chunk_offset,
-                   WriteSection(TraceSection::kEventChunk, payload));
-  TraceChunkInfo chunk;
-  chunk.file_offset = chunk_offset;
-  chunk.first_event = first;
-  chunk.event_count = pending_.size();
-  footer_.chunks.push_back(chunk);
-  pending_.clear();
-  return OkStatus();
-}
 
-Status StreamingTraceWriter::AppendEvents(const Event* events, size_t count) {
-  if (!begun_ || finished_) {
-    return FailedPreconditionError(
-        "StreamingTraceWriter::AppendEvents outside Begin/Finish");
-  }
-  if (!status_.ok()) {
-    return status_;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    checkpoints_.Observe(events[i]);
-    pending_.push_back(events[i]);
-    ++total_events_;
-    if (pending_.size() >= events_per_chunk_) {
-      status_ = FlushChunk();
-      if (!status_.ok()) {
-        return status_;
-      }
-    }
-  }
-  return OkStatus();
-}
+  TraceMetadata meta;
+  meta.model = recording.model;
+  meta.scenario = options.scenario;
+  meta.event_count = events.size();
+  meta.events_per_chunk = events_per_chunk;
+  meta.recorded_bytes = recording.recorded_bytes;
+  meta.overhead_nanos = recording.overhead_nanos;
+  meta.cpu_nanos = recording.cpu_nanos;
+  meta.intercepted_events = recording.intercepted_events;
+  meta.recorded_events = recording.recorded_events;
+  meta.original_wall_seconds = options.original_wall_seconds;
+  ASSIGN_OR_RETURN(footer.metadata_offset,
+                   WriteSection(sink, &offset, TraceSection::kMetadata,
+                                meta.Encode()));
 
-Status StreamingTraceWriter::Append(const Event& event) {
-  return AppendEvents(&event, 1);
-}
+  ASSIGN_OR_RETURN(footer.snapshot_offset,
+                   WriteSection(sink, &offset, TraceSection::kSnapshot,
+                                recording.snapshot.Encode()));
 
-Status StreamingTraceWriter::Finish(const RecordedExecution& recording) {
-  if (!begun_) {
-    return FailedPreconditionError("StreamingTraceWriter::Finish before Begin");
-  }
-  if (finished_) {
-    return FailedPreconditionError("StreamingTraceWriter::Finish called twice");
-  }
-  if (!status_.ok()) {
-    return status_;
-  }
-  finished_ = true;
+  // Fingerprint verification during partial replay is only sound when the
+  // log is the full intercepted stream.
+  const bool full_stream =
+      recording.intercepted_events == recording.recorded_events &&
+      recording.recorded_events == events.size();
+  ASSIGN_OR_RETURN(
+      footer.checkpoint_offset,
+      WriteSection(sink, &offset, TraceSection::kCheckpointIndex,
+                   BuildCheckpointIndex(recording.log,
+                                        options.checkpoint_interval,
+                                        events_per_chunk, full_stream)
+                       .Encode()));
 
-  Status status = [&]() -> Status {
-    RETURN_IF_ERROR(FlushChunk());
-    footer_.total_events = total_events_;
-
-    // Metadata.
-    {
-      TraceMetadata meta;
-      meta.model = recording.model;
-      meta.scenario = options_.scenario;
-      meta.event_count = total_events_;
-      meta.events_per_chunk = events_per_chunk_;
-      meta.recorded_bytes = recording.recorded_bytes;
-      meta.overhead_nanos = recording.overhead_nanos;
-      meta.cpu_nanos = recording.cpu_nanos;
-      meta.intercepted_events = recording.intercepted_events;
-      meta.recorded_events = recording.recorded_events;
-      meta.original_wall_seconds = options_.original_wall_seconds;
-      ASSIGN_OR_RETURN(footer_.metadata_offset,
-                       WriteSection(TraceSection::kMetadata, meta.Encode()));
-    }
-
-    // Snapshot.
-    ASSIGN_OR_RETURN(footer_.snapshot_offset,
-                     WriteSection(TraceSection::kSnapshot,
-                                  recording.snapshot.Encode()));
-
-    // Checkpoint index. Fingerprint verification during partial replay is
-    // only sound when the log is the full intercepted stream.
-    {
-      const bool full_stream =
-          recording.intercepted_events == recording.recorded_events &&
-          recording.recorded_events == total_events_;
-      const CheckpointIndex index = checkpoints_.Finish(full_stream);
-      ASSIGN_OR_RETURN(footer_.checkpoint_offset,
-                       WriteSection(TraceSection::kCheckpointIndex,
-                                    index.Encode()));
-    }
-
-    // Footer (stored raw, see WriteSection) + trailer.
-    ASSIGN_OR_RETURN(const uint64_t footer_offset,
-                     WriteSection(TraceSection::kFooter, footer_.Encode()));
-    RETURN_IF_ERROR(FaultPoint("trace.trailer"));
-    Encoder encoder;
-    encoder.PutFixed64(footer_offset);
-    encoder.PutFixed32(kTraceTrailerMagic);
-    RETURN_IF_ERROR(sink_->Append(encoder.buffer()));
-    offset_ += encoder.size();
-
-    return sink_->Close();
-  }();
-
-  status_ = status;
-  return status;
+  // Footer (stored raw, see WriteSection) + trailer.
+  ASSIGN_OR_RETURN(const uint64_t footer_offset,
+                   WriteSection(sink, &offset, TraceSection::kFooter,
+                                footer.Encode()));
+  RETURN_IF_ERROR(FaultPoint("trace.trailer"));
+  Encoder trailer;
+  trailer.PutFixed64(footer_offset);
+  trailer.PutFixed32(kTraceTrailerMagic);
+  RETURN_IF_ERROR(sink->Append(trailer.buffer()));
+  return sink->Close();
 }
 
 // ------------------------------------------------- whole-recording writes
@@ -369,11 +305,8 @@ Status StreamingTraceWriter::Finish(const RecordedExecution& recording) {
 std::vector<uint8_t> SerializeTrace(const RecordedExecution& recording,
                                     const TraceWriteOptions& options) {
   BufferByteSink sink;
-  StreamingTraceWriter writer(&sink, options);
-  // A buffer sink cannot fail, so these statuses are structural invariants.
-  CHECK(writer.Begin().ok());
-  CHECK(writer.AppendEvents(recording.log.events()).ok());
-  CHECK(writer.Finish(recording).ok());
+  // A buffer sink cannot fail, so the status is a structural invariant.
+  CHECK(WriteTrace(recording, options, &sink).ok());
   return sink.TakeBuffer();
 }
 
@@ -381,10 +314,7 @@ Status WriteTraceFile(const std::string& path,
                       const RecordedExecution& recording,
                       const TraceWriteOptions& options) {
   AtomicFileSink sink(path);
-  StreamingTraceWriter writer(&sink, options);
-  RETURN_IF_ERROR(writer.Begin());
-  RETURN_IF_ERROR(writer.AppendEvents(recording.log.events()));
-  return writer.Finish(recording);
+  return WriteTrace(recording, options, &sink);
 }
 
 }  // namespace ddr

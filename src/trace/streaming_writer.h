@@ -1,21 +1,17 @@
-// DDRT serialization: StreamingTraceWriter, the one trace write path, and
-// the SerializeTrace / WriteTraceFile calls over it.
+// DDRT serialization: WriteTrace, the one trace write path, and the
+// SerializeTrace / WriteTraceFile calls over it.
 //
-// The streaming writer takes a recording's events in order and flushes
-// each full chunk — columnar-encoded, compressed, CRC'd, framed — through
-// a TraceByteSink as soon as it fills, so the writer itself buffers at
-// most one chunk of events. The metadata / snapshot / checkpoint /
-// footer sections are emitted by Finish() once the totals are known.
+// WriteTrace takes a finished recording and emits the file section by
+// section through a TraceByteSink — each chunk columnar-encoded,
+// compressed, CRC'd and framed as it is handed to the sink — so no whole
+// image is built unless the sink itself buffers one:
 //
 //   AtomicFileSink sink(path);
-//   StreamingTraceWriter writer(&sink, options);
-//   CHECK(writer.Begin().ok());
-//   CHECK(writer.AppendEvents(recording.log.events()).ok());
-//   CHECK(writer.Finish(recording).ok());   // durable, atomically renamed
+//   CHECK(WriteTrace(recording, options, &sink).ok());  // atomically renamed
 //
-// SerializeTrace, WriteTraceFile and CorpusWriter::Add drive this writer
-// over a finished RecordedExecution, so a bare trace file, an in-memory
-// image and a corpus entry of the same recording hold identical bytes.
+// SerializeTrace, WriteTraceFile and CorpusWriter::Add are each one
+// WriteTrace call, so a bare trace file, an in-memory image and a corpus
+// entry of the same recording hold identical bytes.
 
 #ifndef SRC_TRACE_STREAMING_WRITER_H_
 #define SRC_TRACE_STREAMING_WRITER_H_
@@ -25,8 +21,6 @@
 #include <vector>
 
 #include "src/record/recorded_execution.h"
-#include "src/record/snapshot.h"
-#include "src/trace/checkpoint.h"
 #include "src/trace/trace_format.h"
 
 namespace ddr {
@@ -103,50 +97,14 @@ class AtomicFileSink : public TraceByteSink {
   bool closed_ = false;
 };
 
-class StreamingTraceWriter {
- public:
-  // `sink` must outlive the writer; the writer does not own it.
-  StreamingTraceWriter(TraceByteSink* sink, TraceWriteOptions options = {});
-
-  // Writes the file header. Must be called exactly once, first.
-  [[nodiscard]] Status Begin();
-
-  // Buffers events, flushing every completed chunk through the sink.
-  Status Append(const Event& event);
-  Status AppendEvents(const Event* events, size_t count);
-  Status AppendEvents(const std::vector<Event>& events) {
-    return AppendEvents(events.data(), events.size());
-  }
-
-  // Flushes the final partial chunk, writes metadata / snapshot /
-  // checkpoint / footer / trailer sections from `recording`'s model,
-  // snapshot and totals, and closes the sink. `recording.log` is not read:
-  // the events are the ones appended.
-  [[nodiscard]] Status Finish(const RecordedExecution& recording);
-
-  uint64_t events_written() const { return total_events_; }
-  // Bytes handed to the sink so far (the eventual file size after Finish).
-  uint64_t bytes_written() const { return offset_; }
-
- private:
-  Status FlushChunk();
-  // Appends a framed section and returns its offset in the stream.
-  Result<uint64_t> WriteSection(TraceSection kind,
-                                const std::vector<uint8_t>& payload);
-
-  TraceByteSink* sink_;
-  TraceWriteOptions options_;
-  uint64_t events_per_chunk_;
-  bool begun_ = false;
-  bool finished_ = false;
-  Status status_;  // first sink/serialization error, sticky
-
-  std::vector<Event> pending_;  // current partial chunk
-  uint64_t total_events_ = 0;
-  uint64_t offset_ = 0;  // bytes written to the sink
-  TraceFooter footer_;
-  CheckpointBuilder checkpoints_;
-};
+// Writes `recording` as one complete DDRT image through `sink` and closes
+// it: the header, each chunk encoded straight from `recording.log`, then
+// the metadata / snapshot / checkpoint / footer / trailer sections. On
+// error the sink is left unclosed (an AtomicFileSink then discards its
+// temp file).
+[[nodiscard]] Status WriteTrace(const RecordedExecution& recording,
+                                const TraceWriteOptions& options,
+                                TraceByteSink* sink);
 
 // Serializes `recording` to the complete file image (header..trailer).
 std::vector<uint8_t> SerializeTrace(const RecordedExecution& recording,

@@ -12,9 +12,8 @@
 //   [trailer]     12 bytes: footer offset + magic "TRDD"
 //
 // Sections are located through the footer, never by position, so their
-// order in the file is a writer choice: the streaming writer emits event
-// chunks first (they exist before the run's metadata does) and the
-// metadata/snapshot/checkpoint sections once the recording finishes.
+// order in the file is a writer choice: WriteTrace emits event chunks
+// first and the metadata/snapshot/checkpoint sections after them.
 //
 // Every section is independently framed, optionally block-compressed
 // (src/trace/block_compress.h) and CRC-32 checked, so a reader can verify

@@ -65,19 +65,13 @@ TraceReader& TraceReader::operator=(TraceReader&& other) noexcept {
 
 Result<TraceReader> TraceReader::Open(const std::string& path,
                                       const TraceReaderOptions& options) {
-  return OpenAt(path, /*base_offset=*/0, /*image_size=*/0, options);
-}
-
-Result<TraceReader> TraceReader::OpenAt(const std::string& path,
-                                        uint64_t base_offset,
-                                        uint64_t image_size,
-                                        const TraceReaderOptions& options) {
   ASSIGN_OR_RETURN(std::shared_ptr<RandomAccessFile> file,
                    RandomAccessFile::Open(path, options.io));
   // Cache entries are namespaced by the open handle, not the path: a
   // path can be atomically replaced, a handle cannot change contents.
+  const uint64_t size = file->size();
   const uint64_t cache_id = file->id();
-  return OpenImpl(std::move(file), base_offset, image_size, options.cache,
+  return OpenImpl(std::move(file), /*base_offset=*/0, size, options.cache,
                   cache_id);
 }
 
@@ -108,10 +102,9 @@ Result<TraceReader> TraceReader::OpenImpl(std::shared_ptr<RandomAccessFile> file
     return InvalidArgumentError("trace image offset past end of file: " +
                                 reader.path_);
   }
-  reader.file_size_ =
-      image_size == 0 ? total_size - base_offset : image_size;
+  reader.file_size_ = image_size;
   // Subtraction form: a crafted huge image_size must not wrap the sum.
-  if (reader.file_size_ > total_size - base_offset) {
+  if (image_size > total_size - base_offset) {
     return InvalidArgumentError("trace image extends past end of file: " +
                                 reader.path_);
   }
@@ -158,11 +151,30 @@ Result<TraceReader> TraceReader::OpenImpl(std::shared_ptr<RandomAccessFile> file
   ASSIGN_OR_RETURN(TraceSectionPayload footer_bytes,
                    reader.ReadSection(footer_offset, TraceSection::kFooter));
   ASSIGN_OR_RETURN(reader.footer_, TraceFooter::Decode(footer_bytes.view));
+  // Chunk table: the chunks must tile [0, total_events) in order, so every
+  // event index names exactly one stored event. The count bound also keeps
+  // a crafted table from wrapping the running sum.
+  uint64_t next_event = 0;
+  for (const TraceChunkInfo& chunk : reader.footer_.chunks) {
+    if (chunk.first_event != next_event ||
+        chunk.event_count > reader.footer_.total_events - next_event) {
+      return InvalidArgumentError(
+          StrPrintf("trace chunk table does not tile the log at event %llu",
+                    static_cast<unsigned long long>(next_event)));
+    }
+    next_event += chunk.event_count;
+  }
+  if (next_event != reader.footer_.total_events) {
+    return InvalidArgumentError("trace chunk table does not cover all events");
+  }
 
   ASSIGN_OR_RETURN(TraceSectionPayload meta_bytes,
                    reader.ReadSection(reader.footer_.metadata_offset,
                                       TraceSection::kMetadata));
   ASSIGN_OR_RETURN(reader.metadata_, TraceMetadata::Decode(meta_bytes.view));
+  if (reader.metadata_.event_count != reader.footer_.total_events) {
+    return InvalidArgumentError("metadata event count disagrees with footer");
+  }
 
   ASSIGN_OR_RETURN(TraceSectionPayload snapshot_bytes,
                    reader.ReadSection(reader.footer_.snapshot_offset,
@@ -272,46 +284,19 @@ Result<RecordedExecution> TraceReader::ReadRecordedExecution() const {
 }
 
 Status TraceReader::Verify() const {
-  // Chunk table: contiguous coverage of [0, total_events).
-  uint64_t next_event = 0;
-  for (const TraceChunkInfo& chunk : footer_.chunks) {
-    if (chunk.first_event != next_event) {
-      return InvalidArgumentError(
-          StrPrintf("chunk table gap at event %llu",
-                    static_cast<unsigned long long>(next_event)));
-    }
-    next_event += chunk.event_count;
-  }
-  if (next_event != footer_.total_events) {
-    return InvalidArgumentError("chunk table does not cover all events");
-  }
-  if (metadata_.event_count != footer_.total_events) {
-    return InvalidArgumentError("metadata event count disagrees with footer");
-  }
-
-  // Decode everything (exercises every CRC and every event decoder) and
-  // recompute checkpoint prefix fingerprints + cursor state. Note: chunks
-  // already resident in a shared cache are trusted — their CRC was checked
-  // when they were decoded from disk.
+  // Open already checked the chunk table. Decode everything (exercises
+  // every CRC and every event decoder) and recompute the checkpoint index
+  // from the log: every field of every checkpoint must match, since
+  // partial replay cuts the prefix at resume_seq without rechecking it.
+  // Note: chunks already resident in a shared cache are trusted — their
+  // CRC was checked when they were decoded from disk.
   ASSIGN_OR_RETURN(EventLog log, ReadAllEvents());
   const CheckpointIndex recomputed = BuildCheckpointIndex(
       log, checkpoints_.interval, metadata_.events_per_chunk,
       checkpoints_.full_stream);
-  if (recomputed.checkpoints.size() != checkpoints_.checkpoints.size()) {
-    return InvalidArgumentError("checkpoint count disagrees with log");
-  }
-  for (size_t i = 0; i < recomputed.checkpoints.size(); ++i) {
-    const ReplayCheckpoint& stored = checkpoints_.checkpoints[i];
-    const ReplayCheckpoint& fresh = recomputed.checkpoints[i];
-    if (stored.event_index != fresh.event_index ||
-        stored.prefix_fingerprint != fresh.prefix_fingerprint ||
-        stored.schedule_cursor != fresh.schedule_cursor ||
-        stored.rng_cursor != fresh.rng_cursor ||
-        stored.input_cursor != fresh.input_cursor ||
-        stored.read_cursor != fresh.read_cursor) {
-      return InvalidArgumentError(StrPrintf(
-          "checkpoint %zu disagrees with recomputation from the log", i));
-    }
+  if (recomputed.Encode() != checkpoints_.Encode()) {
+    return InvalidArgumentError(
+        "checkpoint index disagrees with recomputation from the log");
   }
   return OkStatus();
 }

@@ -1,7 +1,9 @@
 // TraceReader: random-access reader for DDRT v2 trace files.
 //
 // Open() reads only the header, trailer, footer, metadata, snapshot, and
-// checkpoint index (all small). Event chunks are read on demand, so
+// checkpoint index (all small), and rejects a footer whose chunk table
+// does not tile [0, total_events) or disagrees with the metadata's event
+// count — so no read can return an event twice or skip one. Event chunks are read on demand, so
 // inspecting a trace or decoding a mid-trace range does not pull the whole
 // file through memory — `bytes_read()` exposes exactly how much I/O a
 // given access pattern cost.
@@ -47,15 +49,9 @@ class TraceReader {
   static Result<TraceReader> Open(const std::string& path,
                                   const TraceReaderOptions& options = {});
 
-  // Opens a DDRT image embedded in a larger file (a DDRC corpus bundle):
-  // the image spans [base_offset, base_offset + image_size) of `path`.
-  // `image_size` 0 means "through end of file".
-  static Result<TraceReader> OpenAt(const std::string& path,
-                                    uint64_t base_offset, uint64_t image_size,
-                                    const TraceReaderOptions& options = {});
-
-  // Opens a window over an already-open shared handle: no file open, no
-  // lseek cursor, just the image's own section parses. This is how a
+  // Opens a window over an already-open shared handle onto the DDRT image
+  // at [base_offset, base_offset + image_size): no file open, no lseek
+  // cursor, just the image's own section parses. This is how a
   // CorpusReader hands out per-entry readers — N threads each take a
   // cheap window onto one handle (and one decoded-chunk cache).
   // `cache_id` namespaces the window's chunks in `cache`: the handle's
@@ -78,7 +74,7 @@ class TraceReader {
   const std::vector<TraceChunkInfo>& chunks() const { return footer_.chunks; }
   uint64_t total_events() const { return footer_.total_events; }
   // Size of the DDRT image (the whole file for Open, the embedded window
-  // for OpenAt/OpenShared).
+  // for OpenShared).
   uint64_t file_size() const { return file_size_; }
   // The backend serving reads.
   IoBackend io_backend() const { return file_->backend(); }
@@ -109,7 +105,8 @@ class TraceReader {
   Result<RecordedExecution> ReadRecordedExecution() const;
 
   // Full structural verification: every section CRC, every event decodes,
-  // chunk table contiguity, and checkpoint fingerprints recompute.
+  // and the stored checkpoint index equals the one recomputed from the log.
+  // (The chunk table and metadata event count are checked by every open.)
   Status Verify() const;
 
  private:

@@ -33,6 +33,7 @@
 #include "src/util/random_access_file.h"
 #include "src/util/rng.h"
 #include "src/util/string_util.h"
+#include "tests/trace_forge.h"
 
 namespace ddr {
 namespace {
@@ -78,6 +79,14 @@ RecordedExecution MakeSyntheticRecording(uint64_t num_events,
   recording.cpu_nanos = 500;
   recording.overhead_nanos = 70;
   return recording;
+}
+
+// The deployed read chain for one entry: OpenTrace, then
+// ReadRecordedExecution.
+Result<RecordedExecution> LoadEntry(const CorpusReader& corpus,
+                                    const std::string& name) {
+  ASSIGN_OR_RETURN(TraceReader trace, corpus.OpenTrace(name));
+  return trace.ReadRecordedExecution();
 }
 
 std::vector<uint8_t> ReadFileBytes(const std::string& path) {
@@ -166,10 +175,11 @@ TEST(CorpusTest, SingleRecordingRoundtripsEveryField) {
   EXPECT_EQ(entry.event_count, 700u);
   EXPECT_DOUBLE_EQ(entry.original_wall_seconds, 1.25);
 
-  double wall = 0.0;
-  auto loaded = corpus->LoadRecording("bugs/one", &wall);
+  auto embedded = corpus->OpenTrace("bugs/one");
+  ASSERT_TRUE(embedded.ok()) << embedded.status();
+  EXPECT_DOUBLE_EQ(embedded->metadata().original_wall_seconds, 1.25);
+  auto loaded = embedded->ReadRecordedExecution();
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_DOUBLE_EQ(wall, 1.25);
   ASSERT_EQ(loaded->log.size(), recording.log.size());
   for (size_t i = 0; i < recording.log.size(); ++i) {
     EXPECT_EQ(loaded->log.events()[i].SemanticHash(),
@@ -781,7 +791,7 @@ TEST(CorpusJournalTest, InPlaceAppendWritesOnlyTheDelta) {
     EXPECT_EQ(corpus->generation(), 2u);
     ASSERT_EQ(corpus->entries().size(), 13u);
     EXPECT_TRUE(corpus->VerifyAll().ok()) << IoBackendName(backend);
-    auto loaded = corpus->LoadRecording("appended/one");
+    auto loaded = LoadEntry(*corpus, "appended/one");
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     EXPECT_EQ(loaded->log.size(), 50u);
   }
@@ -1014,7 +1024,7 @@ TEST(CorpusJournalTest, LegacyVersionOneIsReadOnlyAlias) {
       ASSERT_EQ(corpus->entries().size(), 2u);
       EXPECT_EQ(corpus->entries()[1].name, "b");
       EXPECT_TRUE(corpus->VerifyAll().ok()) << tag;
-      auto loaded = corpus->LoadRecording("a");
+      auto loaded = LoadEntry(*corpus, "a");
       ASSERT_TRUE(loaded.ok()) << loaded.status();
       EXPECT_EQ(loaded->log.size(), 300u);
     }
@@ -1282,8 +1292,8 @@ TEST(CorpusJournalTest, DeltaChainMatchesFullIndexEquivalent) {
                              single_bytes.begin() + w.offset + w.length,
                              chained_bytes.begin() + g.offset))
           << w.name << " on " << IoBackendName(backend);
-      auto want_rec = want->LoadRecording(w.name);
-      auto got_rec = got->LoadRecording(g.name);
+      auto want_rec = LoadEntry(*want, w.name);
+      auto got_rec = LoadEntry(*got, g.name);
       ASSERT_TRUE(want_rec.ok()) << want_rec.status();
       ASSERT_TRUE(got_rec.ok()) << got_rec.status();
       EXPECT_EQ(got_rec->log.size(), want_rec->log.size());
@@ -1401,6 +1411,52 @@ TEST(CorpusTest, EmbeddedVersionOneImageFailsVerifyAll) {
         << verified.ToString();
     EXPECT_TRUE(corpus->OpenTrace(corpus->entries()[0]).ok());
     EXPECT_FALSE(corpus->OpenTrace(corpus->entries()[1]).ok());
+  }
+}
+
+// A CRC-valid image whose footer lists its one chunk twice is refused by
+// every open: as a bare trace file, as a corpus window (the server's
+// replay path, which never runs Verify), and by VerifyAll, which names
+// the entry.
+TEST(CorpusTest, ForgedChunkTableFailsEveryOpen) {
+  const RecordedExecution recording = MakeSyntheticRecording(128, 3);
+  TraceWriteOptions options;
+  options.events_per_chunk = 128;
+  ScopedPath scratch("forge_scratch");
+  const std::vector<uint8_t> forged = ForgeTrace(
+      SerializeTrace(recording, options), scratch.get(),
+      [](TraceMetadata* meta, CheckpointIndex*, TraceFooter* footer) {
+        footer->chunks.push_back(footer->chunks[0]);
+        footer->total_events *= 2;
+        meta->event_count = footer->total_events;
+      });
+  ASSERT_FALSE(forged.empty());
+
+  ScopedPath bare("forged_bare");
+  WriteFileBytes(bare.get(), forged);
+  const Status opened = TraceReader::Open(bare.get()).status();
+  EXPECT_EQ(opened.code(), StatusCode::kInvalidArgument) << opened;
+
+  ScopedPath path("forged_chunks");
+  {
+    CorpusWriter writer(path.get());
+    ASSERT_TRUE(writer.Begin().ok());
+    ASSERT_TRUE(writer.Add("good", MakeSyntheticRecording(200, 4)).ok());
+    ASSERT_TRUE(
+        writer.AddImage("forged", forged, recording.model, "", 256, 0.0).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  for (IoBackend backend : kAllBackends) {
+    auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    EXPECT_TRUE(corpus->OpenTrace("good").ok());
+    const Status window = corpus->OpenTrace("forged").status();
+    EXPECT_EQ(window.code(), StatusCode::kInvalidArgument) << window;
+    const Status verified = corpus->VerifyAll();
+    EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(verified.message().find("corpus entry 'forged'"),
+              std::string::npos)
+        << verified;
   }
 }
 
@@ -1751,7 +1807,7 @@ TEST(CorpusLifecycleTest, ReopenPicksUpGrownIndex) {
   EXPECT_EQ(corpus->generation(), 2u);
   EXPECT_NE(corpus->Find("new"), nullptr);
   EXPECT_TRUE(corpus->VerifyAll().ok());
-  auto loaded = corpus->LoadRecording("new");
+  auto loaded = LoadEntry(*corpus, "new");
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->log.size(), 400u);
 }
@@ -1940,7 +1996,7 @@ TEST(CorpusReopenTest, EachAppendMatchesFreshOpenOnEveryBackend) {
       EXPECT_EQ(next->chunk_cache(), held->chunk_cache());
       const uint64_t full_open_bytes = ExpectMatchesFreshOpen(*next);
       EXPECT_LT(next->bytes_read(), full_open_bytes) << "generation " << k + 1;
-      auto loaded = next->LoadRecording(names.back());
+      auto loaded = LoadEntry(*next, names.back());
       ASSERT_TRUE(loaded.ok()) << loaded.status();
       EXPECT_EQ(loaded->log.size(), 300u);
       held = std::move(*next);
@@ -2006,7 +2062,7 @@ TEST(CorpusReopenTest, ReplacedOrRewrittenFileTakesTheFullOpen) {
   EXPECT_EQ(next->bytes_read(), ExpectMatchesFreshOpen(*next));
   // The held reader still serves the replaced inode.
   EXPECT_EQ(held->generation(), 3u);
-  EXPECT_TRUE(held->LoadRecording("base/b").ok());
+  EXPECT_TRUE(LoadEntry(*held, "base/b").ok());
 
   // Same inode, different chain: overwrite the file in place with a
   // larger journal whose generations sit at other offsets.
@@ -2070,7 +2126,7 @@ TEST(CorpusReopenTest, CorruptNewIndexFailsLoudlyAndHeldReaderServes) {
 
     EXPECT_EQ(held->generation(), 2u);
     EXPECT_TRUE(held->VerifyAll().ok()) << IoBackendName(backend);
-    auto loaded = held->LoadRecording("gen2/a");
+    auto loaded = LoadEntry(*held, "gen2/a");
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     EXPECT_EQ(loaded->log.size(), 300u);
   }

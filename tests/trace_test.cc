@@ -22,7 +22,9 @@
 #include "src/trace/chunk_codec.h"
 #include "src/trace/streaming_writer.h"
 #include "src/trace/trace_reader.h"
+#include "src/util/crc32.h"
 #include "src/util/rng.h"
+#include "tests/trace_forge.h"
 
 namespace ddr {
 namespace {
@@ -291,6 +293,59 @@ TEST(TraceFileTest, EmptyLogRoundtrips) {
   EXPECT_TRUE(VerifyTrace(path.get()).ok());
 }
 
+// The writer's bytes, pinned: the CRC-32 of SerializeTrace for six
+// recording shapes — an empty log, a log shorter than one chunk, many
+// chunks, a subset log (no full-stream checkpoints), checkpoints off at
+// an odd chunk size, and chunk size 0 (clamped to 512). Any change to
+// these digests is a format change, not a refactor. WriteTraceFile must
+// land the same bytes on disk.
+TEST(TraceFileTest, SerializedBytesArePinned) {
+  struct Shape {
+    const char* name;
+    RecordedExecution recording;
+    TraceWriteOptions options;
+    uint32_t crc;
+  };
+  auto options = [](uint64_t events_per_chunk, uint64_t interval) {
+    TraceWriteOptions out;
+    out.events_per_chunk = events_per_chunk;
+    out.checkpoint_interval = interval;
+    return out;
+  };
+  RecordedExecution empty = MakeSyntheticRecording(0);
+  empty.snapshot.has_failure = true;
+  empty.snapshot.kind = FailureKind::kCrash;
+  empty.snapshot.message = "boom";
+  empty.snapshot.failure_fingerprint = 0xDEAD;
+  RecordedExecution subset = MakeSyntheticRecording(300);
+  subset.model = "value";
+  subset.intercepted_events = 1000;
+  TraceWriteOptions subset_options = options(64, 50);
+  subset_options.scenario = "synthetic-scenario";
+  subset_options.original_wall_seconds = 0.25;
+
+  const Shape shapes[] = {
+      {"empty", empty, {}, 2454623149u},
+      {"seven", MakeSyntheticRecording(7), {}, 3755482u},
+      {"chunked", MakeSyntheticRecording(1024), options(128, 256), 1187384501u},
+      {"subset", subset, subset_options, 2580013128u},
+      {"no-checkpoints", MakeSyntheticRecording(100), options(7, 0), 148006438u},
+      {"clamped", MakeSyntheticRecording(1500), options(0, 256), 4260097755u},
+  };
+  ScopedTracePath path("pinned");
+  for (const Shape& shape : shapes) {
+    const std::vector<uint8_t> image =
+        SerializeTrace(shape.recording, shape.options);
+    EXPECT_EQ(Crc32(image.data(), image.size()), shape.crc) << shape.name;
+    ASSERT_TRUE(
+        WriteTraceFile(path.get(), shape.recording, shape.options).ok());
+    std::ifstream in(path.get(), std::ios::binary);
+    const std::vector<uint8_t> written((std::istreambuf_iterator<char>(in)),
+                                       std::istreambuf_iterator<char>());
+    EXPECT_EQ(written, image) << shape.name;
+  }
+}
+
 TEST(TraceFileTest, MissingFileIsNotFound) {
   auto loaded = LoadTrace("no_such_trace_file.ddrt");
   ASSERT_FALSE(loaded.ok());
@@ -319,6 +374,95 @@ TEST(TraceFileTest, DetectsCorruptionAndTruncation) {
     WriteBytes(path.get(),
                std::vector<uint8_t>(image.begin(), image.begin() + keep));
     EXPECT_FALSE(LoadTrace(path.get()).ok()) << "prefix " << keep;
+  }
+}
+
+// A CRC-valid footer whose chunk table does not tile [0, total_events),
+// or whose event count disagrees with the metadata, is rejected by Open
+// itself: no read path ever sees the forged table.
+TEST(TraceReaderTest, OpenRejectsForgedChunkTable) {
+  TraceWriteOptions options;
+  options.events_per_chunk = 128;
+  const std::vector<uint8_t> image =
+      SerializeTrace(MakeSyntheticRecording(384), options);
+  ScopedTracePath scratch("forge_scratch");
+  ScopedTracePath path("forged_chunks");
+  auto open_forged = [&](const TraceForgery& forge) {
+    WriteBytes(path.get(), ForgeTrace(image, scratch.get(), forge));
+    return TraceReader::Open(path.get()).status();
+  };
+
+  // Control: re-sealing without an edit yields a trace that opens and
+  // verifies, so each rejection below is the edit's doing.
+  EXPECT_TRUE(open_forged([](TraceMetadata*, CheckpointIndex*, TraceFooter*) {
+              }).ok());
+  EXPECT_TRUE(VerifyTrace(path.get()).ok());
+
+  const TraceForgery forgeries[] = {
+      // The first chunk listed twice, totals raised to match.
+      [](TraceMetadata* meta, CheckpointIndex*, TraceFooter* footer) {
+        footer->chunks.insert(footer->chunks.begin() + 1, footer->chunks[0]);
+        footer->total_events += 128;
+        meta->event_count = footer->total_events;
+      },
+      // A chunk dropped: a gap in the middle of the log.
+      [](TraceMetadata* meta, CheckpointIndex*, TraceFooter* footer) {
+        footer->chunks.erase(footer->chunks.begin() + 1);
+        footer->total_events -= 128;
+        meta->event_count = footer->total_events;
+      },
+      // Counts that wrap the running sum back onto the claimed total.
+      [](TraceMetadata* meta, CheckpointIndex*, TraceFooter* footer) {
+        footer->chunks[0].event_count = ~0ull - 127;
+        footer->chunks[1].first_event = ~0ull - 127;
+        footer->chunks[1].event_count = 256;
+        footer->chunks.resize(2);
+        footer->total_events = 128;
+        meta->event_count = 128;
+      },
+      // A sound table, but metadata claiming another count.
+      [](TraceMetadata* meta, CheckpointIndex*, TraceFooter*) {
+        meta->event_count += 1;
+      },
+  };
+  for (size_t i = 0; i < std::size(forgeries); ++i) {
+    const Status status = open_forged(forgeries[i]);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "forgery " << i << ": " << status;
+  }
+}
+
+// Verify recomputes the whole checkpoint index: tampering with any
+// checkpoint field — here the three a replayer trusts without
+// recomputing a fingerprint — is rejected even though every CRC holds.
+TEST(TraceReaderTest, VerifyRejectsEveryTamperedCheckpointField) {
+  TraceWriteOptions options;
+  options.events_per_chunk = 128;
+  options.checkpoint_interval = 100;
+  const std::vector<uint8_t> image =
+      SerializeTrace(MakeSyntheticRecording(1000), options);
+  ScopedTracePath scratch("forge_scratch");
+  ScopedTracePath path("forged_checkpoint");
+
+  const TraceForgery forgeries[] = {
+      [](TraceMetadata*, CheckpointIndex* index, TraceFooter*) {
+        index->checkpoints[3].chunk_index += 1;
+      },
+      [](TraceMetadata*, CheckpointIndex* index, TraceFooter*) {
+        index->checkpoints[3].resume_seq += 37;
+      },
+      [](TraceMetadata*, CheckpointIndex* index, TraceFooter*) {
+        index->checkpoints[3].virtual_time += 1;
+      },
+  };
+  for (size_t i = 0; i < std::size(forgeries); ++i) {
+    WriteBytes(path.get(), ForgeTrace(image, scratch.get(), forgeries[i]));
+    auto reader = TraceReader::Open(path.get());
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    ASSERT_EQ(reader->checkpoints().checkpoints.size(), 9u);
+    const Status verified = reader->Verify();
+    EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument)
+        << "field " << i << ": " << verified;
   }
 }
 
@@ -407,45 +551,7 @@ TEST(TraceReaderTest, AttachedCacheMakesRereadsFree) {
   EXPECT_EQ(reader->bytes_read(), before);
 }
 
-// ------------------------------------------------ Streaming + chunk codec
-
-// The streaming writer produces byte-identical output to SerializeTrace,
-// whatever the append batching — so recordings streamed during a run and
-// recordings serialized afterwards are interchangeable.
-TEST(StreamingWriterTest, MatchesBufferedSerialize) {
-  const RecordedExecution recording = MakeSyntheticRecording(1000);
-  TraceWriteOptions options;
-  options.events_per_chunk = 128;
-  options.checkpoint_interval = 100;
-  const std::vector<uint8_t> buffered = SerializeTrace(recording, options);
-
-  BufferByteSink sink;
-  StreamingTraceWriter writer(&sink, options);
-  ASSERT_TRUE(writer.Begin().ok());
-  const std::vector<Event>& events = recording.log.events();
-  for (size_t i = 0; i < events.size();) {
-    const size_t batch = std::min<size_t>(1 + i % 53, events.size() - i);
-    ASSERT_TRUE(writer.AppendEvents(events.data() + i, batch).ok());
-    i += batch;
-  }
-  ASSERT_TRUE(writer.Finish(recording).ok());
-
-  EXPECT_EQ(sink.buffer(), buffered);
-  EXPECT_EQ(writer.bytes_written(), buffered.size());
-  EXPECT_EQ(writer.events_written(), events.size());
-}
-
-TEST(StreamingWriterTest, RejectsOutOfOrderLifecycle) {
-  BufferByteSink sink;
-  StreamingTraceWriter writer(&sink, {});
-  Event event;
-  EXPECT_FALSE(writer.AppendEvents(&event, 1).ok());  // before Begin
-  ASSERT_TRUE(writer.Begin().ok());
-  EXPECT_FALSE(writer.Begin().ok());  // twice
-  ASSERT_TRUE(writer.Finish({}).ok());
-  EXPECT_FALSE(writer.AppendEvents(&event, 1).ok());  // after Finish
-  EXPECT_FALSE(writer.Finish({}).ok());  // twice
-}
+// ------------------------------------------------------------- Chunk codec
 
 // The columnar varint-delta chunk layout round-trips every event.
 TEST(ChunkFilterTest, VarintDeltaRoundtrips) {
