@@ -75,13 +75,10 @@ RecordedExecution MakeRecording(uint64_t num_events) {
 // Write throughput of the one trace writer (SerializeTrace, memory sink).
 void RunWriterBench(uint64_t num_events, int iterations, BenchJsonWriter& json) {
   const RecordedExecution recording = MakeRecording(num_events);
-  TraceWriteOptions options;
-  options.checkpoint_interval = 1024;
-
   std::vector<uint8_t> image;
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iterations; ++i) {
-    image = SerializeTrace(recording, options);
+    image = SerializeTrace(recording);
   }
   const double write_seconds = Seconds(start) / iterations;
 

@@ -1,6 +1,6 @@
 // Microbenchmark of the persistent trace store: serialize / deserialize
 // throughput, on-disk bytes per event, compression ratio, and the I/O cost
-// of checkpoint-indexed partial reads. Plain-main (no google-benchmark) so
+// of chunk-table-indexed partial reads. Plain-main (no google-benchmark) so
 // it runs everywhere; emits BENCH_micro_trace_store.json lines for
 // cross-PR tracking.
 
@@ -76,14 +76,11 @@ RecordedExecution MakeRecording(uint64_t num_events) {
 
 void RunBench(uint64_t num_events, int iterations, BenchJsonWriter& json) {
   const RecordedExecution recording = MakeRecording(num_events);
-  TraceWriteOptions options;
-  options.checkpoint_interval = 1024;
-
   // Serialize (in-memory image, no disk).
   std::vector<uint8_t> image;
   auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iterations; ++i) {
-    image = SerializeTrace(recording, options);
+    image = SerializeTrace(recording);
   }
   const double encode_seconds = Seconds(start) / iterations;
 
@@ -92,7 +89,7 @@ void RunBench(uint64_t num_events, int iterations, BenchJsonWriter& json) {
   const double file_bytes = static_cast<double>(image.size());
 
   // Save + full load through disk.
-  CHECK(WriteTraceFile(kTmpPath, recording, options).ok());
+  CHECK(WriteTraceFile(kTmpPath, recording).ok());
   start = std::chrono::steady_clock::now();
   uint64_t decoded_events = 0;
   for (int i = 0; i < iterations; ++i) {
@@ -105,8 +102,8 @@ void RunBench(uint64_t num_events, int iterations, BenchJsonWriter& json) {
   const double decode_seconds = Seconds(start) / iterations;
   CHECK_EQ(decoded_events, num_events);
 
-  // Checkpoint-indexed partial read: decode 256 events from the middle and
-  // count how much of the file was touched.
+  // Partial read through the footer's chunk table: decode 256 events from
+  // the middle and count how much of the file was touched.
   auto reader_or = TraceReader::Open(kTmpPath);
   CHECK(reader_or.ok());
   const uint64_t open_bytes = reader_or->bytes_read();

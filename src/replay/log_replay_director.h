@@ -52,7 +52,7 @@ class LogReplayDirector : public ExecutionDirector {
 
   // Playback-cursor state: how many recorded values each stream has
   // consumed so far. Together with schedule_cursor() this is what a
-  // ReplayCheckpoint captures (src/trace/checkpoint.h); partial replay
+  // ReplayCheckpoint captures (src/replay/replayer.h); partial replay
   // compares these against the checkpoint at the fast-forward boundary.
   uint64_t rng_cursor() const { return rng_consumed_; }
   uint64_t input_cursor() const { return inputs_consumed_; }

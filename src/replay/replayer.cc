@@ -1,8 +1,11 @@
 #include "src/replay/replayer.h"
 
 #include <chrono>
+#include <optional>
 
+#include "src/util/hash.h"
 #include "src/util/logging.h"
+#include "src/util/string_util.h"
 
 namespace ddr {
 
@@ -17,6 +20,13 @@ LogReplayConfig ConfigForMode(ReplayMode mode) {
     config.override_shared_reads = false;
   }
   return config;
+}
+
+// Fingerprint verification during partial replay is only sound when the
+// log is the full intercepted stream.
+bool IsFullStream(const RecordedExecution& recording) {
+  return recording.intercepted_events == recording.recorded_events &&
+         recording.recorded_events == recording.log.size();
 }
 
 // Observation gate for checkpointed partial replay: suppresses collection
@@ -99,30 +109,57 @@ ReplayResult Replayer::Replay(const RecordedExecution& recording, ReplayMode mod
   return ReplayResult{};
 }
 
-ReplayResult Replayer::PartialReplay(const RecordedExecution& recording,
-                                     const CheckpointIndex& index,
-                                     uint64_t target_event, ReplayMode mode) {
-  CHECK(IsLogDriven(mode)) << "partial replay requires a log-driven mode";
-  const ReplayCheckpoint* checkpoint = index.NearestBefore(target_event);
-  if (checkpoint == nullptr || checkpoint->event_index == 0) {
-    return DirectReplay(recording, ConfigForMode(mode), ReplayModeName(mode));
+ReplayCheckpoint CheckpointAt(const EventLog& log, uint64_t event_index) {
+  const std::vector<Event>& events = log.events();
+  CHECK_LT(event_index, events.size());
+  ReplayCheckpoint checkpoint;
+  checkpoint.resume_seq = events[event_index].seq;
+  Fingerprint prefix_fp;
+  for (uint64_t i = 0; i < event_index; ++i) {
+    const Event& event = events[i];
+    prefix_fp.Mix(event.SemanticHash());
+    switch (event.type) {
+      case EventType::kContextSwitch:
+        ++checkpoint.schedule_cursor;
+        break;
+      case EventType::kRngDraw:
+        ++checkpoint.rng_cursor;
+        break;
+      case EventType::kInput:
+        ++checkpoint.input_cursor;
+        break;
+      case EventType::kSharedRead:
+        ++checkpoint.read_cursor;
+        break;
+      default:
+        break;
+    }
   }
-  return DirectReplay(recording, ConfigForMode(mode), ReplayModeName(mode),
-                      &index, checkpoint);
+  checkpoint.prefix_fingerprint = prefix_fp.value();
+  return checkpoint;
 }
 
-Result<ReplayResult> Replayer::PartialReplayFromTrace(const TraceReader& trace,
-                                                      uint64_t target_event,
-                                                      ReplayMode mode) {
-  ASSIGN_OR_RETURN(RecordedExecution recording, trace.ReadRecordedExecution());
-  return PartialReplay(recording, trace.checkpoints(), target_event, mode);
+Result<ReplayResult> Replayer::PartialReplay(const RecordedExecution& recording,
+                                             uint64_t target_event,
+                                             ReplayMode mode) {
+  if (!IsLogDriven(mode)) {
+    return InvalidArgumentError(
+        StrPrintf("partial replay needs a log-driven mode, not %s",
+                  std::string(ReplayModeName(mode)).c_str()));
+  }
+  if (target_event >= recording.log.size()) {
+    return InvalidArgumentError(StrPrintf(
+        "partial replay target %llu is past the log's end (%zu events)",
+        static_cast<unsigned long long>(target_event), recording.log.size()));
+  }
+  return DirectReplay(recording, ConfigForMode(mode), ReplayModeName(mode),
+                      target_event);
 }
 
 ReplayResult Replayer::DirectReplay(const RecordedExecution& recording,
                                     const LogReplayConfig& config,
                                     std::string_view name,
-                                    const CheckpointIndex* index,
-                                    const ReplayCheckpoint* checkpoint) {
+                                    uint64_t target_event) {
   const auto start = std::chrono::steady_clock::now();
   ReplayResult result;
   result.model = std::string(name);
@@ -137,23 +174,23 @@ ReplayResult Replayer::DirectReplay(const RecordedExecution& recording,
   // Full replay observes everything; partial replay gates observation
   // behind the checkpoint's resume point.
   CollectingSink sink;
-  std::unique_ptr<CheckpointGateSink> gate;
-  if (checkpoint != nullptr) {
-    gate = std::make_unique<CheckpointGateSink>(*checkpoint, director);
-    env.AddTraceSink(gate.get());
+  std::optional<CheckpointGateSink> gate;
+  if (target_event > 0) {
+    gate.emplace(CheckpointAt(recording.log, target_event), director);
+    env.AddTraceSink(&*gate);
   } else {
     env.AddTraceSink(&sink);
   }
 
   std::unique_ptr<SimProgram> program = target_.make_program(kReplayWorldSeed);
   result.outcome = env.Run(*program);
-  if (gate != nullptr) {
+  if (gate.has_value()) {
     result.trace = gate->TakeSuffix();
     result.partial = true;
-    result.started_from_event = checkpoint->event_index;
-    result.fast_forward_verified = index->full_stream && gate->Verified();
+    result.started_from_event = target_event;
+    result.fast_forward_verified = IsFullStream(recording) && gate->Verified();
   } else {
-    result.trace = sink.events();
+    result.trace = sink.TakeEvents();
   }
   result.divergences = director.divergences();
   result.failure_reproduced = recording.snapshot.MatchesFailureOf(result.outcome);

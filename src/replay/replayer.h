@@ -15,8 +15,7 @@
 #include "src/record/recorded_execution.h"
 #include "src/replay/inference.h"
 #include "src/replay/log_replay_director.h"
-#include "src/trace/checkpoint.h"
-#include "src/trace/trace_reader.h"
+#include "src/util/status.h"
 
 namespace ddr {
 
@@ -35,6 +34,36 @@ std::string_view ReplayModeName(ReplayMode mode);
 // RCSE); the others search for an execution by inference. Only log-driven
 // modes support checkpointed partial replay.
 bool IsLogDriven(ReplayMode mode);
+
+// The Huselius-style "replay starting point" before log event
+// `event_index`: where the replay director's cursors stand after
+// consuming the log prefix [0, event_index), plus a running fingerprint
+// of that prefix. Every field is a function of the log, so partial replay
+// computes it from the recording it replays instead of trusting a stored
+// copy.
+//
+// In this simulated substrate there is no process-image snapshot, so a
+// checkpoint does not eliminate prefix re-execution — it eliminates prefix
+// *observation* (trace sinks, analysis, event materialization) and checks
+// that the fast-forward reached exactly the recorded point.
+struct ReplayCheckpoint {
+  // Original-run sequence number of the first post-checkpoint event. For
+  // subset logs (value/RCSE) this is how the replayed full event stream is
+  // aligned with the log position.
+  uint64_t resume_seq = 0;
+  // Running semantic fingerprint of the log prefix.
+  uint64_t prefix_fingerprint = 0;
+
+  // Replay-director cursor state after consuming the prefix.
+  uint64_t schedule_cursor = 0;  // context switches consumed
+  uint64_t rng_cursor = 0;       // rng draws consumed
+  uint64_t input_cursor = 0;     // input values consumed (all sources)
+  uint64_t read_cursor = 0;      // shared-read values consumed (all cells)
+};
+
+// The checkpoint before `log.events()[event_index]`; requires
+// event_index < log.size().
+ReplayCheckpoint CheckpointAt(const EventLog& log, uint64_t event_index);
 
 struct ReplayResult {
   std::string model;
@@ -57,7 +86,7 @@ struct ReplayResult {
   // disabled and `trace` holds only the suffix events.
   bool partial = false;
   uint64_t started_from_event = 0;
-  // The fast-forwarded prefix matched the checkpoint's recorded state
+  // The fast-forwarded prefix matched the checkpoint computed from the log
   // (prefix fingerprint + director cursors). Only checkable for
   // full-stream logs; false also when the log is a subset.
   bool fast_forward_verified = false;
@@ -75,33 +104,22 @@ class Replayer {
 
   ReplayResult Replay(const RecordedExecution& recording, ReplayMode mode);
 
-  // Checkpointed partial replay (direct modes only): fast-forwards to the
-  // latest checkpoint at or before `target_event`, observing (collecting,
-  // fingerprinting) only the suffix from there on. In this re-execution
-  // substrate a checkpoint does not skip prefix execution — it skips prefix
-  // *observation* and verifies the fast-forward against the checkpoint's
-  // recorded cursor state, so the debugging session can trust it landed on
-  // the recorded path. Falls back to full replay when `index` has no usable
-  // checkpoint.
-  ReplayResult PartialReplay(const RecordedExecution& recording,
-                             const CheckpointIndex& index, uint64_t target_event,
-                             ReplayMode mode = ReplayMode::kPerfect);
-
-  // Same, but reading the recording through `trace` — the I/O-layer entry
-  // point for debugging sessions that probe many checkpoint windows of
-  // one trace (or corpus entry). Every chunk read goes through the
-  // reader's backend and shared decoded-chunk cache, so the second and
-  // later windows re-decode nothing; `trace.bytes_read()` before/after
-  // exposes exactly what each window cost.
-  Result<ReplayResult> PartialReplayFromTrace(
-      const TraceReader& trace, uint64_t target_event,
-      ReplayMode mode = ReplayMode::kPerfect);
+  // Checkpointed partial replay (log-driven modes only): fast-forwards to
+  // log event `target_event`, observing (collecting, fingerprinting) only
+  // the suffix from there on. In this re-execution substrate a checkpoint
+  // does not skip prefix execution — it skips prefix *observation* and
+  // verifies the fast-forward against CheckpointAt(recording.log,
+  // target_event), so the debugging session can trust it landed on the
+  // recorded path. Target 0 is a full replay; a target at or past the
+  // log's end, or an inference mode, is InvalidArgument.
+  Result<ReplayResult> PartialReplay(const RecordedExecution& recording,
+                                     uint64_t target_event,
+                                     ReplayMode mode = ReplayMode::kPerfect);
 
  private:
   ReplayResult DirectReplay(const RecordedExecution& recording,
                             const LogReplayConfig& config, std::string_view name,
-                            const CheckpointIndex* index = nullptr,
-                            const ReplayCheckpoint* checkpoint = nullptr);
+                            uint64_t target_event = 0);
   ReplayResult InferredReplay(const RecordedExecution& recording, ReplayMode mode);
 
   ReplayTarget target_;

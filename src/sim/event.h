@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/sim/types.h"
@@ -166,6 +167,8 @@ class CollectingSink : public TraceSink {
   }
 
   const std::vector<Event>& events() const { return events_; }
+  // Moves the collected events out, leaving the sink empty.
+  std::vector<Event> TakeEvents() { return std::exchange(events_, {}); }
   uint64_t total_seen() const { return total_; }
   void Clear() {
     events_.clear();

@@ -4,8 +4,8 @@
 // Decoding a chunk costs a disk read, a CRC pass, ddrz decompression, and
 // the columnar un-delta — all of it identical every time the same chunk is
 // touched. Replay traffic is chunk-hot: N concurrent replays of one DDRC
-// bundle revisit the same entries, and repeated ReadEvents/PartialReplay
-// windows revisit the same mid-trace chunks. The cache keys decoded
+// bundle revisit the same entries, and repeated ReadEvents windows
+// revisit the same mid-trace chunks. The cache keys decoded
 // chunks by (file, image offset, chunk index) and hands out shared_ptrs
 // to immutable event vectors, so a warm re-read costs zero disk bytes and
 // zero decode work, whatever thread asks.

@@ -1,4 +1,4 @@
-// Event-chunk payload encoding (DDRT v2).
+// Event-chunk payload encoding (DDRT v3; unchanged since v2).
 //
 // A chunk payload is `first_event varint | count varint` followed by the
 // columnar body: one array per field across the whole chunk, with

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "src/trace/checkpoint.h"
 #include "src/trace/chunk_codec.h"
 #include "src/util/fault_injection.h"
 #include "src/util/logging.h"
@@ -197,8 +196,6 @@ const char* SectionFaultSite(TraceSection kind) {
       return "trace.section.snapshot";
     case TraceSection::kEventChunk:
       return "trace.section.chunk";
-    case TraceSection::kCheckpointIndex:
-      return "trace.section.checkpoint";
     case TraceSection::kFooter:
       return "trace.section.footer";
     case TraceSection::kCorpusIndex:
@@ -274,19 +271,6 @@ Status WriteTrace(const RecordedExecution& recording,
   ASSIGN_OR_RETURN(footer.snapshot_offset,
                    WriteSection(sink, &offset, TraceSection::kSnapshot,
                                 recording.snapshot.Encode()));
-
-  // Fingerprint verification during partial replay is only sound when the
-  // log is the full intercepted stream.
-  const bool full_stream =
-      recording.intercepted_events == recording.recorded_events &&
-      recording.recorded_events == events.size();
-  ASSIGN_OR_RETURN(
-      footer.checkpoint_offset,
-      WriteSection(sink, &offset, TraceSection::kCheckpointIndex,
-                   BuildCheckpointIndex(recording.log,
-                                        options.checkpoint_interval,
-                                        events_per_chunk, full_stream)
-                       .Encode()));
 
   // Footer (stored raw, see WriteSection) + trailer.
   ASSIGN_OR_RETURN(const uint64_t footer_offset,

@@ -29,8 +29,6 @@ struct TraceWriteOptions {
   // Events per chunk; the unit of partial decode. Small chunks seek finer,
   // large chunks compress better.
   uint64_t events_per_chunk = 512;
-  // Emit a ReplayCheckpoint every N log events (0 = no checkpoints).
-  uint64_t checkpoint_interval = 256;
   // Scenario name stamped into metadata so `ddr-trace replay` can rebuild
   // the program. Optional.
   std::string scenario;
@@ -99,7 +97,7 @@ class AtomicFileSink : public TraceByteSink {
 
 // Writes `recording` as one complete DDRT image through `sink` and closes
 // it: the header, each chunk encoded straight from `recording.log`, then
-// the metadata / snapshot / checkpoint / footer / trailer sections. On
+// the metadata / snapshot / footer / trailer sections. On
 // error the sink is left unclosed (an AtomicFileSink then discards its
 // temp file).
 [[nodiscard]] Status WriteTrace(const RecordedExecution& recording,

@@ -46,7 +46,6 @@ std::vector<uint8_t> TraceFooter::Encode() const {
   Encoder encoder;
   encoder.PutFixed64(metadata_offset);
   encoder.PutFixed64(snapshot_offset);
-  encoder.PutFixed64(checkpoint_offset);
   encoder.PutVarint64(total_events);
   encoder.PutVarint64(chunks.size());
   for (const TraceChunkInfo& chunk : chunks) {
@@ -62,7 +61,6 @@ Result<TraceFooter> TraceFooter::Decode(std::span<const uint8_t> bytes) {
   TraceFooter footer;
   ASSIGN_OR_RETURN(footer.metadata_offset, decoder.GetFixed64());
   ASSIGN_OR_RETURN(footer.snapshot_offset, decoder.GetFixed64());
-  ASSIGN_OR_RETURN(footer.checkpoint_offset, decoder.GetFixed64());
   ASSIGN_OR_RETURN(footer.total_events, decoder.GetVarint64());
   ASSIGN_OR_RETURN(uint64_t chunk_count, decoder.GetVarint64());
   for (uint64_t i = 0; i < chunk_count; ++i) {

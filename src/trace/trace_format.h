@@ -1,4 +1,4 @@
-// On-disk trace file format (DDRT v2).
+// On-disk trace file format (DDRT v3).
 //
 // A trace file is a RecordedExecution made durable: what a production site
 // ships to the developer running replay. Layout:
@@ -7,13 +7,12 @@
 //   [chunk]*      sections: event chunks, `events_per_chunk` events each
 //   [metadata]    section: model, scenario, counts, overhead ledger
 //   [snapshot]    section: FailureSnapshot (the bug report)
-//   [checkpoints] section: CheckpointIndex for partial replay
 //   [footer]      section: offsets of everything above + per-chunk table
 //   [trailer]     12 bytes: footer offset + magic "TRDD"
 //
 // Sections are located through the footer, never by position, so their
 // order in the file is a writer choice: WriteTrace emits event chunks
-// first and the metadata/snapshot/checkpoint sections after them.
+// first and the metadata/snapshot sections after them.
 //
 // Every section is independently framed, optionally block-compressed
 // (src/trace/block_compress.h) and CRC-32 checked, so a reader can verify
@@ -30,13 +29,15 @@
 // section carries none. The framing sits outside the payload CRC, so the
 // reader rejects any other pairing instead of trusting the nibble.
 //
-// Version 1 (row-encoded event chunks) is retired: readers reject it with
-// "unsupported trace format version 1", and the number is never reused.
+// Versions 1 (row-encoded event chunks) and 2 (a stored checkpoint-index
+// section, every field of which partial replay now computes from the log)
+// are retired: readers reject them with "unsupported trace format version
+// N", and neither number is reused.
 //
 // The trailer is fixed-width so `Open` can find the footer by reading the
 // last 12 bytes; the footer then gives random access to all sections.
 //
-// A corpus bundle (DDRC v1, src/trace/corpus.h) embeds whole DDRT images
+// A corpus bundle (DDRC v3, src/trace/corpus.h) embeds whole DDRT images
 // back to back and indexes them with a kCorpusIndex section; the shared
 // section framing (and CRC discipline) is what makes that reuse free.
 
@@ -57,8 +58,9 @@ namespace ddr {
 
 inline constexpr uint32_t kTraceFileMagic = 0x54524444u;   // "DDRT"
 inline constexpr uint32_t kTraceTrailerMagic = 0x44445254u;  // "TRDD"
-// Never 1: that number named the retired row-chunk layout.
-inline constexpr uint32_t kTraceFormatVersion = 2;
+// Never 1 or 2: those numbers named the retired row-chunk layout and the
+// layout with a stored checkpoint index.
+inline constexpr uint32_t kTraceFormatVersion = 3;
 inline constexpr size_t kTraceHeaderBytes = 12;   // magic + version + flags
 inline constexpr size_t kTraceTrailerBytes = 12;  // footer offset + magic
 
@@ -75,7 +77,7 @@ enum class TraceSection : uint8_t {
   kMetadata = 1,
   kSnapshot = 2,
   kEventChunk = 3,
-  kCheckpointIndex = 4,
+  // 4 named the version-2 checkpoint index; retired, never reused.
   kFooter = 5,
   kCorpusIndex = 6,  // DDRC bundles only (src/trace/corpus.h)
 };
@@ -125,7 +127,6 @@ struct TraceChunkInfo {
 struct TraceFooter {
   uint64_t metadata_offset = 0;
   uint64_t snapshot_offset = 0;
-  uint64_t checkpoint_offset = 0;
   uint64_t total_events = 0;
   std::vector<TraceChunkInfo> chunks;
 

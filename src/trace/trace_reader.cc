@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/trace/chunk_codec.h"
-#include "src/util/hash.h"
 #include "src/util/string_util.h"
 
 namespace ddr {
@@ -38,8 +37,7 @@ TraceReader::TraceReader(TraceReader&& other) noexcept
       cache_misses_(other.cache_misses_.load(std::memory_order_relaxed)),
       footer_(std::move(other.footer_)),
       metadata_(std::move(other.metadata_)),
-      snapshot_(std::move(other.snapshot_)),
-      checkpoints_(std::move(other.checkpoints_)) {}
+      snapshot_(std::move(other.snapshot_)) {}
 
 TraceReader& TraceReader::operator=(TraceReader&& other) noexcept {
   if (this != &other) {
@@ -58,7 +56,6 @@ TraceReader& TraceReader::operator=(TraceReader&& other) noexcept {
     footer_ = std::move(other.footer_);
     metadata_ = std::move(other.metadata_);
     snapshot_ = std::move(other.snapshot_);
-    checkpoints_ = std::move(other.checkpoints_);
   }
   return *this;
 }
@@ -182,12 +179,6 @@ Result<TraceReader> TraceReader::OpenImpl(std::shared_ptr<RandomAccessFile> file
   ASSIGN_OR_RETURN(reader.snapshot_,
                    FailureSnapshot::Decode(snapshot_bytes.view));
 
-  ASSIGN_OR_RETURN(TraceSectionPayload checkpoint_bytes,
-                   reader.ReadSection(reader.footer_.checkpoint_offset,
-                                      TraceSection::kCheckpointIndex));
-  ASSIGN_OR_RETURN(reader.checkpoints_,
-                   CheckpointIndex::Decode(checkpoint_bytes.view));
-
   return reader;
 }
 
@@ -284,21 +275,11 @@ Result<RecordedExecution> TraceReader::ReadRecordedExecution() const {
 }
 
 Status TraceReader::Verify() const {
-  // Open already checked the chunk table. Decode everything (exercises
-  // every CRC and every event decoder) and recompute the checkpoint index
-  // from the log: every field of every checkpoint must match, since
-  // partial replay cuts the prefix at resume_seq without rechecking it.
-  // Note: chunks already resident in a shared cache are trusted — their
-  // CRC was checked when they were decoded from disk.
-  ASSIGN_OR_RETURN(EventLog log, ReadAllEvents());
-  const CheckpointIndex recomputed = BuildCheckpointIndex(
-      log, checkpoints_.interval, metadata_.events_per_chunk,
-      checkpoints_.full_stream);
-  if (recomputed.Encode() != checkpoints_.Encode()) {
-    return InvalidArgumentError(
-        "checkpoint index disagrees with recomputation from the log");
-  }
-  return OkStatus();
+  // Open already checked the chunk table. Decode everything: exercises
+  // every CRC and every event decoder. Chunks already resident in a shared
+  // cache are trusted — their CRC was checked when they were decoded from
+  // disk.
+  return ReadAllEvents().status();
 }
 
 }  // namespace ddr

@@ -1,7 +1,7 @@
-// TraceReader: random-access reader for DDRT v2 trace files.
+// TraceReader: random-access reader for DDRT v3 trace files.
 //
-// Open() reads only the header, trailer, footer, metadata, snapshot, and
-// checkpoint index (all small), and rejects a footer whose chunk table
+// Open() reads only the header, trailer, footer, metadata and snapshot
+// (all small), and rejects a footer whose chunk table
 // does not tile [0, total_events) or disagrees with the metadata's event
 // count — so no read can return an event twice or skip one. Event chunks are read on demand, so
 // inspecting a trace or decoding a mid-trace range does not pull the whole
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/record/recorded_execution.h"
-#include "src/trace/checkpoint.h"
 #include "src/trace/chunk_cache.h"
 #include "src/trace/trace_format.h"
 #include "src/util/random_access_file.h"
@@ -70,7 +69,6 @@ class TraceReader {
   const std::string& path() const { return path_; }
   const TraceMetadata& metadata() const { return metadata_; }
   const FailureSnapshot& snapshot() const { return snapshot_; }
-  const CheckpointIndex& checkpoints() const { return checkpoints_; }
   const std::vector<TraceChunkInfo>& chunks() const { return footer_.chunks; }
   uint64_t total_events() const { return footer_.total_events; }
   // Size of the DDRT image (the whole file for Open, the embedded window
@@ -104,9 +102,9 @@ class TraceReader {
   // default-initialized: ground truth does not ship in trace files).
   Result<RecordedExecution> ReadRecordedExecution() const;
 
-  // Full structural verification: every section CRC, every event decodes,
-  // and the stored checkpoint index equals the one recomputed from the log.
-  // (The chunk table and metadata event count are checked by every open.)
+  // Full structural verification: every section CRC and every event
+  // decodes. (The chunk table and metadata event count are checked by
+  // every open.)
   Status Verify() const;
 
  private:
@@ -135,7 +133,6 @@ class TraceReader {
   TraceFooter footer_;
   TraceMetadata metadata_;
   FailureSnapshot snapshot_;
-  CheckpointIndex checkpoints_;
 };
 
 }  // namespace ddr

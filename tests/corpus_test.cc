@@ -156,7 +156,6 @@ TEST(CorpusTest, SingleRecordingRoundtripsEveryField) {
   ScopedPath path("single");
   TraceWriteOptions options;
   options.events_per_chunk = 128;
-  options.checkpoint_interval = 200;
   options.scenario = "synthetic-scenario";
   options.original_wall_seconds = 1.25;
 
@@ -188,12 +187,11 @@ TEST(CorpusTest, SingleRecordingRoundtripsEveryField) {
   EXPECT_EQ(loaded->recorded_bytes, recording.recorded_bytes);
   EXPECT_EQ(loaded->intercepted_events, recording.intercepted_events);
 
-  // The embedded trace is a full TraceReader: partial reads and checkpoint
-  // access work through the corpus window.
+  // The embedded trace is a full TraceReader: partial reads work through
+  // the corpus window.
   auto trace = corpus->OpenTrace(entry);
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace->total_events(), 700u);
-  EXPECT_FALSE(trace->checkpoints().empty());
   auto mid = trace->ReadEvents(300, 10);
   ASSERT_TRUE(mid.ok());
   ASSERT_EQ(mid->size(), 10u);
@@ -211,7 +209,6 @@ TEST(CorpusTest, AddMatchesAddImageOfSerializedTrace) {
   const RecordedExecution recording = MakeSyntheticRecording(500);
   TraceWriteOptions options;
   options.events_per_chunk = 64;
-  options.checkpoint_interval = 100;
   options.scenario = "synthetic-scenario";
   options.original_wall_seconds = 0.5;
 
@@ -1382,35 +1379,40 @@ TEST(CorpusJournalTest, RetiredV2JournalsAreRejected) {
   EXPECT_TRUE(corpus->VerifyAll().ok());
 }
 
-// A bundle embedding a DDRT image from the retired version 1 still opens
-// (the corpus index is intact) but fails VerifyAll, naming the version.
+// A bundle embedding a DDRT image from a retired version (1: row chunks,
+// 2: a stored checkpoint index) still opens (the corpus index is intact)
+// but fails VerifyAll, naming the version.
 TEST(CorpusTest, EmbeddedVersionOneImageFailsVerifyAll) {
   const RecordedExecution recording = MakeSyntheticRecording(300, 3);
-  std::vector<uint8_t> image = SerializeTrace(recording);
-  ASSERT_EQ(image[4], 2);
-  image[4] = 1;  // trace header version fixed32, little-endian
-  ScopedPath path("tracev1");
-  {
-    CorpusWriter writer(path.get());
-    ASSERT_TRUE(writer.Begin().ok());
-    ASSERT_TRUE(writer.Add("good", MakeSyntheticRecording(200, 4)).ok());
-    ASSERT_TRUE(writer
-                    .AddImage("v1", image, recording.model, "",
-                              recording.log.size(), 0.0)
-                    .ok());
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  for (IoBackend backend : kAllBackends) {
-    auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
-    ASSERT_TRUE(corpus.ok()) << corpus.status();
-    const Status verified = corpus->VerifyAll();
-    ASSERT_FALSE(verified.ok()) << IoBackendName(backend);
-    EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(verified.message().find("unsupported trace format version 1"),
-              std::string::npos)
-        << verified.ToString();
-    EXPECT_TRUE(corpus->OpenTrace(corpus->entries()[0]).ok());
-    EXPECT_FALSE(corpus->OpenTrace(corpus->entries()[1]).ok());
+  for (const unsigned version : {1u, 2u}) {
+    std::vector<uint8_t> image = SerializeTrace(recording);
+    ASSERT_EQ(image[4], 3);
+    // Trace header version fixed32, little-endian.
+    image[4] = static_cast<uint8_t>(version);
+    ScopedPath path(StrPrintf("tracev%u", version));
+    {
+      CorpusWriter writer(path.get());
+      ASSERT_TRUE(writer.Begin().ok());
+      ASSERT_TRUE(writer.Add("good", MakeSyntheticRecording(200, 4)).ok());
+      ASSERT_TRUE(writer
+                      .AddImage("old", image, recording.model, "",
+                                recording.log.size(), 0.0)
+                      .ok());
+      ASSERT_TRUE(writer.Finish().ok());
+    }
+    const std::string expected =
+        StrPrintf("unsupported trace format version %u", version);
+    for (IoBackend backend : kAllBackends) {
+      auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
+      ASSERT_TRUE(corpus.ok()) << corpus.status();
+      const Status verified = corpus->VerifyAll();
+      ASSERT_FALSE(verified.ok()) << IoBackendName(backend);
+      EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(verified.message().find(expected), std::string::npos)
+          << verified.ToString();
+      EXPECT_TRUE(corpus->OpenTrace(corpus->entries()[0]).ok());
+      EXPECT_FALSE(corpus->OpenTrace(corpus->entries()[1]).ok());
+    }
   }
 }
 
@@ -1425,7 +1427,7 @@ TEST(CorpusTest, ForgedChunkTableFailsEveryOpen) {
   ScopedPath scratch("forge_scratch");
   const std::vector<uint8_t> forged = ForgeTrace(
       SerializeTrace(recording, options), scratch.get(),
-      [](TraceMetadata* meta, CheckpointIndex*, TraceFooter* footer) {
+      [](TraceMetadata* meta, TraceFooter* footer) {
         footer->chunks.push_back(footer->chunks[0]);
         footer->total_events *= 2;
         meta->event_count = footer->total_events;

@@ -18,11 +18,10 @@
 namespace ddr {
 
 // Edits applied to a decoded image before it is re-sealed.
-using TraceForgery =
-    std::function<void(TraceMetadata*, CheckpointIndex*, TraceFooter*)>;
+using TraceForgery = std::function<void(TraceMetadata*, TraceFooter*)>;
 
-// Returns `image` with its trailer replaced by fresh metadata, snapshot,
-// checkpoint and footer sections (as edited by `forge`) and a new trailer.
+// Returns `image` with its trailer replaced by fresh metadata, snapshot
+// and footer sections (as edited by `forge`) and a new trailer.
 // The event chunks keep their offsets and every section carries a valid
 // CRC. `scratch_path` is overwritten and removed.
 inline std::vector<uint8_t> ForgeTrace(const std::vector<uint8_t>& image,
@@ -43,19 +42,16 @@ inline std::vector<uint8_t> ForgeTrace(const std::vector<uint8_t>& image,
   }
 
   TraceMetadata metadata = reader->metadata();
-  CheckpointIndex checkpoints = reader->checkpoints();
   TraceFooter footer;
   footer.total_events = reader->total_events();
   footer.chunks = reader->chunks();
-  forge(&metadata, &checkpoints, &footer);
+  forge(&metadata, &footer);
 
   std::vector<uint8_t> out(image.begin(), image.end() - kTraceTrailerBytes);
   footer.metadata_offset = AppendTraceSection(&out, TraceSection::kMetadata,
                                               metadata.Encode(), true);
   footer.snapshot_offset = AppendTraceSection(
       &out, TraceSection::kSnapshot, reader->snapshot().Encode(), true);
-  footer.checkpoint_offset = AppendTraceSection(
-      &out, TraceSection::kCheckpointIndex, checkpoints.Encode(), true);
   const uint64_t footer_offset =
       AppendTraceSection(&out, TraceSection::kFooter, footer.Encode(), false);
   Encoder trailer;

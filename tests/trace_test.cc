@@ -1,12 +1,12 @@
 // Tests for src/trace: the DDRT file format (chunking, compression, CRCs,
-// footer index), checkpoint index construction, WriteTraceFile /
-// TraceReader round-trips, harness save/load hooks, and checkpointed
-// partial replay.
+// footer index), WriteTraceFile / TraceReader round-trips, harness
+// save/load hooks, and checkpointed partial replay of a reloaded trace
+// (checkpoints computed from the log by CheckpointAt).
 //
 // The acceptance property: a RecordedExecution saved via WriteTraceFile
 // and reloaded from disk replays to the same failure fingerprint and output
-// fingerprint as the in-memory original, and partial replay from a
-// mid-trace checkpoint reaches the same outcome as full replay.
+// fingerprint as the in-memory original, and partial replay from any
+// mid-trace event reaches the same outcome as full replay.
 
 #include <gtest/gtest.h>
 
@@ -17,13 +17,14 @@
 
 #include "src/apps/scenarios.h"
 #include "src/core/experiment.h"
+#include "src/replay/replayer.h"
 #include "src/trace/block_compress.h"
-#include "src/trace/checkpoint.h"
 #include "src/trace/chunk_codec.h"
 #include "src/trace/streaming_writer.h"
 #include "src/trace/trace_reader.h"
 #include "src/util/crc32.h"
 #include "src/util/rng.h"
+#include "src/util/string_util.h"
 #include "tests/trace_forge.h"
 
 namespace ddr {
@@ -178,23 +179,16 @@ TEST(BlockCompressTest, CorruptStreamsFailCleanly) {
 
 // -------------------------------------------------------------- Checkpoint
 
-TEST(CheckpointIndexTest, BuildCountsCursorsAndFingerprints) {
+TEST(CheckpointAtTest, CountsCursorsAndFingerprints) {
   const RecordedExecution recording = MakeSyntheticRecording(100);
-  const CheckpointIndex index =
-      BuildCheckpointIndex(recording.log, /*interval=*/25,
-                           /*events_per_chunk=*/40, /*full_stream=*/true);
-  ASSERT_EQ(index.checkpoints.size(), 3u);  // before events 25, 50, 75
-  EXPECT_TRUE(index.full_stream);
+  // Off the old 25-event grid on purpose: any event can be a checkpoint.
+  const ReplayCheckpoint cp = CheckpointAt(recording.log, 53);
+  EXPECT_EQ(cp.resume_seq, recording.log.events()[53].seq);
 
-  const ReplayCheckpoint& cp = index.checkpoints[1];
-  EXPECT_EQ(cp.event_index, 50u);
-  EXPECT_EQ(cp.chunk_index, 1u);  // event 50 lives in chunk [40, 80)
-  EXPECT_EQ(cp.resume_seq, recording.log.events()[50].seq);
-
-  // Cursor state must equal the per-type counts of the prefix.
+  // Cursor state must equal the per-type counts of the prefix [0, 53).
   uint64_t switches = 0, rngs = 0, inputs = 0, reads = 0;
   Fingerprint fp;
-  for (size_t i = 0; i < 50; ++i) {
+  for (size_t i = 0; i < 53; ++i) {
     const Event& event = recording.log.events()[i];
     fp.Mix(event.SemanticHash());
     switches += event.type == EventType::kContextSwitch;
@@ -207,34 +201,14 @@ TEST(CheckpointIndexTest, BuildCountsCursorsAndFingerprints) {
   EXPECT_EQ(cp.input_cursor, inputs);
   EXPECT_EQ(cp.read_cursor, reads);
   EXPECT_EQ(cp.prefix_fingerprint, fp.value());
-}
 
-TEST(CheckpointIndexTest, NearestBefore) {
-  const RecordedExecution recording = MakeSyntheticRecording(100);
-  const CheckpointIndex index =
-      BuildCheckpointIndex(recording.log, 25, 40, true);
-  EXPECT_EQ(index.NearestBefore(10), nullptr);
-  ASSERT_NE(index.NearestBefore(30), nullptr);
-  EXPECT_EQ(index.NearestBefore(30)->event_index, 25u);
-  EXPECT_EQ(index.NearestBefore(75)->event_index, 75u);
-  EXPECT_EQ(index.NearestBefore(~0ull)->event_index, 75u);
-}
-
-TEST(CheckpointIndexTest, EncodeDecodeRoundtrip) {
-  const RecordedExecution recording = MakeSyntheticRecording(100);
-  const CheckpointIndex index =
-      BuildCheckpointIndex(recording.log, 25, 40, true);
-  auto decoded = CheckpointIndex::Decode(index.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->full_stream, index.full_stream);
-  EXPECT_EQ(decoded->interval, index.interval);
-  ASSERT_EQ(decoded->checkpoints.size(), index.checkpoints.size());
-  for (size_t i = 0; i < index.checkpoints.size(); ++i) {
-    EXPECT_EQ(decoded->checkpoints[i].prefix_fingerprint,
-              index.checkpoints[i].prefix_fingerprint);
-    EXPECT_EQ(decoded->checkpoints[i].schedule_cursor,
-              index.checkpoints[i].schedule_cursor);
-  }
+  // The checkpoint before event 0 has an empty prefix.
+  const ReplayCheckpoint first = CheckpointAt(recording.log, 0);
+  EXPECT_EQ(first.resume_seq, recording.log.events()[0].seq);
+  EXPECT_EQ(first.prefix_fingerprint, Fingerprint().value());
+  EXPECT_EQ(first.schedule_cursor + first.rng_cursor + first.input_cursor +
+                first.read_cursor,
+            0u);
 }
 
 // ------------------------------------------------------ whole-file writes
@@ -244,7 +218,6 @@ TEST(TraceFileTest, SaveLoadRoundtripsEveryField) {
   ScopedTracePath path("roundtrip");
   TraceWriteOptions options;
   options.events_per_chunk = 128;
-  options.checkpoint_interval = 100;
   ASSERT_TRUE(WriteTraceFile(path.get(), recording, options).ok());
 
   auto loaded = LoadTrace(path.get());
@@ -295,10 +268,10 @@ TEST(TraceFileTest, EmptyLogRoundtrips) {
 
 // The writer's bytes, pinned: the CRC-32 of SerializeTrace for six
 // recording shapes — an empty log, a log shorter than one chunk, many
-// chunks, a subset log (no full-stream checkpoints), checkpoints off at
-// an odd chunk size, and chunk size 0 (clamped to 512). Any change to
-// these digests is a format change, not a refactor. WriteTraceFile must
-// land the same bytes on disk.
+// chunks, a subset log with scenario and wall time stamped, an odd chunk
+// size, and chunk size 0 (clamped to 512). Any change to these digests is
+// a format change, not a refactor. WriteTraceFile must land the same
+// bytes on disk.
 TEST(TraceFileTest, SerializedBytesArePinned) {
   struct Shape {
     const char* name;
@@ -306,10 +279,9 @@ TEST(TraceFileTest, SerializedBytesArePinned) {
     TraceWriteOptions options;
     uint32_t crc;
   };
-  auto options = [](uint64_t events_per_chunk, uint64_t interval) {
+  auto options = [](uint64_t events_per_chunk) {
     TraceWriteOptions out;
     out.events_per_chunk = events_per_chunk;
-    out.checkpoint_interval = interval;
     return out;
   };
   RecordedExecution empty = MakeSyntheticRecording(0);
@@ -320,17 +292,17 @@ TEST(TraceFileTest, SerializedBytesArePinned) {
   RecordedExecution subset = MakeSyntheticRecording(300);
   subset.model = "value";
   subset.intercepted_events = 1000;
-  TraceWriteOptions subset_options = options(64, 50);
+  TraceWriteOptions subset_options = options(64);
   subset_options.scenario = "synthetic-scenario";
   subset_options.original_wall_seconds = 0.25;
 
   const Shape shapes[] = {
-      {"empty", empty, {}, 2454623149u},
-      {"seven", MakeSyntheticRecording(7), {}, 3755482u},
-      {"chunked", MakeSyntheticRecording(1024), options(128, 256), 1187384501u},
-      {"subset", subset, subset_options, 2580013128u},
-      {"no-checkpoints", MakeSyntheticRecording(100), options(7, 0), 148006438u},
-      {"clamped", MakeSyntheticRecording(1500), options(0, 256), 4260097755u},
+      {"empty", empty, {}, 2995177558u},
+      {"seven", MakeSyntheticRecording(7), {}, 897849614u},
+      {"chunked", MakeSyntheticRecording(1024), options(128), 3883913479u},
+      {"subset", subset, subset_options, 2677488034u},
+      {"odd-chunk", MakeSyntheticRecording(100), options(7), 958574500u},
+      {"clamped", MakeSyntheticRecording(1500), options(0), 900949197u},
   };
   ScopedTracePath path("pinned");
   for (const Shape& shape : shapes) {
@@ -394,25 +366,24 @@ TEST(TraceReaderTest, OpenRejectsForgedChunkTable) {
 
   // Control: re-sealing without an edit yields a trace that opens and
   // verifies, so each rejection below is the edit's doing.
-  EXPECT_TRUE(open_forged([](TraceMetadata*, CheckpointIndex*, TraceFooter*) {
-              }).ok());
+  EXPECT_TRUE(open_forged([](TraceMetadata*, TraceFooter*) {}).ok());
   EXPECT_TRUE(VerifyTrace(path.get()).ok());
 
   const TraceForgery forgeries[] = {
       // The first chunk listed twice, totals raised to match.
-      [](TraceMetadata* meta, CheckpointIndex*, TraceFooter* footer) {
+      [](TraceMetadata* meta, TraceFooter* footer) {
         footer->chunks.insert(footer->chunks.begin() + 1, footer->chunks[0]);
         footer->total_events += 128;
         meta->event_count = footer->total_events;
       },
       // A chunk dropped: a gap in the middle of the log.
-      [](TraceMetadata* meta, CheckpointIndex*, TraceFooter* footer) {
+      [](TraceMetadata* meta, TraceFooter* footer) {
         footer->chunks.erase(footer->chunks.begin() + 1);
         footer->total_events -= 128;
         meta->event_count = footer->total_events;
       },
       // Counts that wrap the running sum back onto the claimed total.
-      [](TraceMetadata* meta, CheckpointIndex*, TraceFooter* footer) {
+      [](TraceMetadata* meta, TraceFooter* footer) {
         footer->chunks[0].event_count = ~0ull - 127;
         footer->chunks[1].first_event = ~0ull - 127;
         footer->chunks[1].event_count = 256;
@@ -421,7 +392,7 @@ TEST(TraceReaderTest, OpenRejectsForgedChunkTable) {
         meta->event_count = 128;
       },
       // A sound table, but metadata claiming another count.
-      [](TraceMetadata* meta, CheckpointIndex*, TraceFooter*) {
+      [](TraceMetadata* meta, TraceFooter*) {
         meta->event_count += 1;
       },
   };
@@ -432,46 +403,11 @@ TEST(TraceReaderTest, OpenRejectsForgedChunkTable) {
   }
 }
 
-// Verify recomputes the whole checkpoint index: tampering with any
-// checkpoint field — here the three a replayer trusts without
-// recomputing a fingerprint — is rejected even though every CRC holds.
-TEST(TraceReaderTest, VerifyRejectsEveryTamperedCheckpointField) {
-  TraceWriteOptions options;
-  options.events_per_chunk = 128;
-  options.checkpoint_interval = 100;
-  const std::vector<uint8_t> image =
-      SerializeTrace(MakeSyntheticRecording(1000), options);
-  ScopedTracePath scratch("forge_scratch");
-  ScopedTracePath path("forged_checkpoint");
-
-  const TraceForgery forgeries[] = {
-      [](TraceMetadata*, CheckpointIndex* index, TraceFooter*) {
-        index->checkpoints[3].chunk_index += 1;
-      },
-      [](TraceMetadata*, CheckpointIndex* index, TraceFooter*) {
-        index->checkpoints[3].resume_seq += 37;
-      },
-      [](TraceMetadata*, CheckpointIndex* index, TraceFooter*) {
-        index->checkpoints[3].virtual_time += 1;
-      },
-  };
-  for (size_t i = 0; i < std::size(forgeries); ++i) {
-    WriteBytes(path.get(), ForgeTrace(image, scratch.get(), forgeries[i]));
-    auto reader = TraceReader::Open(path.get());
-    ASSERT_TRUE(reader.ok()) << reader.status();
-    ASSERT_EQ(reader->checkpoints().checkpoints.size(), 9u);
-    const Status verified = reader->Verify();
-    EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument)
-        << "field " << i << ": " << verified;
-  }
-}
-
 TEST(TraceReaderTest, PartialRangeReadsTouchOnlyCoveringChunks) {
   const RecordedExecution recording = MakeSyntheticRecording(10000);
   ScopedTracePath path("partial");
   TraceWriteOptions options;
   options.events_per_chunk = 256;
-  options.checkpoint_interval = 512;
   ASSERT_TRUE(WriteTraceFile(path.get(), recording, options).ok());
 
   auto reader = TraceReader::Open(path.get());
@@ -582,16 +518,15 @@ uint32_t HeaderVersion(const std::vector<uint8_t>& image) {
   return version.ok() ? *version : 0;
 }
 
-// Every image is format version 2, whatever the options.
-TEST(ChunkFilterTest, EveryImageStampsHeaderVersionTwo) {
+// Every image is format version 3, whatever the options.
+TEST(ChunkFilterTest, EveryImageStampsHeaderVersionThree) {
   const RecordedExecution recording = MakeSyntheticRecording(100);
   TraceWriteOptions small_chunks;
   small_chunks.events_per_chunk = 7;
-  small_chunks.checkpoint_interval = 0;
   for (const TraceWriteOptions& options : {TraceWriteOptions{}, small_chunks}) {
-    EXPECT_EQ(HeaderVersion(SerializeTrace(recording, options)), 2u);
+    EXPECT_EQ(HeaderVersion(SerializeTrace(recording, options)), 3u);
   }
-  EXPECT_EQ(HeaderVersion(SerializeTrace(RecordedExecution{})), 2u);
+  EXPECT_EQ(HeaderVersion(SerializeTrace(RecordedExecution{})), 3u);
 }
 
 // The footer of a serialized image, parsed straight from its bytes: the
@@ -651,21 +586,24 @@ TEST(ChunkFilterTest, FilterNibbleMustMatchSectionKind) {
   EXPECT_FALSE(VerifyTrace(path.get()).ok());
 }
 
-// Version 1 (row-encoded chunks) is retired: a header claiming it is
-// rejected at Open by name, before any section is trusted.
+// Versions 1 (row-encoded chunks) and 2 (a stored checkpoint index) are
+// retired: a header claiming either is rejected at Open by name, before
+// any section is trusted.
 TEST(ChunkFilterTest, VersionOneIsRejected) {
-  std::vector<uint8_t> image = SerializeTrace(MakeSyntheticRecording(200));
-  image[4] = 1;  // version fixed32, little-endian
-  ASSERT_EQ(HeaderVersion(image), 1u);
-  ScopedTracePath path("version1");
-  WriteBytes(path.get(), image);
-  auto opened = TraceReader::Open(path.get());
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(opened.status().message().find(
-                "unsupported trace format version 1"),
-            std::string::npos)
-      << opened.status().ToString();
+  for (const unsigned version : {1u, 2u}) {
+    std::vector<uint8_t> image = SerializeTrace(MakeSyntheticRecording(200));
+    image[4] = static_cast<uint8_t>(version);  // version fixed32, little-endian
+    ASSERT_EQ(HeaderVersion(image), version);
+    ScopedTracePath path("retired_version");
+    WriteBytes(path.get(), image);
+    auto opened = TraceReader::Open(path.get());
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find(
+                  StrPrintf("unsupported trace format version %u", version)),
+              std::string::npos)
+        << opened.status().ToString();
+  }
 }
 
 // A crafted type byte must fail at Event::DecodeFrom (the EventLog decode
@@ -960,119 +898,99 @@ TEST(TraceRoundtripReplayTest, SavedRecordingScoresLikeRunModel) {
   }
 }
 
-// The I/O-layer partial-replay entry point: replaying straight off a
-// cached TraceReader matches the in-memory PartialReplay result, and a
-// second window against the same reader decodes nothing new.
-TEST(PartialReplayTest, PartialReplayFromTraceMatchesInMemoryAndCaches) {
-  BugScenario scenario = MakeMsgDropScenario();
+// Partial replay of a reloaded trace under every log-driven model. Each
+// target, on or off any grid, is where replay starts; the outcome, failure
+// verdict and divergences equal a full replay in the same mode; the
+// collected trace is exactly the full replay's trace from the target's
+// resume_seq on; and the fast-forward is verified exactly when the log is
+// the full event stream.
+TEST(PartialReplayTest, EveryTargetMatchesFullReplayInEveryLogDrivenMode) {
+  const BugScenario scenario = MakeMsgDropScenario();
   ExperimentHarness harness(scenario);
   ASSERT_TRUE(harness.Prepare().ok());
-  const RecordedExecution recording = harness.Record(DeterminismModel::kPerfect);
-  ASSERT_GT(recording.log.size(), 64u);
-
-  ScopedTracePath path("fromtrace");
-  TraceWriteOptions options;
-  options.events_per_chunk = 64;
-  options.checkpoint_interval = recording.log.size() / 3;
-  ASSERT_TRUE(harness.SaveRecording(recording, path.get(), options).ok());
-
-  TraceReaderOptions reader_options;
-  reader_options.cache = std::make_shared<ChunkCache>(16 << 20);
-  auto reader = TraceReader::Open(path.get(), reader_options);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  ASSERT_GE(reader->checkpoints().checkpoints.size(), 2u);
-  const uint64_t target =
-      reader->checkpoints().checkpoints.back().event_index;
-
-  Replayer replayer(ReplayTargetFor(scenario));
-
-  auto loaded = reader->ReadRecordedExecution();
-  ASSERT_TRUE(loaded.ok());
-  const ReplayResult in_memory =
-      replayer.PartialReplay(*loaded, reader->checkpoints(), target);
-
-  const uint64_t warm_bytes = reader->bytes_read();
-  auto from_trace = replayer.PartialReplayFromTrace(*reader, target);
-  ASSERT_TRUE(from_trace.ok()) << from_trace.status();
-  // The reader had already decoded every chunk: this window was free.
-  EXPECT_EQ(reader->bytes_read(), warm_bytes);
-
-  EXPECT_TRUE(from_trace->partial);
-  EXPECT_EQ(from_trace->started_from_event, in_memory.started_from_event);
-  EXPECT_TRUE(from_trace->fast_forward_verified);
-  EXPECT_EQ(from_trace->outcome.trace_fingerprint,
-            in_memory.outcome.trace_fingerprint);
-  EXPECT_EQ(from_trace->outcome.output_fingerprint,
-            in_memory.outcome.output_fingerprint);
-  EXPECT_EQ(from_trace->trace.size(), in_memory.trace.size());
-}
-
-// Partial replay from a mid-trace checkpoint reaches the same outcome as
-// full replay, verifies the fast-forward against the checkpoint, and
-// collects exactly the suffix of the full trace.
-TEST(PartialReplayTest, CheckpointedReplayMatchesFullReplay) {
-  BugScenario scenario = MakeMsgDropScenario();
-  ExperimentHarness harness(scenario);
-  ASSERT_TRUE(harness.Prepare().ok());
-
-  const RecordedExecution recording = harness.Record(DeterminismModel::kPerfect);
-  ASSERT_GT(recording.log.size(), 64u) << "scenario too small to checkpoint";
-
-  // Persist with a checkpoint interval that guarantees mid-trace points.
-  ScopedTracePath path("checkpointed");
-  TraceWriteOptions options;
-  options.events_per_chunk = 64;
-  options.checkpoint_interval = recording.log.size() / 4;
-  ASSERT_TRUE(harness.SaveRecording(recording, path.get(), options).ok());
-
-  auto reader = TraceReader::Open(path.get());
-  ASSERT_TRUE(reader.ok());
-  const CheckpointIndex& index = reader->checkpoints();
-  ASSERT_GE(index.checkpoints.size(), 2u);
-  ASSERT_TRUE(index.full_stream);
-  auto recording_or = reader->ReadRecordedExecution();
-  ASSERT_TRUE(recording_or.ok());
-
   const ReplayTarget target = ReplayTargetFor(scenario);
 
-  Replayer full_replayer(target);
-  const ReplayResult full =
-      full_replayer.Replay(*recording_or, ReplayMode::kPerfect);
+  for (const DeterminismModel model :
+       {DeterminismModel::kPerfect, DeterminismModel::kValue,
+        DeterminismModel::kDebugRcse}) {
+    const ReplayMode mode = ReplayModeFor(model);
+    const std::string name(ReplayModeName(mode));
+    ScopedTracePath path("partial_" + name);
+    TraceWriteOptions options;
+    options.events_per_chunk = 64;
+    ASSERT_TRUE(
+        harness.SaveRecording(harness.Record(model), path.get(), options).ok());
+    auto recording = LoadTrace(path.get());
+    ASSERT_TRUE(recording.ok()) << recording.status();
+    const std::vector<Event>& log = recording->log.events();
+    ASSERT_GT(log.size(), 500u) << name;
+    const bool full_stream =
+        recording->intercepted_events == recording->recorded_events &&
+        recording->recorded_events == log.size();
+    EXPECT_EQ(full_stream, mode == ReplayMode::kPerfect) << name;
 
-  // Partial replay from every checkpoint: identical outcome, suffix trace.
-  for (const ReplayCheckpoint& cp : index.checkpoints) {
-    Replayer partial_replayer(target);
-    const ReplayResult partial = partial_replayer.PartialReplay(
-        *recording_or, index, cp.event_index, ReplayMode::kPerfect);
+    const ReplayResult full = Replayer(target).Replay(*recording, mode);
+    std::vector<uint64_t> targets;
+    for (uint64_t t = 97; t < log.size(); t += 97) {
+      targets.push_back(t);
+    }
+    targets.push_back(log.size() - 1);
+    for (const uint64_t t : targets) {
+      auto partial = Replayer(target).PartialReplay(*recording, t, mode);
+      ASSERT_TRUE(partial.ok()) << name << " @" << t << ": " << partial.status();
+      EXPECT_TRUE(partial->partial);
+      EXPECT_EQ(partial->started_from_event, t);
+      EXPECT_EQ(partial->outcome.trace_fingerprint,
+                full.outcome.trace_fingerprint)
+          << name << " @" << t;
+      EXPECT_EQ(partial->outcome.output_fingerprint,
+                full.outcome.output_fingerprint)
+          << name << " @" << t;
+      EXPECT_EQ(partial->failure_reproduced, full.failure_reproduced);
+      EXPECT_EQ(partial->divergences, full.divergences);
+      EXPECT_EQ(partial->fast_forward_verified, full_stream)
+          << name << " @" << t;
 
-    EXPECT_TRUE(partial.partial);
-    EXPECT_EQ(partial.started_from_event, cp.event_index);
-    EXPECT_TRUE(partial.fast_forward_verified)
-        << "checkpoint @" << cp.event_index
-        << ": fast-forward did not land on the recorded state";
+      const uint64_t resume_seq = log[t].seq;
+      ASSERT_EQ(partial->trace.size() + resume_seq, full.trace.size())
+          << name << " @" << t;
+      for (size_t i = 0; i < partial->trace.size(); ++i) {
+        ASSERT_EQ(partial->trace[i].SemanticHash(),
+                  full.trace[resume_seq + i].SemanticHash())
+            << name << " @" << t << ": suffix event " << i;
+      }
+    }
 
-    // Same outcome as full replay.
-    EXPECT_EQ(partial.outcome.trace_fingerprint, full.outcome.trace_fingerprint);
-    EXPECT_EQ(partial.outcome.output_fingerprint,
-              full.outcome.output_fingerprint);
-    EXPECT_EQ(partial.failure_reproduced, full.failure_reproduced);
-    EXPECT_EQ(partial.divergences, full.divergences);
+    // Target 0 has an empty prefix: a full replay.
+    auto from_start = Replayer(target).PartialReplay(*recording, 0, mode);
+    ASSERT_TRUE(from_start.ok()) << from_start.status();
+    EXPECT_FALSE(from_start->partial);
+    EXPECT_EQ(from_start->started_from_event, 0u);
+    EXPECT_EQ(from_start->trace.size(), full.trace.size());
+    EXPECT_EQ(from_start->outcome.trace_fingerprint,
+              full.outcome.trace_fingerprint);
 
-    // The collected trace is exactly the suffix of the full trace.
-    ASSERT_EQ(partial.trace.size() + cp.resume_seq, full.trace.size());
-    for (size_t i = 0; i < partial.trace.size(); ++i) {
-      ASSERT_EQ(partial.trace[i].SemanticHash(),
-                full.trace[cp.resume_seq + i].SemanticHash())
-          << "suffix event " << i;
+    // A target at or past the log's end names no event.
+    for (const uint64_t past : {uint64_t{log.size()}, uint64_t{log.size()} + 1,
+                                ~uint64_t{0}}) {
+      EXPECT_EQ(Replayer(target).PartialReplay(*recording, past, mode)
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument)
+          << name << " @" << past;
     }
   }
+}
 
-  // A target before the first checkpoint falls back to full replay.
-  Replayer fallback_replayer(target);
-  const ReplayResult fallback =
-      fallback_replayer.PartialReplay(*recording_or, index, 1);
-  EXPECT_FALSE(fallback.partial);
-  EXPECT_EQ(fallback.trace.size(), full.trace.size());
+// Inference modes cannot start from a checkpoint.
+TEST(PartialReplayTest, InferenceModeIsInvalidArgument) {
+  const RecordedExecution recording = MakeSyntheticRecording(10);
+  const BugScenario scenario = MakeMsgDropScenario();
+  EXPECT_EQ(Replayer(ReplayTargetFor(scenario))
+                .PartialReplay(recording, 1, ReplayMode::kFailure)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,23 +1,22 @@
 // ddr-trace: inspect, verify, and replay DDRT trace files and DDRC
 // corpus bundles.
 //
-//   ddr-trace info <file>                     header, metadata, chunk +
-//                                             checkpoint tables, sizes
+//   ddr-trace info <file>                     header, metadata, chunk
+//                                             table, sizes
 //   ddr-trace dump <file> [--from N] [--count M]
 //                                             print events; reads only the
 //                                             chunks covering the range
 //   ddr-trace verify <file>                   full structural/CRC check
 //   ddr-trace replay <file> [--target N]      rebuild the scenario named in
 //                                             metadata and replay under the
-//                                             recorded model (from the
-//                                             nearest checkpoint <= N when
-//                                             --target is given; log-driven
-//                                             models only)
-//   ddr-trace record <scenario> <file> [--model NAME] [--chunk N] [--ckpt N]
+//                                             recorded model (from log
+//                                             event N when --target is
+//                                             given; log-driven models only)
+//   ddr-trace record <scenario> <file> [--model NAME] [--chunk N]
 //                                             run a bundled bug scenario and
 //                                             save its recording
 //   ddr-trace corpus build  <file> [--scenarios a,b] [--models m1,m2]
-//                           [--threads N] [--chunk N] [--ckpt N]
+//                           [--threads N] [--chunk N]
 //                           [--report path]   batch-record every scenario x
 //                                             model into one DDRC bundle
 //   ddr-trace corpus info   <file>            list bundle entries
@@ -90,13 +89,12 @@ constexpr CliFlag kDumpFlags[] = {{"--io", true},
 constexpr CliFlag kReplayFlags[] = {{"--io", true},
                                     {"--cache-mb", true},
                                     {"--target", true}};
-constexpr CliFlag kRecordFlags[] = {
-    {"--model", true}, {"--chunk", true}, {"--ckpt", true}};
+constexpr CliFlag kRecordFlags[] = {{"--model", true}, {"--chunk", true}};
 // `corpus build` and `corpus append` take the same flags.
 constexpr CliFlag kCorpusBuildFlags[] = {
     {"--scenarios", true}, {"--models", true}, {"--threads", true},
-    {"--chunk", true},     {"--ckpt", true},   {"--report", true},
-    {"--io", true},        {"--cache-mb", true}};
+    {"--chunk", true},     {"--report", true}, {"--io", true},
+    {"--cache-mb", true}};
 constexpr CliFlag kCorpusReplayFlags[] = {{"--threads", true},
                                           {"--report", true},
                                           {"--io", true},
@@ -130,11 +128,9 @@ void PrintUsage() {
                "  dump   <file> [--from N] [--count M]   print events\n"
                "  verify <file>                   verify CRCs and structure\n"
                "  replay <file> [--target N]      replay the recording\n"
-               "  record <scenario> <file> [--model NAME] [--chunk N] "
-               "[--ckpt N]\n"
+               "  record <scenario> <file> [--model NAME] [--chunk N]\n"
                "  corpus build  <file> [--scenarios a,b] [--models m1,m2]\n"
-               "                [--threads N] [--chunk N] [--ckpt N] "
-               "[--report path]\n"
+               "                [--threads N] [--chunk N] [--report path]\n"
                "  corpus info   <file>\n"
                "  corpus verify <file>\n"
                "  corpus replay <file> [--threads N] [--report path]\n"
@@ -336,19 +332,6 @@ int Info(const std::string& path, int argc, char** argv) {
   std::printf("chunks:            %zu (%llu events/chunk)\n",
               reader.chunks().size(),
               static_cast<unsigned long long>(meta.events_per_chunk));
-  const CheckpointIndex& index = reader.checkpoints();
-  std::printf("checkpoints:       %zu (every %llu events, %s stream)\n",
-              index.checkpoints.size(),
-              static_cast<unsigned long long>(index.interval),
-              index.full_stream ? "full" : "subset");
-  for (const ReplayCheckpoint& cp : index.checkpoints) {
-    std::printf("  @%-8llu chunk %-4llu seq %-8llu vtime %-10llu fp %016llx\n",
-                static_cast<unsigned long long>(cp.event_index),
-                static_cast<unsigned long long>(cp.chunk_index),
-                static_cast<unsigned long long>(cp.resume_seq),
-                static_cast<unsigned long long>(cp.virtual_time),
-                static_cast<unsigned long long>(cp.prefix_fingerprint));
-  }
   const FailureSnapshot& snapshot = reader.snapshot();
   if (snapshot.has_failure) {
     std::printf("failure:           %s \"%s\" on node %u (fp %016llx)\n",
@@ -439,26 +422,24 @@ int ReplayFile(const std::string& path, uint64_t target, bool has_target,
                  reader.metadata().model.c_str());
     return 1;
   }
+  auto recording_or = reader.ReadRecordedExecution();
+  if (!recording_or.ok()) {
+    std::fprintf(stderr, "ddr-trace: %s\n",
+                 recording_or.status().ToString().c_str());
+    return 2;
+  }
   Replayer replayer(ReplayTargetFor(scenario), scenario.inference_budget);
 
   ReplayResult result;
   if (has_target) {
-    // Reads go through the reader (and its cache, when --cache-mb is
-    // set), so probing several targets against one trace only decodes
-    // each chunk once.
-    auto partial = replayer.PartialReplayFromTrace(reader, target, mode);
+    auto partial = replayer.PartialReplay(*recording_or, target, mode);
     if (!partial.ok()) {
+      // The mode is log-driven (checked above), so the target is at fault.
       std::fprintf(stderr, "ddr-trace: %s\n", partial.status().ToString().c_str());
-      return 2;
+      return 1;
     }
     result = std::move(*partial);
   } else {
-    auto recording_or = reader.ReadRecordedExecution();
-    if (!recording_or.ok()) {
-      std::fprintf(stderr, "ddr-trace: %s\n",
-                   recording_or.status().ToString().c_str());
-      return 2;
-    }
     result = replayer.Replay(*recording_or, mode);
   }
 
@@ -506,7 +487,6 @@ int RecordScenario(const std::string& scenario_name, const std::string& path,
 
   TraceWriteOptions options;
   options.events_per_chunk = ParseFlag(argc, argv, "--chunk", 512);
-  options.checkpoint_interval = ParseFlag(argc, argv, "--ckpt", 256);
   const Status saved = harness.SaveRecording(recording, path, options);
   if (!saved.ok()) {
     std::fprintf(stderr, "ddr-trace: %s\n", saved.ToString().c_str());
@@ -599,7 +579,6 @@ int CorpusBuild(const std::string& path, bool append, int argc, char** argv) {
     ParseCacheBytesFlag(argc, argv);
   }
   options.trace_options.events_per_chunk = ParseFlag(argc, argv, "--chunk", 512);
-  options.trace_options.checkpoint_interval = ParseFlag(argc, argv, "--ckpt", 256);
 
   auto report = BatchRunner(std::move(scenarios), options).Run();
   if (!report.ok()) {
