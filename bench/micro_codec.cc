@@ -28,11 +28,6 @@ constexpr uint64_t kEventsPerChunk = 512;
 constexpr uint64_t kChunks = 256;
 constexpr int kDecodeRepeats = 20;
 
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 // Same realistically-shaped synthetic events as the corpus benches:
 // small monotone deltas, a few distinct ids, occasional larger values.
 std::vector<Event> MakeEvents(uint64_t count, uint64_t seed) {

@@ -34,11 +34,6 @@ constexpr char kCorpusPath[] = "micro_corpus_serve.tmp.ddrc";
 constexpr uint64_t kEntries = 8;
 constexpr uint64_t kEventsPerEntry = 50'000;
 
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 // Same realistically-shaped synthetic events as micro_corpus_batch.
 RecordedExecution MakeRecording(uint64_t num_events, uint64_t seed) {
   RecordedExecution recording;

@@ -8,7 +8,6 @@
 #include "src/record/event_log.h"
 #include "src/record/model_recorders.h"
 #include "src/record/selective_recorder.h"
-#include "src/sim/environment.h"
 
 namespace ddr {
 namespace {
@@ -27,59 +26,41 @@ Event MakeMemoryEvent(uint64_t seq) {
   return event;
 }
 
-// Minimal environment so recorders can charge their ledger.
-class RecorderFixture : public benchmark::Fixture {
- public:
-  void SetUp(const benchmark::State&) override {
-    env_ = std::make_unique<Environment>(Environment::Options{});
+// Feeds `recorder` one memory event per iteration.
+void FeedMemoryEvents(benchmark::State& state, Recorder& recorder) {
+  uint64_t seq = 0;
+  for (auto _ : state) {
+    recorder.OnEvent(MakeMemoryEvent(seq++));
   }
-  void TearDown(const benchmark::State&) override { env_.reset(); }
+  state.SetItemsProcessed(static_cast<int64_t>(seq));
+}
 
- protected:
-  std::unique_ptr<Environment> env_;
-};
-
-BENCHMARK_F(RecorderFixture, PerfectRecorderOnEvent)(benchmark::State& state) {
+void BM_PerfectRecorderOnEvent(benchmark::State& state) {
   PerfectRecorder recorder;
-  recorder.AttachEnvironment(env_.get());
-  uint64_t seq = 0;
-  for (auto _ : state) {
-    recorder.OnEvent(MakeMemoryEvent(seq++));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(seq));
+  FeedMemoryEvents(state, recorder);
 }
+BENCHMARK(BM_PerfectRecorderOnEvent);
 
-BENCHMARK_F(RecorderFixture, ValueRecorderOnEvent)(benchmark::State& state) {
+void BM_ValueRecorderOnEvent(benchmark::State& state) {
   ValueRecorder recorder;
-  recorder.AttachEnvironment(env_.get());
-  uint64_t seq = 0;
-  for (auto _ : state) {
-    recorder.OnEvent(MakeMemoryEvent(seq++));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(seq));
+  FeedMemoryEvents(state, recorder);
 }
+BENCHMARK(BM_ValueRecorderOnEvent);
 
-BENCHMARK_F(RecorderFixture, OutputRecorderSkipsMemoryEvent)(benchmark::State& state) {
+// Memory events are filtered before interception.
+void BM_OutputRecorderSkipsMemoryEvent(benchmark::State& state) {
   OutputRecorder recorder(OutputRecorder::Mode::kOutputsOnly);
-  recorder.AttachEnvironment(env_.get());
-  uint64_t seq = 0;
-  for (auto _ : state) {
-    recorder.OnEvent(MakeMemoryEvent(seq++));  // filtered: no interception
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(seq));
+  FeedMemoryEvents(state, recorder);
 }
+BENCHMARK(BM_OutputRecorderSkipsMemoryEvent);
 
-BENCHMARK_F(RecorderFixture, SelectiveRecorderRelaxed)(benchmark::State& state) {
+void BM_SelectiveRecorderRelaxed(benchmark::State& state) {
   SelectiveRecorder recorder("bench", [](const Event& event) {
     return event.region == 1;  // one control region
   });
-  recorder.AttachEnvironment(env_.get());
-  uint64_t seq = 0;
-  for (auto _ : state) {
-    recorder.OnEvent(MakeMemoryEvent(seq++));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(seq));
+  FeedMemoryEvents(state, recorder);
 }
+BENCHMARK(BM_SelectiveRecorderRelaxed);
 
 void BM_EventEncode(benchmark::State& state) {
   const Event event = MakeMemoryEvent(123456);

@@ -13,66 +13,11 @@
 #include "src/trace/streaming_writer.h"
 #include "src/trace/trace_reader.h"
 #include "src/util/logging.h"
-#include "src/util/rng.h"
 
 namespace ddr {
 namespace {
 
 constexpr char kTmpPath[] = "micro_trace_store.tmp.ddrt";
-
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// A synthetic but realistically-shaped recording: mixed event types over a
-// few fibers/objects, the value distribution event codecs see in practice.
-RecordedExecution MakeRecording(uint64_t num_events) {
-  RecordedExecution recording;
-  recording.model = "bench";
-  Rng rng(1234);
-  SimTime now = 0;
-  for (uint64_t seq = 0; seq < num_events; ++seq) {
-    Event event;
-    event.seq = seq;
-    now += 20 + rng.NextIndex(80);
-    event.time = now;
-    event.fiber = static_cast<FiberId>(seq % 6);
-    event.node = static_cast<NodeId>(seq % 3);
-    event.obj = 10 + seq % 12;
-    event.region = static_cast<RegionId>(seq % 4);
-    switch (seq % 5) {
-      case 0:
-        event.type = EventType::kSharedRead;
-        event.value = rng.NextIndex(1 << 16);
-        event.bytes = 8;
-        break;
-      case 1:
-        event.type = EventType::kSharedWrite;
-        event.value = rng.NextIndex(1 << 16);
-        event.bytes = 8;
-        break;
-      case 2:
-        event.type = EventType::kContextSwitch;
-        event.value = (seq + 1) % 6;
-        event.aux = PackSwitchAux(seq, SwitchCause::kPreempt);
-        break;
-      case 3:
-        event.type = EventType::kRngDraw;
-        event.value = rng.NextIndex(1u << 30);
-        break;
-      default:
-        event.type = EventType::kInput;
-        event.value = rng.NextIndex(1 << 12);
-        event.bytes = 4;
-        break;
-    }
-    recording.log.Append(event);
-  }
-  recording.recorded_events = num_events;
-  recording.intercepted_events = num_events;
-  return recording;
-}
 
 void RunBench(uint64_t num_events, int iterations, BenchJsonWriter& json) {
   const RecordedExecution recording = MakeRecording(num_events);

@@ -88,7 +88,6 @@ int main() {
   auto triggers = std::make_unique<TriggerSet>();
   triggers->Add(std::make_unique<InvariantTrigger>(invariants));
   RcseRecorder recorder(rcse_options, std::move(triggers));
-  recorder.AttachEnvironment(&env);
   env.AddTraceSink(&recorder);
 
   QueueProgram buggy(/*slow_consumer=*/true);

@@ -4,10 +4,6 @@
 
 namespace ddr {
 
-std::string_view PlaneName(Plane plane) {
-  return plane == Plane::kControl ? "control" : "data";
-}
-
 void PlaneProfiler::OnEvent(const Event& event) {
   switch (event.type) {
     case EventType::kSharedRead:

@@ -23,8 +23,6 @@ enum class Plane : uint8_t {
   kData = 1,
 };
 
-std::string_view PlaneName(Plane plane);
-
 struct RegionProfile {
   RegionId region = kDefaultRegion;
   uint64_t events = 0;

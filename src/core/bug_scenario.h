@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/invariants.h"
 #include "src/analysis/plane_classifier.h"
 #include "src/analysis/root_cause.h"
 #include "src/core/rcse.h"
@@ -58,9 +57,6 @@ struct BugScenario {
   std::vector<std::string> control_region_names;
   PlaneClassifierOptions classifier_options;
   SimDuration rcse_dial_down_after = 10 * kMillisecond;
-  // Optional extra triggers for data-based/combined RCSE. Receives the
-  // invariants learned from the training run.
-  std::function<void(TriggerSet*, const InvariantSet&)> configure_triggers;
   // World/schedule seeds for the pre-release training run.
   uint64_t training_world_seed = 77;
   uint64_t training_sched_seed = 7;

@@ -84,9 +84,6 @@ std::unique_ptr<Recorder> ExperimentHarness::MakeRecorder(DeterminismModel model
       auto triggers = std::make_unique<TriggerSet>();
       if (scenario_.rcse_mode != RcseMode::kCodeBased) {
         triggers->Add(std::make_unique<RaceTrigger>());
-        if (scenario_.configure_triggers) {
-          scenario_.configure_triggers(triggers.get(), training_->invariants);
-        }
       }
       return std::make_unique<RcseRecorder>(options, std::move(triggers));
     }
@@ -102,7 +99,6 @@ RecordedExecution ExperimentHarness::Record(DeterminismModel model) {
   Environment::Options options = scenario_.env_options;
   options.seed = prepared.production_sched_seed;
   Environment env(options);
-  recorder->AttachEnvironment(&env);
   env.AddTraceSink(recorder.get());
   std::unique_ptr<SimProgram> program =
       scenario_.make_program(scenario_.production_world_seed);
@@ -116,8 +112,8 @@ RecordedExecution ExperimentHarness::Record(DeterminismModel model) {
   recording.model = recorder->model_name();
   recording.log = recorder->TakeLog();
   recording.snapshot = FailureSnapshot::FromOutcome(recording.original_outcome);
-  recording.recorded_bytes = env.recorded_bytes();
-  recording.overhead_nanos = env.recording_overhead_nanos();
+  recording.recorded_bytes = recorder->recorded_bytes();
+  recording.overhead_nanos = recorder->overhead_nanos();
   recording.cpu_nanos = env.cpu_nanos();
   recording.intercepted_events = recorder->intercepted_events();
   recording.recorded_events = recorder->recorded_events();
@@ -151,10 +147,6 @@ ExperimentRow ExperimentHarness::ReplayAndScore(DeterminismModel model,
   row.fidelity = fidelity.value();
   row.efficiency = DebuggingEfficiency(row.original_wall_seconds, replay.wall_seconds);
   row.utility = DebuggingUtility(row.fidelity, row.efficiency);
-
-  if (model == DeterminismModel::kDebugRcse) {
-    last_rcse_row_ = row;
-  }
   return row;
 }
 
@@ -170,14 +162,6 @@ Status ExperimentHarness::SaveRecording(const RecordedExecution& recording,
   options.scenario = scenario_.name;
   options.original_wall_seconds = recording.original_outcome.stats.wall_seconds;
   return WriteTraceFile(path, recording, options);
-}
-
-std::vector<ExperimentRow> ExperimentHarness::RunAllModels() {
-  std::vector<ExperimentRow> rows;
-  for (DeterminismModel model : AllDeterminismModels()) {
-    rows.push_back(RunModel(model));
-  }
-  return rows;
 }
 
 }  // namespace ddr

@@ -85,7 +85,6 @@ class ExperimentHarness {
   Status Prepare();
 
   ExperimentRow RunModel(DeterminismModel model);
-  std::vector<ExperimentRow> RunAllModels();
 
   // The two halves of RunModel, exposed so recordings can cross a process
   // (or machine) boundary between them as trace files.
@@ -114,15 +113,10 @@ class ExperimentHarness {
   const std::vector<Event>& production_trace() const {
     return prep().production_trace;
   }
-  double production_wall_seconds() const {
-    return prep().production_wall_seconds;
-  }
   // Control-plane regions from the training run; empty until training has
   // happened (first RCSE recording, or a prep computed with training).
   const std::set<RegionId>& control_regions() const;
   const BugScenario& scenario() const { return scenario_; }
-  // Stats of the most recent RCSE recording (valid after RunModel(kDebugRcse)).
-  const std::optional<ExperimentRow>& last_rcse_row() const { return last_rcse_row_; }
 
  private:
   const ScenarioPrep& prep() const;
@@ -134,8 +128,6 @@ class ExperimentHarness {
   // Training artifacts, adopted from the prep or computed lazily on the
   // first RCSE recording (never copies the prep's production trace).
   std::shared_ptr<const TrainingArtifacts> training_;
-
-  std::optional<ExperimentRow> last_rcse_row_;
 };
 
 }  // namespace ddr

@@ -34,7 +34,6 @@ Result<ScenarioPrep> ScenarioPrep::Compute(const BugScenario& scenario,
       prep.production_sched_seed = seed;
       prep.production_outcome = std::move(outcome);
       prep.production_trace = sink.events();
-      prep.production_wall_seconds = prep.production_outcome.stats.wall_seconds;
       found = true;
       break;
     }
@@ -59,9 +58,7 @@ std::shared_ptr<const TrainingArtifacts> ComputeTrainingArtifacts(
   options.seed = scenario.training_sched_seed;
   Environment env(options);
   PlaneProfiler profiler;
-  CollectingSink sink;
   env.AddTraceSink(&profiler);
-  env.AddTraceSink(&sink);
   std::unique_ptr<SimProgram> program =
       scenario.make_program(scenario.training_world_seed);
   (void)env.Run(*program);
@@ -84,10 +81,6 @@ std::shared_ptr<const TrainingArtifacts> ComputeTrainingArtifacts(
       artifacts->control_regions.insert(region);
     }
   }
-
-  InvariantInference inference(/*range_slack=*/0.1);
-  inference.ObserveTrace(sink.events());
-  artifacts->invariants = inference.Infer();
   return artifacts;
 }
 

@@ -3,8 +3,8 @@
 //
 // Preparing a scenario means (1) locating the failing "production"
 // execution by seed search and (2) the pre-release training run that
-// classifies control-plane regions and learns invariants for RCSE. Both
-// are pure functions of the BugScenario, so the result can be computed
+// classifies control-plane regions for RCSE. Both are pure functions of
+// the BugScenario, so the result can be computed
 // once and shared — across every model the harness runs, and across the
 // batch runner's worker threads (each worker constructs its own
 // ExperimentHarness around the same shared prep instead of redoing the
@@ -18,19 +18,17 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/invariants.h"
 #include "src/core/bug_scenario.h"
 #include "src/util/status.h"
 
 namespace ddr {
 
-// What the pre-release training run produces: plane classification and
-// learned invariants. Only RCSE recorders consume these. Kept behind a
-// shared_ptr on ScenarioPrep so attaching training never copies the
-// (potentially large) production trace.
+// What the pre-release training run produces: the plane classification.
+// Only RCSE recorders consume it. Kept behind a shared_ptr on ScenarioPrep
+// so attaching training never copies the (potentially large) production
+// trace.
 struct TrainingArtifacts {
   std::set<RegionId> control_regions;
-  InvariantSet invariants;
   std::vector<std::string> region_names;  // index = RegionId
 };
 
@@ -39,7 +37,6 @@ struct ScenarioPrep {
   uint64_t production_sched_seed = 0;
   Outcome production_outcome;
   std::vector<Event> production_trace;
-  double production_wall_seconds = 0.0;
 
   // Null until the training run has happened (see ComputeTrainingArtifacts).
   std::shared_ptr<const TrainingArtifacts> training;
@@ -54,8 +51,8 @@ struct ScenarioPrep {
                                       bool include_training = false);
 };
 
-// Runs the pre-release training run (plane classification + invariant
-// inference). Pure function of the scenario.
+// Runs the pre-release training run (plane classification). Pure function
+// of the scenario.
 std::shared_ptr<const TrainingArtifacts> ComputeTrainingArtifacts(
     const BugScenario& scenario);
 

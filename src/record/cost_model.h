@@ -1,9 +1,10 @@
 // Recording cost model.
 //
-// Substitution note (see DESIGN.md): the paper measures wall-clock recording
-// overhead on real hardware; we charge each recorder action a calibrated
-// virtual-time cost into the environment's overhead ledger and report
-// overhead = (cpu + ledger) / cpu. The constants below were calibrated so
+// Substitution note: the paper measures wall-clock recording overhead on
+// real hardware; we price each recorder's counts (events intercepted, events
+// recorded, bytes recorded) at calibrated virtual-time costs and report
+// overhead = (cpu + priced counts) / cpu, where cpu is the environment's own
+// virtual CPU time. The constants below were calibrated so
 // that the *relative* costs match the published systems' character:
 // value determinism (iDNA/Friday: every memory access logged) is the most
 // expensive, failure determinism (ESD: nothing recorded) is free, and
@@ -21,12 +22,12 @@
 namespace ddr {
 
 struct RecorderCostModel {
-  // Charged for every event the recorder must interpose on, recorded or not
-  // (the cost of the hook itself: a filter check, a branch).
+  // Per event the recorder must interpose on, recorded or not (the cost of
+  // the hook itself: a filter check, a branch).
   SimDuration interposition_cost = 15 * kNanosecond;
-  // Charged per event actually written to the log.
+  // Per event actually written to the log.
   SimDuration log_event_cost = 45 * kNanosecond;
-  // Charged per payload byte written to the log.
+  // Per byte written to the log: encoded log bytes plus event payload.
   SimDuration log_byte_cost = 2 * kNanosecond;
 };
 

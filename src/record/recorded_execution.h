@@ -23,7 +23,8 @@ struct RecordedExecution {
   EventLog log;
   FailureSnapshot snapshot;
 
-  // Recording cost accounting (from the environment's overhead ledger).
+  // Recording cost accounting: the recorder's counts and their price, plus
+  // the environment's virtual CPU time.
   uint64_t recorded_bytes = 0;
   SimDuration overhead_nanos = 0;
   SimDuration cpu_nanos = 0;

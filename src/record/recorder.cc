@@ -1,7 +1,5 @@
 #include "src/record/recorder.h"
 
-#include "src/util/logging.h"
-
 namespace ddr {
 
 EventClass ClassOf(EventType type) {
@@ -60,18 +58,18 @@ void Recorder::OnEvent(const Event& event) {
     return;
   }
   ++intercepted_;
-  SimDuration charge = costs_.interposition_cost;
-  uint64_t bytes = 0;
   if (ShouldRecord(event)) {
     ++recorded_;
     const uint64_t before = log_.encoded_size_bytes();
     log_.Append(event);
-    bytes = log_.encoded_size_bytes() - before + event.bytes;
-    charge += costs_.log_event_cost +
-              costs_.log_byte_cost * static_cast<SimDuration>(bytes);
+    recorded_bytes_ += log_.encoded_size_bytes() - before + event.bytes;
   }
-  CHECK(env_ != nullptr) << "recorder used without AttachEnvironment";
-  env_->ChargeRecordingOverhead(charge, bytes);
+}
+
+SimDuration Recorder::overhead_nanos() const {
+  return costs_.interposition_cost * static_cast<SimDuration>(intercepted_) +
+         costs_.log_event_cost * static_cast<SimDuration>(recorded_) +
+         costs_.log_byte_cost * static_cast<SimDuration>(recorded_bytes_);
 }
 
 }  // namespace ddr

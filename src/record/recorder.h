@@ -1,18 +1,19 @@
 // Recorder: base class for determinism-model recorders.
 //
 // A recorder is a TraceSink that (a) filters the event stream into an
-// EventLog according to its determinism model and (b) charges its runtime
-// cost into the environment's overhead ledger. Recording never influences
-// the execution — the ledger is pure accounting.
+// EventLog according to its determinism model and (b) counts the events it
+// intercepts, the events it records and the bytes it records, which its
+// RecorderCostModel prices into a runtime overhead. A recorder holds no
+// reference to the execution it observes, so recording never influences it.
 
 #ifndef SRC_RECORD_RECORDER_H_
 #define SRC_RECORD_RECORDER_H_
 
 #include <string>
+#include <utility>
 
 #include "src/record/cost_model.h"
 #include "src/record/event_log.h"
-#include "src/sim/environment.h"
 #include "src/sim/event.h"
 
 namespace ddr {
@@ -38,9 +39,6 @@ class Recorder : public TraceSink {
   Recorder(std::string model_name, RecorderCostModel costs)
       : model_name_(std::move(model_name)), costs_(costs) {}
 
-  // Must be called before the recorded run so overhead lands in the ledger.
-  void AttachEnvironment(Environment* env) { env_ = env; }
-
   void OnEvent(const Event& event) final;
 
   // True if this recorder's hooks fire for the event at all.
@@ -55,9 +53,10 @@ class Recorder : public TraceSink {
 
   uint64_t intercepted_events() const { return intercepted_; }
   uint64_t recorded_events() const { return recorded_; }
-
- protected:
-  Environment* env_ = nullptr;
+  // Log bytes plus payload bytes of every recorded event.
+  uint64_t recorded_bytes() const { return recorded_bytes_; }
+  // The three counts above priced by the cost model.
+  SimDuration overhead_nanos() const;
 
  private:
   std::string model_name_;
@@ -65,6 +64,7 @@ class Recorder : public TraceSink {
   EventLog log_;
   uint64_t intercepted_ = 0;
   uint64_t recorded_ = 0;
+  uint64_t recorded_bytes_ = 0;
 };
 
 }  // namespace ddr

@@ -270,8 +270,6 @@ std::vector<uint8_t> EncodeServeInfo(const ServeInfo& info) {
   Encoder encoder;
   encoder.PutString(info.path);
   encoder.PutVarint64(info.file_size);
-  encoder.PutBool(info.journaled);
-  encoder.PutVarint64(info.format_version);
   encoder.PutVarint64(info.generation);
   encoder.PutVarint64(info.dead_bytes);
   encoder.PutVarint64(info.entry_count);
@@ -285,9 +283,6 @@ Result<ServeInfo> DecodeServeInfo(std::span<const uint8_t> payload) {
   ServeInfo info;
   ASSIGN_OR_RETURN(info.path, decoder.GetString());
   ASSIGN_OR_RETURN(info.file_size, decoder.GetVarint64());
-  ASSIGN_OR_RETURN(info.journaled, decoder.GetBool());
-  ASSIGN_OR_RETURN(info.format_version,
-                   GetVarint32Field(decoder, "format_version"));
   ASSIGN_OR_RETURN(info.generation, GetVarint32Field(decoder, "generation"));
   ASSIGN_OR_RETURN(info.dead_bytes, decoder.GetVarint64());
   ASSIGN_OR_RETURN(info.entry_count, decoder.GetVarint64());

@@ -566,10 +566,6 @@ const std::string& Environment::region_name(RegionId region) const {
   return region_names_[region];
 }
 
-RegionId Environment::CurrentRegion() const {
-  return current_ != nullptr ? current_->current_region() : kDefaultRegion;
-}
-
 // ------------------------------------------------------------------- sync
 
 ObjectId Environment::CreateMutex(const std::string& name) {
@@ -833,11 +829,6 @@ void Environment::CrashNode(NodeId node) {
 
 void Environment::AddNodeCrashListener(std::function<void(NodeId)> listener) {
   crash_listeners_.push_back(std::move(listener));
-}
-
-void Environment::ChargeRecordingOverhead(SimDuration nanos, uint64_t bytes) {
-  overhead_nanos_ += nanos;
-  recorded_bytes_ += bytes;
 }
 
 // ---------------------------------------------------------------- internals

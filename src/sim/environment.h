@@ -109,7 +109,6 @@ class Environment {
   FiberId CurrentFiberId() const;
   NodeId CurrentNode() const;
   const std::string& FiberName(FiberId fiber) const;
-  size_t NumFibers() const { return fibers_.size(); }
 
   const ObjectInfo& object_info(ObjectId id) const;
   size_t num_objects() const { return objects_.size(); }
@@ -158,7 +157,6 @@ class Environment {
   void ExitRegion(RegionId region);
   const std::string& region_name(RegionId region) const;
   size_t num_regions() const { return region_names_.size(); }
-  RegionId CurrentRegion() const;
 
   // ------------------------------------------------------ synchronization
   ObjectId CreateMutex(const std::string& name);
@@ -208,12 +206,6 @@ class Environment {
   void CrashNode(NodeId node);
   void AddNodeCrashListener(std::function<void(NodeId)> listener);
 
-  // ------------------------------------------------------ overhead ledger
-  // Recorders charge their runtime cost here. The ledger never perturbs the
-  // execution; it is pure accounting read by the overhead model.
-  void ChargeRecordingOverhead(SimDuration nanos, uint64_t bytes);
-  SimDuration recording_overhead_nanos() const { return overhead_nanos_; }
-  uint64_t recorded_bytes() const { return recorded_bytes_; }
   // Accumulated virtual CPU cost of the run (excludes sleeps/latency waits).
   SimDuration cpu_nanos() const { return cpu_nanos_; }
 
@@ -332,10 +324,6 @@ class Environment {
   bool stop_requested_ = false;
   bool in_scheduler_context_ = true;
   Outcome outcome_;
-
-  // Overhead ledger.
-  SimDuration overhead_nanos_ = 0;
-  uint64_t recorded_bytes_ = 0;
 };
 
 // RAII code-region scope.

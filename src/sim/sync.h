@@ -21,7 +21,6 @@ class SimMutex {
 
   void Lock() { env_.MutexLock(id_); }
   void Unlock() { env_.MutexUnlock(id_); }
-  bool HeldByCurrent() const { return env_.MutexHeldByCurrent(id_); }
 
   ObjectId id() const { return id_; }
   Environment& env() { return env_; }

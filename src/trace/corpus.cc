@@ -347,8 +347,8 @@ Result<ChainWalk> WalkJournalChain(const RandomAccessFile& file,
   return walk;
 }
 
-// Reads and checks the 12-byte header; returns the format version.
-Result<uint32_t> ReadCorpusHeader(const RandomAccessFile& file) {
+// Reads and checks the 12-byte header.
+Status ReadCorpusHeader(const RandomAccessFile& file) {
   std::vector<uint8_t> scratch;
   ASSIGN_OR_RETURN(std::span<const uint8_t> header,
                    file.Read(0, kCorpusHeaderBytes, &scratch));
@@ -358,12 +358,11 @@ Result<uint32_t> ReadCorpusHeader(const RandomAccessFile& file) {
     return InvalidArgumentError("bad corpus file magic");
   }
   ASSIGN_OR_RETURN(uint32_t version, decoder.GetFixed32());
-  if (version != kCorpusFormatVersion &&
-      version != kCorpusFormatVersionLegacy) {
+  if (version != kCorpusFormatVersion) {
     return InvalidArgumentError(
         StrPrintf("unsupported corpus format version %u", version));
   }
-  return version;
+  return OkStatus();
 }
 
 Result<std::shared_ptr<RandomAccessFile>> OpenCorpusFile(
@@ -382,10 +381,8 @@ Result<std::shared_ptr<RandomAccessFile>> OpenCorpusFile(
 // the latest valid trailer down to the held one (walk.base), or nullopt
 // when `file` is not an in-place extension of the held generation — a
 // different inode (the held handle keeps the inode from being reused),
-// a file shrunk below the held tail, a legacy version-1 header (such a
-// file never grows in place), or a chain that no longer runs through
-// the held trailer — and
-// the caller takes the full open. Every trailer and index read here is
+// a file shrunk below the held tail, or a chain that no longer runs
+// through the held trailer — and the caller takes the full open. Every trailer and index read here is
 // new to the holder and goes through the same link, CRC and window
 // checks as a full open; the bytes up to the held trailer were validated
 // by the holder and appends never mutate them.
@@ -398,10 +395,7 @@ Result<std::optional<ChainWalk>> WalkSinceHeld(const RandomAccessFile& held,
   if (!file.SameFile(held) || file.size() < held_tail) {
     return std::optional<ChainWalk>();
   }
-  ASSIGN_OR_RETURN(uint32_t version, ReadCorpusHeader(file));
-  if (version != kCorpusFormatVersion) {
-    return std::optional<ChainWalk>();
-  }
+  RETURN_IF_ERROR(ReadCorpusHeader(file));
   std::vector<CorpusEntry> latest_entries;
   ASSIGN_OR_RETURN(CorpusTrailerInfo latest,
                    FindLatestValidTrailer(file, file.size(),
@@ -521,8 +515,8 @@ Result<std::unique_ptr<CorpusJournalSink>> CorpusJournalSink::Open(
     return locked;
   }
   // Under the lock, the file must still be what the caller's reader saw
-  // — not just the same size: a same-size rename swap (a legacy
-  // version-1 file of equal length, say) would otherwise slip past, and
+  // — not just the same size: a same-size rename swap (another bundle
+  // of equal length, say) would otherwise slip past, and
   // this writer would stamp a journal generation onto a file whose
   // header or trailer no longer match, bricking it. Size, header
   // version, and the trailer bytes at the observed tail must all agree
@@ -761,12 +755,6 @@ Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
     ASSIGN_OR_RETURN(CorpusReader existing,
                      CorpusReader::OpenImpl(path_, read_options, nullptr,
                                             file));
-    if (existing.format_version() != kCorpusFormatVersion) {
-      return FailedPreconditionError(
-          "corpus has the legacy version-1 layout, which is never appended "
-          "to; run 'ddr-trace corpus compact " +
-          path_ + "' first");
-    }
     base = std::make_unique<CorpusAppendBase>();
     base->path = path_;
     base->trailer_offset = existing.trailer_offset();
@@ -1110,7 +1098,7 @@ Result<CorpusReader> CorpusReader::OpenImpl(
   if (reader.file_size_ < kCorpusHeaderBytes + kCorpusTrailerBytes) {
     return InvalidArgumentError("corpus file too small: " + path);
   }
-  ASSIGN_OR_RETURN(reader.format_version_, ReadCorpusHeader(*reader.file_));
+  RETURN_IF_ERROR(ReadCorpusHeader(*reader.file_));
 
   // Chain-load the latest valid trailer, scanning back past a torn tail
   // if a crashed append left one, then stitch the index chain (just
@@ -1128,14 +1116,6 @@ Result<CorpusReader> CorpusReader::OpenImpl(
         "corpus journal chain does not reach generation 1");
   }
   reader.SetLatestTrailer(trailer);
-  // A legacy version-1 file was built atomically and never appended to,
-  // so bytes past its one trailer are corruption, not a torn append.
-  if (reader.format_version_ == kCorpusFormatVersionLegacy &&
-      (reader.generation_ != 1 || reader.dead_bytes_ != 0)) {
-    return InvalidArgumentError(
-        "version-1 corpus has bytes past its trailer (corrupt file?): " +
-        path);
-  }
   reader.AddGenerations(std::move(walk.indexes));
   return reader;
 }

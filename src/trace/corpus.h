@@ -60,12 +60,8 @@
 // its own trailer and overlays just the generations above it; AppendTo
 // does the same from the append base the process's last append left.
 //
-// Header version 1 is a legacy alias that older builds wrote: the same
-// layout, always one generation. It is read through the same path, but
-// a second generation or a torn tail behind a version-1 header is
-// corruption, and AppendTo refuses the file (`ddr-trace corpus compact`
-// rewrites it as version 3). Version 2 (a retired full-index journal) is
-// rejected, and the number is never reused.
+// Versions 1 and 2 are retired and rejected by every open: their bundles
+// embed trace images no build reads any more. Neither number is reused.
 //
 // Crash durability is by write ordering, not rename:
 //
@@ -122,12 +118,8 @@ inline constexpr uint32_t kCorpusTrailerMagic = 0x44445243u;  // "CRDD"
 // validating; the index section each points at lists only the entries
 // its own generation added.
 inline constexpr uint32_t kCorpusDeltaTrailerMagic = 0x4C445243u;  // "CRDL"
-// The only version any writer stamps. (Version 2 was a retired
-// full-index journal; it is rejected and never reused.)
+// The only version any reader accepts or writer stamps.
 inline constexpr uint32_t kCorpusFormatVersion = 3;
-// Written by older builds: one generation, read as an alias of version
-// 3, never appended to.
-inline constexpr uint32_t kCorpusFormatVersionLegacy = 1;
 inline constexpr size_t kCorpusHeaderBytes = 12;   // magic + version + flags
 inline constexpr size_t kCorpusTrailerBytes = 12;  // index offset + magic
 // index offset + prev trailer offset + generation + CRC + magic.
@@ -176,9 +168,7 @@ class CorpusWriter {
   // an unpublished torn tail — the file is never truncated, because a
   // shrink could SIGBUS concurrent mmap readers scanning the tail. Torn
   // bytes, whether from a crash or an abandoned append, are overwritten
-  // by the next append and accounted as dead_bytes until then. A legacy
-  // version-1 bundle is refused with FailedPrecondition: CompactCorpus
-  // rewrites it as version 3 first.
+  // by the next append and accounted as dead_bytes until then.
   //
   // Appends are single-writer: the writer holds an exclusive advisory
   // lock (flock) on the bundle until Finish or destruction, and a second
@@ -312,9 +302,8 @@ class CorpusReader {
   // and window checks as a full open, and overlaid on this reader's
   // entries. Bytes this reader already validated are immutable under the
   // append protocol and are not read again (VerifyAll remains the full
-  // check). Anything else — a path replaced by compact or merge, a
-  // legacy version-1 file, a chain that misses this trailer — takes the
-  // full open.
+  // check). Anything else — a path replaced by compact or merge, a chain
+  // that misses this trailer — takes the full open.
   //
   // The incremental pickup costs O(new entries) in CPU and memory as
   // well: the next reader shares every entry block and name shard the
@@ -333,9 +322,6 @@ class CorpusReader {
   uint64_t file_size() const { return file_size_; }
   // Absolute file offset of the (latest) index section.
   uint64_t index_offset() const { return index_offset_; }
-  // The header's format version: kCorpusFormatVersion, or
-  // kCorpusFormatVersionLegacy for a file an older build wrote.
-  uint32_t format_version() const { return format_version_; }
   // Number of index generations in the journal chain (1 for a fresh
   // build, merge or compact).
   uint32_t generation() const { return generation_; }
@@ -453,7 +439,6 @@ class CorpusReader {
   std::shared_ptr<ChunkCache> cache_;
   uint64_t file_size_ = 0;
   uint64_t index_offset_ = 0;
-  uint32_t format_version_ = kCorpusFormatVersion;
   uint32_t generation_ = 1;
   uint64_t dead_bytes_ = 0;
   uint64_t trailer_offset_ = 0;

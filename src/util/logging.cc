@@ -1,6 +1,5 @@
 #include "src/util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -8,8 +7,6 @@
 
 namespace ddr {
 namespace {
-
-std::atomic<int> g_min_severity{static_cast<int>(LogSeverity::kInfo)};
 
 // Serializes log lines so concurrent fibers/threads do not interleave output.
 std::mutex& LogMutex() {
@@ -44,21 +41,12 @@ const char* ShortFileName(const char* file) {
 
 }  // namespace logging_internal
 
-void SetMinLogSeverity(LogSeverity severity) {
-  g_min_severity.store(static_cast<int>(severity), std::memory_order_relaxed);
-}
-
-LogSeverity MinLogSeverity() {
-  return static_cast<LogSeverity>(g_min_severity.load(std::memory_order_relaxed));
-}
-
 LogMessage::LogMessage(const char* file, int line, LogSeverity severity)
     : file_(file), line_(line), severity_(severity) {}
 
 LogMessage::~LogMessage() {
-  const bool emit = static_cast<int>(severity_) >=
-                    g_min_severity.load(std::memory_order_relaxed);
-  if (emit || severity_ == LogSeverity::kFatal) {
+  // kDebug messages are discarded.
+  if (severity_ >= LogSeverity::kInfo) {
     std::lock_guard<std::mutex> lock(LogMutex());
     std::fprintf(stderr, "[%c %s:%d] %s\n", SeverityLetter(severity_),
                  logging_internal::ShortFileName(file_), line_, stream_.str().c_str());

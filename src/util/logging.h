@@ -24,10 +24,6 @@ enum class LogSeverity : int {
   kFatal = 4,
 };
 
-// Messages below this severity are discarded. Defaults to kInfo.
-void SetMinLogSeverity(LogSeverity severity);
-LogSeverity MinLogSeverity();
-
 // Accumulates one log line and emits it (to stderr) on destruction.
 class LogMessage {
  public:

@@ -37,10 +37,6 @@ std::string PadLeft(std::string_view text, size_t width) {
   return out;
 }
 
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
 std::vector<std::string> StrSplit(std::string_view text, char sep) {
   std::vector<std::string> pieces;
   size_t start = 0;

@@ -32,9 +32,6 @@ std::string StrJoin(const Container& items, std::string_view sep) {
 std::string PadRight(std::string_view text, size_t width);
 std::string PadLeft(std::string_view text, size_t width);
 
-// True if `text` starts with `prefix`.
-bool StartsWith(std::string_view text, std::string_view prefix);
-
 // Splits on a single character, keeping empty pieces.
 std::vector<std::string> StrSplit(std::string_view text, char sep);
 

@@ -99,8 +99,6 @@ TEST(RcseRecorderTest, CodeBasedRecordsControlRegions) {
   options.mode = RcseMode::kCodeBased;
   options.control_regions = {2};
   RcseRecorder recorder(options, nullptr);
-  Environment env(Environment::Options{});
-  recorder.AttachEnvironment(&env);
 
   recorder.OnEvent(TimedEvent(EventType::kSharedRead, 10, /*region=*/1));
   EXPECT_EQ(recorder.recorded_events(), 0u);  // data plane, relaxed
@@ -116,8 +114,6 @@ TEST(RcseRecorderTest, TriggerDialsUpAndQuietPeriodDialsDown) {
   auto triggers = std::make_unique<TriggerSet>();
   triggers->Add(std::make_unique<AnnotationTrigger>(99));
   RcseRecorder recorder(options, std::move(triggers));
-  Environment env(Environment::Options{});
-  recorder.AttachEnvironment(&env);
 
   recorder.OnEvent(TimedEvent(EventType::kSharedRead, 10));
   EXPECT_EQ(recorder.level(), FidelityLevel::kRelaxed);
@@ -148,8 +144,6 @@ TEST(RcseRecorderTest, DialDownDisabledStaysFull) {
   auto triggers = std::make_unique<TriggerSet>();
   triggers->Add(std::make_unique<AnnotationTrigger>(7));
   RcseRecorder recorder(options, std::move(triggers));
-  Environment env(Environment::Options{});
-  recorder.AttachEnvironment(&env);
 
   Event fire = TimedEvent(EventType::kAnnotation, 1);
   fire.obj = 7;

@@ -31,8 +31,8 @@
 #include "src/util/crc32.h"
 #include "src/util/fault_injection.h"
 #include "src/util/random_access_file.h"
-#include "src/util/rng.h"
 #include "src/util/string_util.h"
+#include "tests/corpus_test_util.h"
 #include "tests/trace_forge.h"
 
 namespace ddr {
@@ -58,49 +58,12 @@ class ScopedPath {
   std::string path_;
 };
 
-RecordedExecution MakeSyntheticRecording(uint64_t num_events,
-                                         uint64_t seed = 7) {
-  RecordedExecution recording;
-  recording.model = "synthetic";
-  Rng rng(seed);
-  for (uint64_t seq = 0; seq < num_events; ++seq) {
-    Event event;
-    event.seq = seq;
-    event.time = seq * 13;
-    event.fiber = static_cast<FiberId>(seq % 3);
-    event.obj = 2 + seq % 5;
-    event.value = rng.NextIndex(1 << 18);
-    event.type = seq % 2 == 0 ? EventType::kSharedRead : EventType::kRngDraw;
-    recording.log.Append(event);
-  }
-  recording.recorded_events = num_events;
-  recording.intercepted_events = num_events;
-  recording.recorded_bytes = recording.log.encoded_size_bytes();
-  recording.cpu_nanos = 500;
-  recording.overhead_nanos = 70;
-  return recording;
-}
-
 // The deployed read chain for one entry: OpenTrace, then
 // ReadRecordedExecution.
 Result<RecordedExecution> LoadEntry(const CorpusReader& corpus,
                                     const std::string& name) {
   ASSIGN_OR_RETURN(TraceReader trace, corpus.OpenTrace(name));
   return trace.ReadRecordedExecution();
-}
-
-std::vector<uint8_t> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
 }
 
 // Appends one hand-rolled generation to `bytes`: an index section
@@ -798,7 +761,6 @@ TEST(CorpusJournalTest, InPlaceAppendWritesOnlyTheDelta) {
   // still reachable by Open.
   auto small_after = CorpusReader::Open(small_base.get());
   ASSERT_TRUE(small_after.ok()) << small_after.status();
-  EXPECT_EQ(small_after->format_version(), kCorpusFormatVersion);
   EXPECT_EQ(small_after->dead_bytes(), 0u);
 }
 
@@ -933,6 +895,19 @@ TEST(CorpusJournalTest, TornTailRecoversPreviousGeneration) {
   EXPECT_EQ(compacted->dead_bytes(), 0u);
   EXPECT_EQ(compacted->tail_offset(), compacted->file_size());
   EXPECT_TRUE(compacted->VerifyAll().ok());
+
+  // Junk no append wrote, behind a single-generation build's trailer, is
+  // a torn tail too: counted dead, never read.
+  std::vector<uint8_t> junked = ReadFileBytes(path.get());
+  junked.insert(junked.end(), 100, 0xA5);
+  WriteFileBytes(path.get(), junked);
+  for (IoBackend backend : kAllBackends) {
+    auto torn = CorpusReader::Open(path.get(), WithBackend(backend, 0));
+    ASSERT_TRUE(torn.ok()) << torn.status() << " " << IoBackendName(backend);
+    EXPECT_EQ(torn->generation(), 1u);
+    EXPECT_EQ(torn->dead_bytes(), 100u);
+    EXPECT_TRUE(torn->VerifyAll().ok()) << IoBackendName(backend);
+  }
 }
 
 // Every append, the first included, syncs exactly twice: its images and
@@ -987,87 +962,6 @@ TEST(CorpusJournalTest, EveryAppendSyncsDataThenTrailer) {
     ++generation;
     ++entries;
     expect_published("clean-" + tag, true);
-  }
-}
-
-// Older builds stamped version 1 on every fresh build: the
-// one-generation layout under another version word. It is read through
-// the same path, refused for appends until compacted, and bytes past its
-// one trailer are corruption rather than a torn append.
-TEST(CorpusJournalTest, LegacyVersionOneIsReadOnlyAlias) {
-  for (IoBackend backend : kAllBackends) {
-    const std::string tag(IoBackendName(backend));
-    const CorpusReaderOptions options = WithBackend(backend, 1 << 20);
-    ScopedPath path("legacy_" + tag);
-    {
-      CorpusWriter writer(path.get());
-      ASSERT_TRUE(writer.Begin().ok());
-      ASSERT_TRUE(writer.Add("a", MakeSyntheticRecording(300, 1)).ok());
-      ASSERT_TRUE(writer.Add("b", MakeSyntheticRecording(200, 2)).ok());
-      ASSERT_TRUE(writer.Finish().ok());
-    }
-    const std::vector<uint8_t> fresh = ReadFileBytes(path.get());
-    ASSERT_EQ(fresh[4], kCorpusFormatVersion);  // the version field's low byte
-    std::vector<uint8_t> legacy = fresh;
-    legacy[4] = kCorpusFormatVersionLegacy;
-    WriteFileBytes(path.get(), legacy);
-
-    {
-      auto corpus = CorpusReader::Open(path.get(), options);
-      ASSERT_TRUE(corpus.ok()) << corpus.status();
-      EXPECT_EQ(corpus->format_version(), kCorpusFormatVersionLegacy);
-      EXPECT_EQ(corpus->generation(), 1u);
-      EXPECT_EQ(corpus->dead_bytes(), 0u);
-      ASSERT_EQ(corpus->entries().size(), 2u);
-      EXPECT_EQ(corpus->entries()[1].name, "b");
-      EXPECT_TRUE(corpus->VerifyAll().ok()) << tag;
-      auto loaded = LoadEntry(*corpus, "a");
-      ASSERT_TRUE(loaded.ok()) << loaded.status();
-      EXPECT_EQ(loaded->log.size(), 300u);
-    }
-
-    CorpusAppendOptions append_options;
-    append_options.io = options.io;
-    auto refused = CorpusWriter::AppendTo(path.get(), append_options);
-    ASSERT_FALSE(refused.ok()) << tag;
-    EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
-    EXPECT_NE(refused.status().message().find("corpus compact"),
-              std::string::npos)
-        << refused.status().message();
-    EXPECT_EQ(ReadFileBytes(path.get()), legacy);
-
-    // Junk past the one trailer: a torn tail behind version 3, corruption
-    // behind version 1.
-    ScopedPath junk("legacy_junk_" + tag);
-    std::vector<uint8_t> junked = fresh;
-    junked.insert(junked.end(), 100, 0xA5);
-    WriteFileBytes(junk.get(), junked);
-    auto torn = CorpusReader::Open(junk.get(), options);
-    ASSERT_TRUE(torn.ok()) << torn.status();
-    EXPECT_EQ(torn->dead_bytes(), 100u);
-    junked[4] = kCorpusFormatVersionLegacy;
-    WriteFileBytes(junk.get(), junked);
-    auto rejected = CorpusReader::Open(junk.get(), options);
-    ASSERT_FALSE(rejected.ok()) << tag;
-    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-
-    // Compact rewrites it as the version-3 build it aliases, which
-    // accepts an append.
-    auto compacted = CompactCorpus(path.get(), {}, options.io);
-    ASSERT_TRUE(compacted.ok()) << compacted.status();
-    EXPECT_EQ(ReadFileBytes(path.get()), fresh);
-    {
-      auto writer = CorpusWriter::AppendTo(path.get(), append_options);
-      ASSERT_TRUE(writer.ok()) << writer.status();
-      ASSERT_TRUE((*writer)->Add("c", MakeSyntheticRecording(100, 3)).ok());
-      ASSERT_TRUE((*writer)->Finish().ok());
-    }
-    auto corpus = CorpusReader::Open(path.get(), options);
-    ASSERT_TRUE(corpus.ok()) << corpus.status();
-    EXPECT_EQ(corpus->format_version(), kCorpusFormatVersion);
-    EXPECT_EQ(corpus->generation(), 2u);
-    EXPECT_EQ(corpus->entry_count(), 3u);
-    EXPECT_TRUE(corpus->VerifyAll().ok()) << tag;
   }
 }
 
@@ -1131,7 +1025,7 @@ TEST(CorpusJournalTest, V1SingleTrailerLogicRejectsJournaledBundles) {
   }
   const std::vector<uint8_t> bytes = ReadFileBytes(path.get());
 
-  // The PR-4 era open sequence: header magic + version check expecting
+  // An older build's open sequence: header magic + version check expecting
   // exactly version 1.
   const auto open_v1_strict = [&]() -> Status {
     Decoder header(bytes.data(), kCorpusHeaderBytes);
@@ -1140,7 +1034,7 @@ TEST(CorpusJournalTest, V1SingleTrailerLogicRejectsJournaledBundles) {
     EXPECT_EQ(*magic, kCorpusFileMagic);
     auto version = header.GetFixed32();
     EXPECT_TRUE(version.ok());
-    if (*version != kCorpusFormatVersionLegacy) {
+    if (*version != 1) {
       return InvalidArgumentError(
           StrPrintf("unsupported corpus format version %u", *version));
     }
@@ -1161,14 +1055,20 @@ TEST(CorpusJournalTest, V1SingleTrailerLogicRejectsJournaledBundles) {
   ASSERT_TRUE(trailer_magic.ok());
   EXPECT_NE(*trailer_magic, kCorpusTrailerMagic);
 
-  // An unknown future version is a clean error from the real reader too.
-  std::vector<uint8_t> future = bytes;
-  future[4] = 9;
-  WriteFileBytes(path.get(), future);
-  auto opened = CorpusReader::Open(path.get());
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(opened.status().message().find("version"), std::string::npos);
+  // Any version but 3 is a clean error from the real reader: the retired
+  // 1 and 2 by name, and an unknown future one.
+  for (const uint32_t version : {1u, 2u, 9u}) {
+    std::vector<uint8_t> stamped = bytes;
+    stamped[4] = static_cast<uint8_t>(version);
+    WriteFileBytes(path.get(), stamped);
+    auto opened = CorpusReader::Open(path.get());
+    ASSERT_FALSE(opened.ok()) << "version " << version;
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find(StrPrintf(
+                  "unsupported corpus format version %u", version)),
+              std::string::npos)
+        << opened.status().message();
+  }
 }
 
 // CompactCorpus is the explicit journal squash: compacting a journaled
@@ -1214,7 +1114,6 @@ TEST(CorpusJournalTest, CompactSquashesJournalToSingleShotBytes) {
   EXPECT_EQ(ReadFileBytes(single.get()), ReadFileBytes(journaled.get()));
   auto corpus = CorpusReader::Open(journaled.get());
   ASSERT_TRUE(corpus.ok()) << corpus.status();
-  EXPECT_EQ(corpus->format_version(), kCorpusFormatVersion);
   EXPECT_EQ(corpus->generation(), 1u);
   EXPECT_EQ(corpus->dead_bytes(), 0u);
   EXPECT_TRUE(corpus->VerifyAll().ok());
@@ -1270,7 +1169,6 @@ TEST(CorpusJournalTest, DeltaChainMatchesFullIndexEquivalent) {
     auto got = CorpusReader::Open(chained.get(), WithBackend(backend, 1 << 20));
     ASSERT_TRUE(want.ok()) << want.status();
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->format_version(), kCorpusFormatVersion);
     EXPECT_EQ(got->generation(), 3u);
     ASSERT_EQ(got->entries().size(), want->entries().size());
     for (size_t i = 0; i < want->entries().size(); ++i) {
@@ -1950,7 +1848,6 @@ uint64_t ExpectMatchesFreshOpen(const CorpusReader& reopened) {
   EXPECT_EQ(reopened.index_offset(), fresh->index_offset());
   EXPECT_EQ(reopened.file_size(), fresh->file_size());
   EXPECT_EQ(reopened.dead_bytes(), fresh->dead_bytes());
-  EXPECT_EQ(reopened.format_version(), fresh->format_version());
   EXPECT_EQ(reopened.entries().size(), fresh->entries().size());
   for (size_t i = 0;
        i < std::min(reopened.entries().size(), fresh->entries().size());
@@ -1978,7 +1875,6 @@ TEST(CorpusReopenTest, EachAppendMatchesFreshOpenOnEveryBackend) {
     BuildSingleShot(path.get(), {"base/a", "base/b"});
     auto held = CorpusReader::Open(path.get(), WithBackend(backend, 1 << 20));
     ASSERT_TRUE(held.ok()) << held.status();
-    EXPECT_EQ(held->format_version(), kCorpusFormatVersion);
     for (uint32_t k = 1; k <= 5; ++k) {
       std::vector<std::string> names = {"gen" + std::to_string(k) + "/x"};
       if (k % 2 == 0) {
@@ -1993,7 +1889,6 @@ TEST(CorpusReopenTest, EachAppendMatchesFreshOpenOnEveryBackend) {
       EXPECT_EQ(held->generation(), held_generation);
       EXPECT_EQ(held->entries().size(), held_entries);
       EXPECT_EQ(next->generation(), k + 1);
-      EXPECT_EQ(next->format_version(), kCorpusFormatVersion);
       EXPECT_EQ(next->io_backend(), backend);
       EXPECT_EQ(next->chunk_cache(), held->chunk_cache());
       const uint64_t full_open_bytes = ExpectMatchesFreshOpen(*next);
@@ -2057,7 +1952,6 @@ TEST(CorpusReopenTest, ReplacedOrRewrittenFileTakesTheFullOpen) {
   ASSERT_TRUE(compacted.ok()) << compacted.status();
   auto next = held->Reopen();
   ASSERT_TRUE(next.ok()) << next.status();
-  EXPECT_EQ(next->format_version(), kCorpusFormatVersion);
   EXPECT_EQ(next->generation(), 1u);
   EXPECT_EQ(next->entries().size(), 3u);
   EXPECT_EQ(next->Find("base/b"), nullptr);
@@ -2305,7 +2199,6 @@ TEST(CorpusReopenTest, FullOpenStartsCold) {
   ASSERT_TRUE(compacted.ok()) << compacted.status();
   auto next = held->Reopen();
   ASSERT_TRUE(next.ok()) << next.status();
-  EXPECT_EQ(next->format_version(), kCorpusFormatVersion);
   EXPECT_EQ(next->chunk_cache(), held->chunk_cache());
   EXPECT_EQ(next->Find("base/a")->offset, held->Find("base/a")->offset);
   EXPECT_EQ(ReadThroughCache(*next, "base/a"), HitsMisses(0, 3));

@@ -34,8 +34,8 @@
 #include "src/trace/corpus.h"
 #include "src/trace/trace_reader.h"
 #include "src/util/fault_injection.h"
-#include "src/util/rng.h"
 #include "src/util/string_util.h"
+#include "tests/corpus_test_util.h"
 
 namespace ddr {
 namespace {
@@ -53,44 +53,6 @@ class ScopedPath {
  private:
   std::string path_;
 };
-
-RecordedExecution MakeSyntheticRecording(uint64_t num_events,
-                                         uint64_t seed = 7) {
-  RecordedExecution recording;
-  recording.model = "synthetic";
-  Rng rng(seed);
-  for (uint64_t seq = 0; seq < num_events; ++seq) {
-    Event event;
-    event.seq = seq;
-    event.time = seq * 13;
-    event.fiber = static_cast<FiberId>(seq % 3);
-    event.obj = 2 + seq % 5;
-    event.value = rng.NextIndex(1 << 18);
-    event.type = seq % 2 == 0 ? EventType::kSharedRead : EventType::kRngDraw;
-    recording.log.Append(event);
-  }
-  recording.recorded_events = num_events;
-  recording.intercepted_events = num_events;
-  recording.recorded_bytes = recording.log.encoded_size_bytes();
-  recording.cpu_nanos = 500;
-  recording.overhead_nanos = 70;
-  return recording;
-}
-
-std::vector<uint8_t> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path,
-                    const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
 
 bool FileExists(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

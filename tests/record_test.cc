@@ -149,11 +149,8 @@ TEST(EventLogTest, EventsOfTypeFilters) {
 
 class RecorderFilterTest : public ::testing::Test {
  protected:
-  RecorderFilterTest() : env_(Environment::Options{}) {}
-
   // Feeds one event of each class and returns the recorded count.
   uint64_t FeedAll(Recorder& recorder) {
-    recorder.AttachEnvironment(&env_);
     for (EventType type :
          {EventType::kContextSwitch, EventType::kMutexLock, EventType::kSharedRead,
           EventType::kSharedWrite, EventType::kInput, EventType::kOutput,
@@ -163,8 +160,6 @@ class RecorderFilterTest : public ::testing::Test {
     }
     return recorder.recorded_events();
   }
-
-  Environment env_;
 };
 
 TEST_F(RecorderFilterTest, PerfectRecordsEverything) {
@@ -200,27 +195,32 @@ TEST_F(RecorderFilterTest, FailureRecordsNothing) {
   FailureRecorder recorder;
   EXPECT_EQ(FeedAll(recorder), 0u);
   EXPECT_EQ(recorder.intercepted_events(), 0u);
-  EXPECT_EQ(env_.recording_overhead_nanos(), 0);
+  EXPECT_EQ(recorder.overhead_nanos(), 0);
 }
 
-TEST_F(RecorderFilterTest, OverheadLedgerChargesInterceptionAndWrites) {
+// The overhead is the cost model applied to the recorder's own counts: one
+// interposition per intercepted event, one log write per recorded event and
+// one byte cost per recorded byte (log encoding plus payload).
+TEST_F(RecorderFilterTest, OverheadPricesInterceptedRecordedAndBytes) {
   ValueRecorder recorder;
   const RecorderCostModel costs = ValueCostModel();
-  recorder.AttachEnvironment(&env_);
   recorder.OnEvent(MakeEvent(EventType::kOutput));  // intercepted, not recorded
-  const SimDuration after_skip = env_.recording_overhead_nanos();
-  EXPECT_EQ(after_skip, costs.interposition_cost);
-  recorder.OnEvent(MakeEvent(EventType::kSharedRead));  // recorded
-  EXPECT_GT(env_.recording_overhead_nanos(),
-            after_skip + costs.log_event_cost);
-  EXPECT_GT(env_.recorded_bytes(), 0u);
+  EXPECT_EQ(recorder.recorded_bytes(), 0u);
+  EXPECT_EQ(recorder.overhead_nanos(), costs.interposition_cost);
+
+  const Event read = MakeEvent(EventType::kSharedRead, 2, /*bytes=*/8);
+  recorder.OnEvent(read);  // recorded
+  EXPECT_EQ(recorder.recorded_bytes(),
+            recorder.log().encoded_size_bytes() + read.bytes);
+  EXPECT_EQ(recorder.overhead_nanos(),
+            2 * costs.interposition_cost + costs.log_event_cost +
+                costs.log_byte_cost *
+                    static_cast<SimDuration>(recorder.recorded_bytes()));
 }
 
 TEST(SelectiveRecorderTest, RelaxedUsesPredicateFullUsesValueSet) {
-  Environment env(Environment::Options{});
   SelectiveRecorder recorder(
       "sel", [](const Event& event) { return event.region == 2; });
-  recorder.AttachEnvironment(&env);
 
   // Relaxed: data-plane memory event not recorded, control-plane one is.
   recorder.OnEvent(MakeEvent(EventType::kSharedRead, 1, 8, /*region=*/1));
@@ -318,7 +318,6 @@ TEST(RecorderNonPerturbationTest, FingerprintUnchangedByRecording) {
     options.scheduling.preempt_probability = 0.2;
     Environment env(options);
     if (recorder != nullptr) {
-      recorder->AttachEnvironment(&env);
       env.AddTraceSink(recorder);
     }
     return env

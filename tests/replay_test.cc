@@ -231,7 +231,6 @@ TEST_P(ReplayPropertyTest, PerfectReplayReproducesTraceExactly) {
   options.scheduling.preempt_probability = 0.15;
   Environment record_env(options);
   PerfectRecorder recorder;
-  recorder.AttachEnvironment(&record_env);
   record_env.AddTraceSink(&recorder);
   RandomProgram original(structure_seed, kWorldSeed);
   Outcome original_outcome = record_env.Run(original);
@@ -260,7 +259,6 @@ TEST_P(ReplayPropertyTest, ValueReplayReproducesOutputs) {
   options.scheduling.preempt_probability = 0.1;
   Environment record_env(options);
   ValueRecorder recorder;
-  recorder.AttachEnvironment(&record_env);
   record_env.AddTraceSink(&recorder);
   RandomProgram original(structure_seed, 777);
   Outcome original_outcome = record_env.Run(original);

@@ -178,7 +178,6 @@ TEST(ProtocolTest, TypedBodiesRoundTrip) {
   ServeInfo info;
   info.path = "bundle.ddrc";
   info.file_size = 590;
-  info.journaled = true;
   info.generation = 7;
   info.dead_bytes = 123;
   info.entry_count = 4;
@@ -188,7 +187,6 @@ TEST(ProtocolTest, TypedBodiesRoundTrip) {
   ASSERT_TRUE(info_decoded.ok()) << info_decoded.status();
   EXPECT_EQ(info_decoded->path, info.path);
   EXPECT_EQ(info_decoded->file_size, info.file_size);
-  EXPECT_EQ(info_decoded->journaled, info.journaled);
   EXPECT_EQ(info_decoded->generation, info.generation);
   EXPECT_EQ(info_decoded->dead_bytes, info.dead_bytes);
   EXPECT_EQ(info_decoded->entry_count, info.entry_count);
@@ -266,12 +264,10 @@ TEST(ProtocolTest, RejectsOutOfRange32BitFields) {
         << decoded.status().message();
   };
 
-  const auto info = [](uint64_t format_version, uint64_t generation) {
+  const auto info = [](uint64_t generation) {
     Encoder encoder;
     encoder.PutString("bundle.ddrc");
     encoder.PutVarint64(590);  // file_size
-    encoder.PutBool(true);     // journaled
-    encoder.PutVarint64(format_version);
     encoder.PutVarint64(generation);
     encoder.PutVarint64(0);  // dead_bytes
     encoder.PutVarint64(4);  // entry_count
@@ -279,12 +275,10 @@ TEST(ProtocolTest, RejectsOutOfRange32BitFields) {
     encoder.PutBool(false);  // writer_active
     return encoder.TakeBuffer();
   };
-  auto info_max = DecodeServeInfo(info(kMax, kMax));
+  auto info_max = DecodeServeInfo(info(kMax));
   ASSERT_TRUE(info_max.ok()) << info_max.status();
-  EXPECT_EQ(info_max->format_version, kMax);
   EXPECT_EQ(info_max->generation, kMax);
-  expect_rejected(DecodeServeInfo(info(kTooBig, 1)), "format_version");
-  expect_rejected(DecodeServeInfo(info(3, kTooBig)), "generation");
+  expect_rejected(DecodeServeInfo(info(kTooBig)), "generation");
 
   const auto refresh = [](uint64_t before, uint64_t after) {
     Encoder encoder;
@@ -466,8 +460,6 @@ TEST(CorpusServerTest, ServesInfoListVerifyReplayOverUnixSocket) {
   EXPECT_EQ(info->path, bundle.get());
   EXPECT_EQ(info->entry_count, 4u);
   EXPECT_EQ(info->generation, 1u);
-  EXPECT_EQ(info->format_version, kCorpusFormatVersion);
-  EXPECT_TRUE(info->journaled);
   EXPECT_FALSE(info->writer_active);
   EXPECT_GT(info->file_size, 0u);
 
@@ -894,7 +886,6 @@ TEST(CorpusServerTest, TornTailBundleServesLastValidGeneration) {
   ASSERT_TRUE(info.ok()) << info.status();
   EXPECT_EQ(info->generation, 2u);
   EXPECT_EQ(info->entry_count, 4u);
-  EXPECT_TRUE(info->journaled);
 
   auto verified = client->Verify();
   ASSERT_TRUE(verified.ok()) << verified.status();

@@ -652,13 +652,6 @@ int CorpusCompact(const std::string& path, int argc, char** argv) {
   return 0;
 }
 
-// The "format:" line of `corpus info` and `query info`.
-std::string CorpusFormatName(uint32_t version) {
-  return version == kCorpusFormatVersionLegacy
-             ? "v1 (legacy: run 'corpus compact' before appending)"
-             : StrPrintf("v%u", version);
-}
-
 int CorpusInfo(const std::string& path, int argc, char** argv) {
   auto corpus = CorpusReader::Open(path, CorpusOptionsFromFlags(argc, argv));
   if (!corpus.ok()) {
@@ -670,8 +663,7 @@ int CorpusInfo(const std::string& path, int argc, char** argv) {
               static_cast<unsigned long long>(corpus->file_size()));
   std::printf("io backend:        %s\n",
               std::string(IoBackendName(corpus->io_backend())).c_str());
-  std::printf("format:            %s\n",
-              CorpusFormatName(corpus->format_version()).c_str());
+  std::printf("format:            v%u\n", kCorpusFormatVersion);
   std::printf("generations:       %u\n", corpus->generation());
   std::printf("dead bytes:        %llu (%.1f%% of file%s)\n",
               static_cast<unsigned long long>(corpus->dead_bytes()),
@@ -881,8 +873,6 @@ int Query(int argc, char** argv) {
       std::printf("file size:         %llu bytes\n",
                   static_cast<unsigned long long>(info->file_size));
       std::printf("io backend:        %s\n", info->io_backend.c_str());
-      std::printf("format:            %s\n",
-                  CorpusFormatName(info->format_version).c_str());
       std::printf("generations:       %u\n", info->generation);
       std::printf("dead bytes:        %llu\n",
                   static_cast<unsigned long long>(info->dead_bytes));
